@@ -9,8 +9,8 @@ kernel ridge baseline on designs with known counterfactual curves.
 """
 
 from .bridge import (
-    BridgeGrams,
     BridgeModel,
+    bridge_products,
     compute_grams,
     eval_bridge,
     fit_bridge,
@@ -34,14 +34,7 @@ from .effects import (
     run_end_to_end,
     tuning_reports,
 )
-from .embeddings import (
-    ConditionalEmbedding,
-    UnconditionalEmbedding,
-    cme_condition_on_treatment,
-    cme_condition_on_v,
-    cme_weights,
-    mean_embed,
-)
+from .embeddings import cme_weights
 from .errors import (
     ConfigError,
     DegenerateScaleError,
@@ -73,10 +66,8 @@ from .simlab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BridgeGrams",
     "BridgeModel",
     "ColumnKernel",
-    "ConditionalEmbedding",
     "ConfigError",
     "DEFAULT_GRID",
     "Dataset",
@@ -94,9 +85,7 @@ __all__ = [
     "SimDesign",
     "TuneReport",
     "TuningPlan",
-    "UnconditionalEmbedding",
-    "cme_condition_on_treatment",
-    "cme_condition_on_v",
+    "bridge_products",
     "cme_weights",
     "compute_grams",
     "dimension_sweep",
@@ -115,7 +104,6 @@ __all__ = [
     "krr_fit_predict",
     "loocv_embedding",
     "loocv_scalar",
-    "mean_embed",
     "median_heuristic",
     "project_stage1",
     "run_end_to_end",

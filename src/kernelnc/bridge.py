@@ -1,36 +1,41 @@
 """Two-stage kernel ridge bridge from negative controls to outcomes.
 
-Stage 1 ridge-projects each second-stage point onto the first-stage
-sample through the (treatment, covariates, control-exposure) kernel;
-stage 2 ridge-regresses outcomes on the projected features, which is
-where the negative control outcomes enter. Both stages are closed-form
-linear solves. The fitted bridge evaluates at arbitrary
-(treatment, covariates, control-outcome) points and underpins every
-effect estimator.
+Stage 1 ridge-projects each sample point onto the sample through the
+(treatment, covariates, control-exposure) kernel; stage 2
+ridge-regresses outcomes on the projected features, which is where the
+negative control outcomes enter. One sample serves both stages, and
+both are closed-form linear solves. The fitted bridge evaluates at
+arbitrary (treatment, covariates, control-outcome) points and underpins
+every effect estimator.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .data import Dataset
-from .errors import InputError, NumericalError
+from .errors import DegenerateScaleError, InputError, NumericalError
 from .kernels import KernelSpec, gram
-from .ridge import RidgeSystem
+from .ridge import RidgeSystem, TuneReport, loocv_embedding, loocv_scalar
+
+# Penalty of the conditional embedding given each conditioning role:
+# lam1 embeds (x, w[, v]) given the treatment, lam2 embeds (x, w) given
+# the subgroup covariates.
+EMBEDDING_PENALTIES = {"d": "lam1", "v": "lam2"}
 
 
-def _product_gram(
-    left: Dataset, right: Dataset, specs: Mapping[str, KernelSpec], roles
-) -> np.ndarray:
-    out = None
-    for role in roles:
-        g = gram(left.block(role), right.block(role), specs[role])
-        out = g if out is None else out * g
-    return out
+@contextmanager
+def _step(num: int, label: str):
+    """Tag package errors with the pipeline step that raised them."""
+    try:
+        yield
+    except (InputError, NumericalError, DegenerateScaleError) as err:
+        raise type(err)(f"step {num} ({label}): {err}") from err
 
 
 def _as_block(arr, dim: int, name: str) -> np.ndarray:
@@ -47,58 +52,62 @@ def _as_block(arr, dim: int, name: str) -> np.ndarray:
     return a
 
 
-@dataclass
-class BridgeGrams:
-    """Kernel matrices shared by fitting and penalty tuning.
-
-    `A` and `A_cross` cover the stage-1 regression blocks
-    (d, x, z[, v]); `stage2_core` is the same product over the
-    second-stage sample with the control-exposure factor dropped;
-    `K_ww` is the control-outcome Gram.
-    """
-
-    roles: tuple[str, ...]
-    A: np.ndarray
-    A_cross: np.ndarray
-    stage2_core: np.ndarray
-    K_ww: np.ndarray
-
-
 def compute_grams(
-    stage1: Dataset, stage2: Dataset, specs: Mapping[str, KernelSpec]
-) -> BridgeGrams:
-    """Assemble every Gram matrix the bridge fit needs."""
-    has_v = stage1.has_role("v")
-    if stage2.has_role("v") != has_v:
-        raise InputError("stage1 and stage2 disagree on the 'v' block")
-    roles = ["d", "x", "z"] + (["v"] if has_v else [])
-    missing = set(roles + ["w"]).difference(specs)
+    data: Dataset, specs: Mapping[str, KernelSpec]
+) -> dict[str, np.ndarray]:
+    """The Gram set of one call: role -> n x n Gram over `data`.
+
+    Covers the roles d, x, z, w and, when present, v. Every later step
+    of a call reads its training-sample Grams from this dict rather than
+    calling `gram` again, and deletes the entries no later step reads.
+    The set is never kept beyond the call that built it.
+    """
+    roles = ["d", "x", "z", "w"] + (["v"] if data.has_role("v") else [])
+    missing = set(roles).difference(specs)
     if missing:
         raise InputError(f"kernel specs missing for roles {sorted(missing)}")
-    w1 = stage1.block("w")
-    return BridgeGrams(
-        roles=tuple(roles),
-        A=_product_gram(stage1, stage1, specs, roles),
-        A_cross=_product_gram(stage1, stage2, specs, roles),
-        stage2_core=_product_gram(stage2, stage2, specs, [r for r in roles if r != "z"]),
-        K_ww=gram(w1, w1, specs["w"]),
-    )
+    blocks = {role: data.block(role) for role in roles}
+    return {role: gram(b, b, specs[role]) for role, b in blocks.items()}
 
 
-def project_stage1(grams: BridgeGrams, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def bridge_products(grams: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The stage-1 Gram A over (d, x, z[, v]) and the stage-2 core over (d, x[, v]).
+
+    The stage-2 core is the stage-1 product with the control-exposure
+    factor dropped. Both multiply in role order, (d, x, z, v).
+    """
+    core = grams["d"] * grams["x"]
+    A = core * grams["z"]
+    if "v" in grams:
+        A = A * grams["v"]
+        core = core * grams["v"]
+    return A, core
+
+
+def _output_gram(grams: Mapping[str, np.ndarray], include_v: bool) -> np.ndarray:
+    """Gram of the embedded outputs (x, w[, v]) over the sample."""
+    out = grams["x"] * grams["w"]
+    if include_v and "v" in grams:
+        out = out * grams["v"]
+    return out
+
+
+def project_stage1(
+    A: np.ndarray, stage2_core: np.ndarray, K_ww: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Stage-1 solve: weights B and the derived second-stage kernel M.
 
-    B = (A + n lam I)^{-1} A_cross, and M multiplies the second-stage
-    core Gram by B' K_ww B, symmetrized to wash out round-off.
+    B = (A + n lam I)^{-1} A, and M multiplies the second-stage core
+    Gram by B' K_ww B, symmetrized to wash out round-off.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InputError(f"lam must be finite and >= 0, got {lam}")
-    n = grams.A.shape[0]
+    n = A.shape[0]
     try:
-        B = RidgeSystem(grams.A, n * lam).solve(grams.A_cross)
+        B = RidgeSystem(A, n * lam).solve(A)
     except NumericalError as err:
         raise NumericalError(f"stage 1: {err}") from err
-    M = grams.stage2_core * (B.T @ grams.K_ww @ B)
+    M = stage2_core * (B.T @ K_ww @ B)
     M = 0.5 * (M + M.T)
     return B, M
 
@@ -120,14 +129,12 @@ def solve_coef(M: np.ndarray, y: np.ndarray, xi: float) -> np.ndarray:
 class BridgeModel:
     """Fitted two-stage bridge.
 
-    `stage1_weights` (n x m) holds the stage-1 ridge weights of each
-    second-stage point over the first-stage sample; `stage2_gram`
-    (m x m) is the derived second-stage kernel; `coef` (m,) are the
-    bridge coefficients.
+    `stage1_weights` (n x n) holds the stage-1 ridge weights of each
+    sample point over the sample; `stage2_gram` (n x n) is the derived
+    second-stage kernel; `coef` (n,) are the bridge coefficients.
     """
 
-    stage1: Dataset
-    stage2: Dataset
+    data: Dataset
     specs: dict[str, KernelSpec]
     lam: float
     xi: float
@@ -140,27 +147,76 @@ class BridgeModel:
         return "v" in self.specs
 
 
-def fit_bridge(
-    stage1: Dataset,
-    stage2: Dataset,
+def tune_and_fit(
+    data: Dataset,
     specs: Mapping[str, KernelSpec],
-    lam: float,
-    xi: float,
-) -> BridgeModel:
-    """Fit the bridge on a first-stage and a second-stage sample.
+    grams: dict[str, np.ndarray],
+    lam: float | None = None,
+    xi: float | None = None,
+    embeds: Mapping[str, float | None] | None = None,
+    grid=None,
+    model: BridgeModel | None = None,
+) -> tuple[BridgeModel, dict[str, float], dict[str, TuneReport]]:
+    """The tuning sequence lam -> project_stage1 -> xi -> (lam1 | lam2).
 
-    Passing the same dataset for both stages gives the sample-reuse
-    estimator; the cross-Gram then coincides with the square Gram bit
-    for bit, so no special casing is needed.
+    `grams` is the call's Gram set from :func:`compute_grams`. `embeds`
+    maps the conditioning role of each conditional embedding the caller
+    will use ("d" for lam1, "v" for lam2) to its penalty. Every penalty
+    left as None is selected by closed-form leave-one-out on `grid`.
+    Given a fitted `model`, the bridge steps are skipped.
+
+    Returns the bridge, every penalty by name, and the report of each
+    tuned one. Errors carry the number of the pipeline step that raised
+    them.
+    """
+    embeds = dict(embeds or {})
+    reports: dict[str, TuneReport] = {}
+    if model is None:
+        A, core = bridge_products(grams)
+        # Only the products read z, and past them only the treatment
+        # embedding reads d; dropping them bounds the call's peak memory.
+        del grams["z"]
+        if "d" not in embeds:
+            del grams["d"]
+        if lam is None:
+            with _step(2, "penalty tuning"):
+                reports["lam"] = loocv_embedding(A, grams["w"], grid)
+            lam = reports["lam"].selected
+        with _step(3, "bridge fit"):
+            B, M = project_stage1(A, core, grams["w"], lam)
+        del A, core
+        if xi is None:
+            with _step(2, "penalty tuning"):
+                reports["xi"] = loocv_scalar(M, data.y, grid)
+            xi = reports["xi"].selected
+        with _step(3, "bridge fit"):
+            coef = solve_coef(M, data.y, xi)
+        roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
+        kept = {role: specs[role] for role in roles}
+        model = BridgeModel(data, kept, float(lam), float(xi), B, M, coef)
+    penalties = {"lam": model.lam, "xi": model.xi}
+    for role, penalty in embeds.items():
+        name = EMBEDDING_PENALTIES[role]
+        if penalty is None:
+            with _step(4, "embedding weights"):
+                if role not in grams:
+                    raise InputError(f"dataset has no {role!r} columns")
+                K_out = _output_gram(grams, include_v=role == "d")
+                reports[name] = loocv_embedding(grams[role], K_out, grid)
+            penalty = reports[name].selected
+        penalties[name] = float(penalty)
+    return model, penalties, reports
+
+
+def fit_bridge(
+    data: Dataset, specs: Mapping[str, KernelSpec], lam: float, xi: float
+) -> BridgeModel:
+    """Fit the bridge on one sample that serves both stages.
 
     Solve failures carry a stage tag so callers can tell which linear
     system was at fault.
     """
-    grams = compute_grams(stage1, stage2, specs)
-    B, M = project_stage1(grams, lam)
-    alpha = solve_coef(M, stage2.y, xi)
-    kept = {role: specs[role] for role in (*grams.roles, "w")}
-    return BridgeModel(stage1, stage2, kept, float(lam), float(xi), B, M, alpha)
+    return tune_and_fit(data, specs, compute_grams(data, specs), lam, xi)[0]
 
 
 def eval_bridge(model: BridgeModel, d, x, w, v=None) -> np.ndarray:
@@ -176,9 +232,9 @@ def eval_bridge(model: BridgeModel, d, x, w, v=None) -> np.ndarray:
     nq = dq.shape[0]
     if xq.shape[0] != nq or wq.shape[0] != nq:
         raise InputError("d, x, w must carry the same number of query rows")
-    kd = gram(model.stage2.block("d"), dq, specs["d"])
-    kx = gram(model.stage2.block("x"), xq, specs["x"])
-    kw = gram(model.stage1.block("w"), wq, specs["w"])
+    kd = gram(model.data.block("d"), dq, specs["d"])
+    kx = gram(model.data.block("x"), xq, specs["x"])
+    kw = gram(model.data.block("w"), wq, specs["w"])
     feats = kd * kx * (model.stage1_weights.T @ kw)
     if model.has_v:
         if v is None:
@@ -186,7 +242,7 @@ def eval_bridge(model: BridgeModel, d, x, w, v=None) -> np.ndarray:
         vq = _as_block(v, specs["v"].dim, "v")
         if vq.shape[0] != nq:
             raise InputError("v must carry the same number of query rows")
-        feats = feats * gram(model.stage2.block("v"), vq, specs["v"])
+        feats = feats * gram(model.data.block("v"), vq, specs["v"])
     elif v is not None:
         raise InputError("model has no 'v' block")
     return model.coef @ feats

@@ -18,26 +18,26 @@ and exists as a comparison target.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .bridge import (
+    EMBEDDING_PENALTIES,
     BridgeModel,
     _as_block,
+    _step,
     compute_grams,
-    project_stage1,
-    solve_coef,
     theoretical_embedding_penalty,
     theoretical_schedule,
+    tune_and_fit,
 )
 from .data import Dataset
 from .embeddings import cme_weights
-from .errors import DegenerateScaleError, InputError, NumericalError
+from .errors import InputError
 from .kernels import KernelSpec, gram, spec_from_data
-from .ridge import RidgeSystem, TuneReport, loocv_embedding, loocv_scalar
+from .ridge import RidgeSystem, TuneReport, loocv_scalar
 
 EFFECT_KINDS = ("ate", "ds", "att", "cate")
 ESTIMATORS = ("nc", "te")
@@ -119,15 +119,6 @@ class EffectCurve:
             raise InputError("grid and values must be 1-D arrays of equal length")
 
 
-@contextmanager
-def _step(num: int, label: str):
-    """Tag package errors with the pipeline step that raised them."""
-    try:
-        yield
-    except (InputError, NumericalError, DegenerateScaleError) as err:
-        raise type(err)(f"step {num} ({label}): {err}") from err
-
-
 def kernel_specs(
     data: Dataset, lengthscales: Mapping[str, float] | None = None
 ) -> dict[str, KernelSpec]:
@@ -186,7 +177,7 @@ def _resolve_grid(request: EffectRequest, data: Dataset) -> np.ndarray:
 def _curve_values(
     model: BridgeModel, grid: np.ndarray, c: np.ndarray, extra: np.ndarray | None = None
 ) -> np.ndarray:
-    kd = gram(model.stage2.block("d"), grid[:, None], model.specs["d"])
+    kd = gram(model.data.block("d"), grid[:, None], model.specs["d"])
     weights = model.coef * c if extra is None else model.coef * extra * c
     return kd.T @ weights
 
@@ -195,8 +186,8 @@ def _base_metadata(model: BridgeModel, kind: str, extra_penalty: float | None) -
     return {
         "estimator": "nc",
         "effect": kind,
-        "n": model.stage1.n,
-        "m": model.stage2.n,
+        "n": model.data.n,
+        "m": model.data.n,
         "lam": model.lam,
         "xi": model.xi,
         "extra_penalty": extra_penalty,
@@ -218,56 +209,91 @@ def estimate_ds(
     aw = _as_block(alt_w, specs["w"].dim, "alt_w")
     if ax.shape[0] != aw.shape[0]:
         raise InputError("alt_x and alt_w must have the same number of rows")
-    kx = gram(model.stage2.block("x"), ax, specs["x"])
+    kx = gram(model.data.block("x"), ax, specs["x"])
     if model.has_v:
         if alt_v is None:
             raise InputError("model includes a 'v' block; pass alt_v")
         av = _as_block(alt_v, specs["v"].dim, "alt_v")
         if av.shape[0] != ax.shape[0]:
             raise InputError("alt_v must match alt_x rows")
-        kx = kx * gram(model.stage2.block("v"), av, specs["v"])
+        kx = kx * gram(model.data.block("v"), av, specs["v"])
     elif alt_v is not None:
         raise InputError("model has no 'v' block")
-    kw = gram(model.stage1.block("w"), aw, specs["w"])
+    kw = gram(model.data.block("w"), aw, specs["w"])
     pop = kx * (model.stage1_weights.T @ kw)
     c = pop.mean(axis=1)
     values = _curve_values(model, grid, c)
     return EffectCurve(grid, values, "nc", _base_metadata(model, "ds", None))
 
 
+def _reference_features(
+    model: BridgeModel, grams: Mapping[str, np.ndarray], include_v: bool
+) -> np.ndarray:
+    """n x n features pairing each sample point with every observation.
+
+    Averaged over the observations they give the dose-response
+    reweighting; weighted by conditional embedding weights, the
+    conditional ones.
+    """
+    kx = grams["x"]
+    if include_v and model.has_v:
+        kx = kx * grams["v"]
+    return kx * (model.stage1_weights.T @ grams["w"])
+
+
+def _ate(model: BridgeModel, grams: Mapping[str, np.ndarray], grid) -> EffectCurve:
+    grid = np.asarray(grid, dtype=float).ravel()
+    c = _reference_features(model, grams, True).mean(axis=1)
+    values = _curve_values(model, grid, c)
+    return EffectCurve(grid, values, "nc", _base_metadata(model, "ate", None))
+
+
+def _att(
+    model: BridgeModel, grams: Mapping[str, np.ndarray], grid, d_value, lam1: float
+) -> EffectCurve:
+    grid = np.asarray(grid, dtype=float).ravel()
+    kq = gram(model.data.block("d"), np.asarray([[float(d_value)]]), model.specs["d"])
+    beta = cme_weights(grams["d"], float(lam1), kq)[:, 0]
+    c = _reference_features(model, grams, True) @ beta
+    values = _curve_values(model, grid, c)
+    return EffectCurve(grid, values, "nc", _base_metadata(model, "att", float(lam1)))
+
+
+def _cate(
+    model: BridgeModel, grams: Mapping[str, np.ndarray], grid, v_value, lam2: float
+) -> EffectCurve:
+    if not model.has_v:
+        raise InputError("CATE needs a bridge fitted with a 'v' block")
+    grid = np.asarray(grid, dtype=float).ravel()
+    v_row = _as_block(v_value, model.specs["v"].dim, "v")
+    if v_row.shape[0] != 1:
+        raise InputError("cate takes a single v point")
+    kq = gram(model.data.block("v"), v_row, model.specs["v"])
+    beta = cme_weights(grams["v"], float(lam2), kq)[:, 0]
+    c = _reference_features(model, grams, False) @ beta
+    values = _curve_values(model, grid, c, extra=kq[:, 0])
+    return EffectCurve(grid, values, "nc", _base_metadata(model, "cate", float(lam2)))
+
+
 def estimate_ate(model: BridgeModel, grid) -> EffectCurve:
-    """Dose-response curve averaged over the training population."""
-    curve = estimate_ds(
-        model,
-        grid,
-        model.stage1.block("x"),
-        model.stage1.block("w"),
-        model.stage1.block("v") if model.has_v else None,
-    )
-    curve.metadata["effect"] = "ate"
-    return curve
+    """Dose-response curve averaged over the training population.
+
+    Equal bit for bit to :func:`estimate_ds` over the training sample.
+    """
+    return _ate(model, compute_grams(model.data, model.specs), grid)
 
 
-def _reference_features(model: BridgeModel, include_v: bool) -> np.ndarray:
-    """m x n features pairing stage-2 points with stage-1 observations."""
-    specs = model.specs
-    kx = gram(model.stage2.block("x"), model.stage1.block("x"), specs["x"])
-    if include_v and model.has_v:
-        kx = kx * gram(model.stage2.block("v"), model.stage1.block("v"), specs["v"])
-    w1 = model.stage1.block("w")
-    return kx * (model.stage1_weights.T @ gram(w1, w1, specs["w"]))
-
-
-def _stage1_output_gram(model: BridgeModel, include_v: bool) -> np.ndarray:
-    """Gram of the embedded outputs (x, w[, v]) over the stage-1 sample."""
-    specs = model.specs
-    x1 = model.stage1.block("x")
-    w1 = model.stage1.block("w")
-    out = gram(x1, x1, specs["x"]) * gram(w1, w1, specs["w"])
-    if include_v and model.has_v:
-        v1 = model.stage1.block("v")
-        out = out * gram(v1, v1, specs["v"])
-    return out
+def _embedding_penalty(
+    model: BridgeModel, grams: dict[str, np.ndarray], role: str, penalty, candidates
+) -> float:
+    """`penalty`, or the one the tuning sequence selects when it is None."""
+    if penalty is None:
+        _, penalties, _ = tune_and_fit(
+            model.data, model.specs, grams, embeds={role: None}, grid=candidates,
+            model=model,
+        )
+        penalty = penalties[EMBEDDING_PENALTIES[role]]
+    return penalty
 
 
 def estimate_att(
@@ -279,17 +305,9 @@ def estimate_att(
     weights on the treatment block with penalty `lam1` (LOOCV-tuned when
     None). The curve sweeps counterfactual treatment levels.
     """
-    grid = np.asarray(grid, dtype=float).ravel()
-    specs = model.specs
-    d1 = model.stage1.block("d")
-    K_dd = gram(d1, d1, specs["d"])
-    if lam1 is None:
-        lam1 = loocv_embedding(K_dd, _stage1_output_gram(model, True), candidates).selected
-    kq = gram(d1, np.asarray([[float(d_value)]]), specs["d"])
-    beta = cme_weights(K_dd, float(lam1), kq)[:, 0]
-    c = _reference_features(model, True) @ beta
-    values = _curve_values(model, grid, c)
-    return EffectCurve(grid, values, "nc", _base_metadata(model, "att", float(lam1)))
+    grams = compute_grams(model.data, model.specs)
+    lam1 = _embedding_penalty(model, grams, "d", lam1, candidates)
+    return _att(model, grams, grid, d_value, lam1)
 
 
 def estimate_cate(
@@ -302,23 +320,34 @@ def estimate_cate(
     embedding weights (penalty `lam2`, LOOCV-tuned when None) that
     average the remaining covariates and control outcomes.
     """
-    if not model.has_v:
-        raise InputError("CATE needs a bridge fitted with a 'v' block")
-    grid = np.asarray(grid, dtype=float).ravel()
-    specs = model.specs
-    v1 = model.stage1.block("v")
-    K_vv = gram(v1, v1, specs["v"])
-    if lam2 is None:
-        lam2 = loocv_embedding(K_vv, _stage1_output_gram(model, False), candidates).selected
-    v_row = _as_block(v_value, specs["v"].dim, "v")
-    if v_row.shape[0] != 1:
-        raise InputError("cate takes a single v point")
-    kq = gram(v1, v_row, specs["v"])
-    beta = cme_weights(K_vv, float(lam2), kq)[:, 0]
-    c = _reference_features(model, False) @ beta
-    kv2 = gram(model.stage2.block("v"), v_row, specs["v"])[:, 0]
-    values = _curve_values(model, grid, c, extra=kv2)
-    return EffectCurve(grid, values, "nc", _base_metadata(model, "cate", float(lam2)))
+    grams = compute_grams(model.data, model.specs)
+    lam2 = _embedding_penalty(model, grams, "v", lam2, candidates)
+    return _cate(model, grams, grid, v_value, lam2)
+
+
+def _te_fit(
+    data: Dataset, grams: dict[str, np.ndarray], lam: float | None, candidates
+) -> tuple[np.ndarray, np.ndarray, float, dict[str, TuneReport]]:
+    """The baseline's tuning sequence: lam, then the ridge coefficients.
+
+    Consumes the Gram set, multiplying in role order (d, x, z, w[, v]).
+    Returns the coefficients, the mean over the sample of the
+    non-treatment kernel factors, the penalty and the report of the
+    tuned one.
+    """
+    full = grams.pop("d")
+    rest = None
+    for role in list(grams):
+        g = grams.pop(role)
+        full = full * g
+        rest = g if rest is None else rest * g
+    y = data.y
+    reports: dict[str, TuneReport] = {}
+    if lam is None:
+        reports["lam"] = loocv_scalar(full, y, candidates)
+        lam = reports["lam"].selected
+    coef = RidgeSystem(full, data.n * float(lam)).solve(y)
+    return coef, rest.mean(axis=1), float(lam), reports
 
 
 def estimate_te_baseline(
@@ -334,23 +363,7 @@ def estimate_te_baseline(
     them out over the training sample. Penalty LOOCV-tuned when None.
     """
     specs = dict(specs) if specs is not None else kernel_specs(data)
-    roles = ["d", "x", "z", "w"] + (["v"] if data.has_role("v") else [])
-    missing = set(roles).difference(specs)
-    if missing:
-        raise InputError(f"kernel specs missing for roles {sorted(missing)}")
-    full = None
-    rest = None
-    for role in roles:
-        block = data.block(role)
-        g = gram(block, block, specs[role])
-        full = g if full is None else full * g
-        if role != "d":
-            rest = g if rest is None else rest * g
-    y = data.y
-    if lam is None:
-        lam = loocv_scalar(full, y, candidates).selected
-    coef = RidgeSystem(full, data.n * float(lam)).solve(y)
-    gbar = rest.mean(axis=1)
+    coef, gbar, lam, _ = _te_fit(data, compute_grams(data, specs), lam, candidates)
     if grid is None:
         grid = default_grid(
             data.block("d")[:, 0], categorical=data.categorical_flags("d")[0]
@@ -363,7 +376,7 @@ def estimate_te_baseline(
         "effect": "ate",
         "n": data.n,
         "m": data.n,
-        "lam": float(lam),
+        "lam": lam,
         "xi": None,
         "extra_penalty": None,
     }
@@ -390,73 +403,43 @@ def run_end_to_end(
     tuning = tuning if tuning is not None else TuningPlan()
     if estimator not in ESTIMATORS:
         raise InputError(f"unknown estimator {estimator!r}")
+    if estimator == "te" and request.kind != "ate":
+        raise InputError("the 'te' baseline only supports kind 'ate'")
 
     with _step(1, "kernel selection"):
         specs = kernel_specs(data, lengthscales)
         grid = _resolve_grid(request, data)
 
-    if estimator == "te":
-        if request.kind != "ate":
-            raise InputError("the 'te' baseline only supports kind 'ate'")
-        lam = _forced_or_none(tuning, "lam")
-        if tuning.mode == "theoretical":
-            lam = theoretical_embedding_penalty(data.n, tuning.c0)
-        with _step(3, "bridge fit"):
-            curve = estimate_te_baseline(data, specs, grid, lam, tuning.grid)
-        curve.metadata.update(
-            tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
-        )
-        return curve
-
     n = data.n
     lam, xi = _forced_or_none(tuning, "lam"), _forced_or_none(tuning, "xi")
     lam1, lam2 = _forced_or_none(tuning, "lam1"), _forced_or_none(tuning, "lam2")
-    if tuning.mode == "theoretical":
-        lam, xi = theoretical_schedule(n, n, tuning.c0, tuning.c, reuse=True)
-        lam1 = theoretical_embedding_penalty(n, tuning.c1)
-        lam2 = theoretical_embedding_penalty(n, tuning.c2)
-
-    with _step(1, "kernel selection"):
-        grams = compute_grams(data, data, specs)
-    if lam is None:
-        with _step(2, "penalty tuning"):
-            lam = loocv_embedding(grams.A, grams.K_ww, tuning.grid).selected
-    with _step(3, "bridge fit"):
-        B, M = project_stage1(grams, lam)
-    if xi is None:
-        with _step(2, "penalty tuning"):
-            xi = loocv_scalar(M, data.y, tuning.grid).selected
-    with _step(3, "bridge fit"):
-        coef = solve_coef(M, data.y, xi)
-    kept = {role: specs[role] for role in (*grams.roles, "w")}
-    model = BridgeModel(data, data, kept, float(lam), float(xi), B, M, coef)
-
-    if request.kind == "ate":
-        with _step(5, "effect evaluation"):
-            curve = estimate_ate(model, grid)
-    elif request.kind == "ds":
-        with _step(5, "effect evaluation"):
-            curve = estimate_ds(model, grid, request.alt_x, request.alt_w, request.alt_v)
-    elif request.kind == "att":
-        with _step(4, "embedding weights"):
-            if lam1 is None:
-                lam1 = loocv_embedding(
-                    gram(data.block("d"), data.block("d"), specs["d"]),
-                    _stage1_output_gram(model, True),
-                    tuning.grid,
-                ).selected
-        with _step(5, "effect evaluation"):
-            curve = estimate_att(model, grid, request.d_value, lam1)
+    if estimator == "te":
+        if tuning.mode == "theoretical":
+            lam = theoretical_embedding_penalty(n, tuning.c0)
+        with _step(3, "bridge fit"):
+            curve = estimate_te_baseline(data, specs, grid, lam, tuning.grid)
     else:
-        with _step(4, "embedding weights"):
-            if lam2 is None:
-                lam2 = loocv_embedding(
-                    gram(data.block("v"), data.block("v"), specs["v"]),
-                    _stage1_output_gram(model, False),
-                    tuning.grid,
-                ).selected
+        with _step(1, "kernel selection"):
+            grams = compute_grams(data, specs)
+        if tuning.mode == "theoretical":
+            lam, xi = theoretical_schedule(n, n, tuning.c0, tuning.c, reuse=True)
+            lam1 = theoretical_embedding_penalty(n, tuning.c1)
+            lam2 = theoretical_embedding_penalty(n, tuning.c2)
+        embeds = {"att": {"d": lam1}, "cate": {"v": lam2}}.get(request.kind)
+        model, penalties, _ = tune_and_fit(
+            data, specs, grams, lam, xi, embeds, tuning.grid
+        )
         with _step(5, "effect evaluation"):
-            curve = estimate_cate(model, grid, request.v_value, lam2)
+            if request.kind == "ate":
+                curve = _ate(model, grams, grid)
+            elif request.kind == "ds":
+                curve = estimate_ds(
+                    model, grid, request.alt_x, request.alt_w, request.alt_v
+                )
+            elif request.kind == "att":
+                curve = _att(model, grams, grid, request.d_value, penalties["lam1"])
+            else:
+                curve = _cate(model, grams, grid, request.v_value, penalties["lam2"])
 
     curve.metadata.update(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
@@ -472,37 +455,16 @@ def tuning_reports(
 ) -> dict[str, TuneReport]:
     """Grid-search audit: every penalty's candidates and losses.
 
-    For the bridge estimator this tunes lam, then xi on the resulting
-    second-stage kernel, plus lam1 and (with a 'v' block) lam2. The
-    baseline estimator has a single ridge penalty.
+    Runs the estimator's tuning sequence with every penalty left to
+    leave-one-out. For the bridge estimator that is lam, then xi on the
+    resulting second-stage kernel, plus lam1 and (with a 'v' block)
+    lam2. The baseline estimator has a single ridge penalty.
     """
     if estimator not in ESTIMATORS:
         raise InputError(f"unknown estimator {estimator!r}")
     specs = kernel_specs(data, lengthscales)
-    reports: dict[str, TuneReport] = {}
+    grams = compute_grams(data, specs)
     if estimator == "te":
-        roles = ["d", "x", "z", "w"] + (["v"] if data.has_role("v") else [])
-        full = None
-        for role in roles:
-            block = data.block(role)
-            g = gram(block, block, specs[role])
-            full = g if full is None else full * g
-        reports["lam"] = loocv_scalar(full, data.y, candidates)
-        return reports
-    grams = compute_grams(data, data, specs)
-    reports["lam"] = loocv_embedding(grams.A, grams.K_ww, candidates)
-    _, M = project_stage1(grams, reports["lam"].selected)
-    reports["xi"] = loocv_scalar(M, data.y, candidates)
-    d1 = data.block("d")
-    x1 = data.block("x")
-    w1 = data.block("w")
-    out_xw = gram(x1, x1, specs["x"]) * gram(w1, w1, specs["w"])
-    out_full = out_xw
-    if data.has_role("v"):
-        v1 = data.block("v")
-        out_full = out_xw * gram(v1, v1, specs["v"])
-    reports["lam1"] = loocv_embedding(gram(d1, d1, specs["d"]), out_full, candidates)
-    if data.has_role("v"):
-        v1 = data.block("v")
-        reports["lam2"] = loocv_embedding(gram(v1, v1, specs["v"]), out_xw, candidates)
-    return reports
+        return _te_fit(data, grams, None, candidates)[3]
+    embeds = {role: None for role in EMBEDDING_PENALTIES if data.has_role(role)}
+    return tune_and_fit(data, specs, grams, embeds=embeds, grid=candidates)[2]

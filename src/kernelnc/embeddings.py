@@ -1,54 +1,16 @@
-"""Kernel mean embeddings over the covariate and control blocks.
+"""Conditional kernel mean embedding weights.
 
-Two flavors appear in the effect estimators: the unconditional embedding
-(a plain average of feature maps over a reference sample) and conditional
-embeddings, whose weights come from a kernel ridge system on the
-conditioning block. Conditional objects cache their factorization so
-repeated queries cost one triangular solve each.
+The conditional effect estimators reweight the covariate and control
+average by conditional embedding weights: a kernel ridge system on the
+conditioning block, solved for one column per query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
-from .kernels import KernelSpec, gram
 from .ridge import RidgeSystem
-
-
-@dataclass(frozen=True)
-class UnconditionalEmbedding:
-    """Mean embedding of an (x, w) reference sample, weight 1/n each."""
-
-    x_ref: np.ndarray
-    w_ref: np.ndarray
-    spec_x: KernelSpec
-    spec_w: KernelSpec
-
-    @property
-    def n(self) -> int:
-        return self.x_ref.shape[0]
-
-    def evaluate(self, x, w) -> float:
-        """n^{-1} sum_i k_x(x_i, x) k_w(w_i, w) at a single point."""
-        kx = gram(self.x_ref, np.atleast_2d(np.asarray(x, dtype=float)), self.spec_x)
-        kw = gram(self.w_ref, np.atleast_2d(np.asarray(w, dtype=float)), self.spec_w)
-        if kx.shape[1] != 1 or kw.shape[1] != 1:
-            raise InputError("evaluate takes a single (x, w) point")
-        return float(np.mean(kx[:, 0] * kw[:, 0]))
-
-
-def mean_embed(
-    x_ref: np.ndarray, w_ref: np.ndarray, spec_x: KernelSpec, spec_w: KernelSpec
-) -> UnconditionalEmbedding:
-    """Embed a joint reference sample of covariates and control outcomes."""
-    x = np.atleast_2d(np.asarray(x_ref, dtype=float))
-    w = np.atleast_2d(np.asarray(w_ref, dtype=float))
-    if x.shape[0] != w.shape[0] or x.shape[0] == 0:
-        raise InputError("x_ref and w_ref need the same positive row count")
-    return UnconditionalEmbedding(x, w, spec_x, spec_w)
 
 
 def cme_weights(K_BB: np.ndarray, lam: float, K_Bb: np.ndarray) -> np.ndarray:
@@ -64,79 +26,3 @@ def cme_weights(K_BB: np.ndarray, lam: float, K_Bb: np.ndarray) -> np.ndarray:
     if not np.isfinite(lam) or lam < 0.0:
         raise InputError(f"lambda must be finite and >= 0, got {lam}")
     return RidgeSystem(K_BB, n * lam).solve(np.asarray(K_Bb, dtype=float))
-
-
-@dataclass
-class ConditionalEmbedding:
-    """Embedding of (x, w) given a conditioning block, via ridge weights.
-
-    `weights(q)` returns beta(q) = (K_BB + n lambda I)^{-1} K_Bq for
-    queries q over the conditioning block; the embedding at q is then
-    sum_i beta_i(q) k_x(x_i, .) k_w(w_i, .).
-    """
-
-    inputs: np.ndarray
-    spec_in: KernelSpec
-    lam: float
-    x_ref: np.ndarray
-    w_ref: np.ndarray
-    spec_x: KernelSpec
-    spec_w: KernelSpec
-
-    def __post_init__(self) -> None:
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        self.x_ref = np.atleast_2d(np.asarray(self.x_ref, dtype=float))
-        self.w_ref = np.atleast_2d(np.asarray(self.w_ref, dtype=float))
-        n = self.inputs.shape[0]
-        if n == 0 or self.x_ref.shape[0] != n or self.w_ref.shape[0] != n:
-            raise InputError("inputs, x_ref and w_ref need one row per observation")
-        if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise InputError(f"lambda must be finite and >= 0, got {self.lam}")
-        K_BB = gram(self.inputs, self.inputs, self.spec_in)
-        self._system = RidgeSystem(K_BB, n * self.lam)
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    def weights(self, queries) -> np.ndarray:
-        """Ridge weights per query, shape (n, n_queries)."""
-        q = np.asarray(queries, dtype=float)
-        if q.ndim <= 1:
-            q = q.reshape(1, -1) if q.ndim == 1 else q.reshape(1, 1)
-        return self._system.solve(gram(self.inputs, q, self.spec_in))
-
-    def evaluate(self, query, x, w) -> float:
-        """The embedding at `query`, paired against the feature of (x, w)."""
-        beta = self.weights(query)
-        if beta.shape[1] != 1:
-            raise InputError("evaluate takes a single query")
-        kx = gram(self.x_ref, np.atleast_2d(np.asarray(x, dtype=float)), self.spec_x)
-        kw = gram(self.w_ref, np.atleast_2d(np.asarray(w, dtype=float)), self.spec_w)
-        return float(beta[:, 0] @ (kx[:, 0] * kw[:, 0]))
-
-
-def cme_condition_on_treatment(
-    d: np.ndarray,
-    x_ref: np.ndarray,
-    w_ref: np.ndarray,
-    spec_d: KernelSpec,
-    spec_x: KernelSpec,
-    spec_w: KernelSpec,
-    lam1: float,
-) -> ConditionalEmbedding:
-    """Embed (x, w) given the treatment level, penalty lam1."""
-    return ConditionalEmbedding(d, spec_d, lam1, x_ref, w_ref, spec_x, spec_w)
-
-
-def cme_condition_on_v(
-    v: np.ndarray,
-    x_ref: np.ndarray,
-    w_ref: np.ndarray,
-    spec_v: KernelSpec,
-    spec_x: KernelSpec,
-    spec_w: KernelSpec,
-    lam2: float,
-) -> ConditionalEmbedding:
-    """Embed (x, w) given the subgroup covariates, penalty lam2."""
-    return ConditionalEmbedding(v, spec_v, lam2, x_ref, w_ref, spec_x, spec_w)

@@ -144,12 +144,6 @@ def _prepare_grid(grid) -> np.ndarray:
     return g
 
 
-def _smoother_eigh(K: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    K = _check_square(K, name)
-    eigvals, eigvecs = np.linalg.eigh(K)
-    return eigvals, eigvecs
-
-
 def loocv_scalar(K: np.ndarray, y: np.ndarray, grid=None) -> TuneReport:
     """Exact leave-one-out loss for scalar kernel ridge regression.
 
@@ -167,7 +161,7 @@ def loocv_scalar(K: np.ndarray, y: np.ndarray, grid=None) -> TuneReport:
     K = _check_square(K, "K")
     if K.shape[0] != n:
         raise InputError(f"K is {K.shape[0]}x{K.shape[0]} but y has length {n}")
-    eigvals, Q = _smoother_eigh(K, "K")
+    eigvals, Q = np.linalg.eigh(K)
     Qty = Q.T @ y
     Q2 = Q * Q
     losses = np.empty_like(g)
@@ -193,7 +187,7 @@ def loocv_embedding(K_input: np.ndarray, K_output: np.ndarray, grid=None) -> Tun
     """
     g = _prepare_grid(grid)
     Ko = _check_square(K_output, "K_output")
-    eigvals, Q = _smoother_eigh(K_input, "K_input")
+    eigvals, Q = np.linalg.eigh(_check_square(K_input, "K_input"))
     n = Q.shape[0]
     if Ko.shape[0] != n:
         raise InputError(

@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from .data import Dataset, from_arrays
 from .effects import EffectRequest, TuningPlan, run_end_to_end
-from .errors import InputError, KernelncError, NumericalError
+from .errors import ConfigError, InputError, KernelncError, NumericalError
 
 DESIGN_KINDS = ("quadratic", "sigmoid", "peaked", "no_confounding", "discrete")
 ESTIMATOR_NAMES = ("nc", "te")
@@ -223,10 +223,16 @@ def _aggregate(values: np.ndarray, truth: float | None) -> tuple[float, float, f
 
 
 def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    """Worker count: `workers`, else $KERNELNC_WORKERS, else 1; at least 1."""
+    name, value = "workers", workers
+    if workers is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+        if not value:
+            return 1
+    try:
+        return max(1, int(value))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def run_experiment(

@@ -103,7 +103,7 @@ def test_criterion_3_bridge_and_effects_match_dense_oracle(capsys):
         )
         lam, xi = rng.uniform(0.01, 0.5, size=2)
         lam1, lam2 = rng.uniform(0.01, 0.5, size=2)
-        model = fit_bridge(data, data, kernel_specs(data), lam, xi)
+        model = fit_bridge(data, kernel_specs(data), lam, xi)
         scales = {
             r: od.block_scales(data.block(r)) for r in ("d", "x", "z", "w", "v")
         }
@@ -223,7 +223,7 @@ def test_criterion_6_discrete_v_cate_equals_subset_ate(capsys):
     )
     specs = kernel_specs(data)
     lam, xi = 0.1, 0.05
-    model = fit_bridge(data, data, specs, lam, xi)
+    model = fit_bridge(data, specs, lam, xi)
     grid = np.linspace(-1.0, 1.0, 5)
     worst = 0.0
     for code in (0.0, 1.0, 2.0):
@@ -233,7 +233,7 @@ def test_criterion_6_discrete_v_cate_equals_subset_ate(capsys):
         # the subgroup refit must keep the same absolute ridge, so the
         # per-sample penalties scale by n / n_c
         scale = n / sub.n
-        sub_model = fit_bridge(sub, sub, specs, lam * scale, xi * scale)
+        sub_model = fit_bridge(sub, specs, lam * scale, xi * scale)
         ate = estimate_ate(sub_model, grid)
         worst = max(worst, float(np.max(np.abs(cate.values - ate.values))))
     elapsed = time.perf_counter() - t0
@@ -267,7 +267,7 @@ def test_criterion_7_invariant_suite(capsys):
         rng.normal(size=20), rng.normal(size=20), rng.normal(size=(20, 2)),
         rng.normal(size=20), rng.normal(size=20),
     )
-    model = fit_bridge(data, data, kernel_specs(data), 0.05, 0.02)
+    model = fit_bridge(data, kernel_specs(data), 0.05, 0.02)
     grid = np.linspace(-1.0, 1.0, 6)
     ds_is_ate = np.array_equal(
         estimate_ate(model, grid).values,

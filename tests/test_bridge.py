@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kernelnc.bridge import (
+    bridge_products,
     compute_grams,
     eval_bridge,
     fit_bridge,
@@ -38,10 +39,11 @@ def test_identity_gram_hand_instance():
     # stage-2 fits y/2, and the bridge itself interpolates y exactly
     data = _indicator_dataset()
     specs = _indicator_specs()
-    grams = compute_grams(data, data, specs)
-    np.testing.assert_array_equal(grams.A, np.eye(3))
+    grams = compute_grams(data, specs)
+    A, core = bridge_products(grams)
+    np.testing.assert_array_equal(A, np.eye(3))
 
-    B, M = project_stage1(grams, 1.0 / 3.0)
+    B, M = project_stage1(A, core, grams["w"], 1.0 / 3.0)
     np.testing.assert_allclose(B, np.eye(3) / 2.0, atol=1e-12)
     np.testing.assert_allclose(M, np.eye(3) / 4.0, atol=1e-12)
 
@@ -49,21 +51,11 @@ def test_identity_gram_hand_instance():
     alpha = solve_coef(M, y, 1.0 / 12.0)
     np.testing.assert_allclose(alpha, 2.0 * y, rtol=1e-10)
 
-    model = fit_bridge(data, data, specs, 1.0 / 3.0, 1.0 / 12.0)
+    model = fit_bridge(data, specs, 1.0 / 3.0, 1.0 / 12.0)
     np.testing.assert_allclose(model.coef, 2.0 * y, rtol=1e-10)
     np.testing.assert_allclose(stage2_fitted_values(model), y / 2.0, rtol=1e-10)
     got = eval_bridge(model, data.block("d"), data.block("x"), data.block("w"))
     np.testing.assert_allclose(got, y, rtol=1e-10)
-
-
-def test_sample_reuse_cross_gram_is_bitwise():
-    rng = np.random.default_rng(61)
-    data = from_arrays(
-        rng.normal(size=30), rng.normal(size=30), rng.normal(size=(30, 2)),
-        rng.normal(size=30), rng.normal(size=30),
-    )
-    grams = compute_grams(data, data, kernel_specs(data))
-    assert np.array_equal(grams.A, grams.A_cross)
 
 
 def _random_dataset(rng, n, with_v=False):
@@ -84,7 +76,7 @@ def _oracle_scales(data, roles):
 def test_fit_matches_dense_oracle():
     rng = np.random.default_rng(67)
     data = _random_dataset(rng, 22)
-    model = fit_bridge(data, data, kernel_specs(data), 0.08, 0.03)
+    model = fit_bridge(data, kernel_specs(data), 0.08, 0.03)
     fit = od.fit_dense(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
         data.y, _oracle_scales(data, ("d", "x", "z", "w")), 0.08, 0.03,
@@ -105,7 +97,7 @@ def test_fit_with_v_block_matches_dense_oracle():
     rng = np.random.default_rng(71)
     data = _random_dataset(rng, 18, with_v=True)
     specs = kernel_specs(data)
-    model = fit_bridge(data, data, specs, 0.1, 0.05)
+    model = fit_bridge(data, specs, 0.1, 0.05)
     assert model.has_v
     fit = od.fit_dense(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
@@ -128,7 +120,7 @@ def test_fit_with_v_block_matches_dense_oracle():
 def test_eval_bridge_validation():
     rng = np.random.default_rng(73)
     data = _random_dataset(rng, 10)
-    model = fit_bridge(data, data, kernel_specs(data), 0.1, 0.1)
+    model = fit_bridge(data, kernel_specs(data), 0.1, 0.1)
     with pytest.raises(InputError):
         eval_bridge(model, [0.0, 1.0], np.zeros((1, 2)), [0.0])
     with pytest.raises(InputError):

@@ -65,6 +65,13 @@ def test_config_semantic_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KERNELNC_WORKERS", "abc")
+    argv = ["simulate", "--replicates", "1", "--output-dir", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    assert "KERNELNC_WORKERS must be an integer" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     # a constant covariate defeats the lengthscale heuristic at run time
     path = tmp_path / "flat.csv"

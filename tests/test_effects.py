@@ -41,7 +41,7 @@ def _dataset(rng, n=24, with_v=False):
 def fitted():
     rng = np.random.default_rng(79)
     data = _dataset(rng)
-    model = fit_bridge(data, data, kernel_specs(data), 0.05, 0.02)
+    model = fit_bridge(data, kernel_specs(data), 0.05, 0.02)
     return data, model, rng
 
 
@@ -49,7 +49,7 @@ def fitted():
 def fitted_v():
     rng = np.random.default_rng(83)
     data = _dataset(rng, with_v=True)
-    model = fit_bridge(data, data, kernel_specs(data), 0.05, 0.02)
+    model = fit_bridge(data, kernel_specs(data), 0.05, 0.02)
     return data, model, rng
 
 
@@ -130,7 +130,7 @@ def test_zero_outcome_gives_zero_curves(fitted_v):
         np.zeros(data.n), data.block("d"), data.block("x"), data.block("z"),
         data.block("w"), data.block("v"),
     )
-    model = fit_bridge(flat, flat, kernel_specs(flat), 0.05, 0.02)
+    model = fit_bridge(flat, kernel_specs(flat), 0.05, 0.02)
     for curve in (
         estimate_ate(model, GRID),
         estimate_att(model, GRID, 0.0, lam1=0.1),
@@ -242,3 +242,16 @@ def test_tuning_reports_cover_every_penalty(fitted_v):
         assert rep.selected in cands
     te_reports = tuning_reports(data, estimator="te", candidates=cands)
     assert set(te_reports) == {"lam"}
+
+
+def test_tuning_reports_select_what_the_runner_records(fitted_v):
+    data, _, _ = fitted_v
+    selected = {name: rep.selected for name, rep in tuning_reports(data).items()}
+    for kind, extra, request in (
+        ("att", "lam1", EffectRequest("att", grid=GRID, d_value=0.3)),
+        ("cate", "lam2", EffectRequest("cate", grid=GRID, v_value=0.1)),
+    ):
+        meta = run_end_to_end(data, request).metadata
+        assert (meta["lam"], meta["xi"], meta["extra_penalty"]) == (
+            selected["lam"], selected["xi"], selected[extra]
+        ), kind

@@ -1,53 +1,20 @@
-"""Mean embeddings and ridge-weighted conditional embeddings."""
+"""Ridge weights of conditional mean embeddings."""
 
 import numpy as np
 import pytest
 
-from kernelnc.embeddings import (
-    ConditionalEmbedding,
-    cme_condition_on_treatment,
-    cme_condition_on_v,
-    cme_weights,
-    mean_embed,
-)
+from kernelnc.embeddings import cme_weights
 from kernelnc.errors import InputError
 from kernelnc.kernels import KernelSpec, gram
 
-from oracle_dense import gram_loops
-
-
-@pytest.fixture
-def blocks():
-    rng = np.random.default_rng(53)
-    return {
-        "d": rng.normal(size=(14, 1)),
-        "x": rng.normal(size=(14, 2)),
-        "w": rng.normal(size=(14, 1)),
-    }
-
 
 SPEC_D = KernelSpec.gaussian([0.9])
-SPEC_X = KernelSpec.gaussian([1.1, 0.7])
-SPEC_W = KernelSpec.gaussian([1.3])
 
 
-def test_mean_embed_matches_hand_average(blocks):
-    emb = mean_embed(blocks["x"], blocks["w"], SPEC_X, SPEC_W)
-    assert emb.n == 14
-    x0, w0 = blocks["x"][3], blocks["w"][3]
-    kx = gram_loops(blocks["x"], [x0], [1.1, 0.7])[:, 0]
-    kw = gram_loops(blocks["w"], [w0], [1.3])[:, 0]
-    assert emb.evaluate(x0, w0) == pytest.approx(float(np.mean(kx * kw)), rel=1e-12)
-
-
-def test_mean_embed_validation(blocks):
-    with pytest.raises(InputError):
-        mean_embed(blocks["x"], blocks["w"][:5], SPEC_X, SPEC_W)
-
-
-def test_cme_weights_match_dense_solve(blocks):
-    K = gram(blocks["d"], blocks["d"], SPEC_D)
-    Kq = gram(blocks["d"], np.array([[0.2], [-0.4]]), SPEC_D)
+def test_cme_weights_match_dense_solve():
+    d = np.random.default_rng(53).normal(size=(14, 1))
+    K = gram(d, d, SPEC_D)
+    Kq = gram(d, np.array([[0.2], [-0.4]]), SPEC_D)
     got = cme_weights(K, 0.05, Kq)
     want = np.linalg.solve(K + 14 * 0.05 * np.eye(14), Kq)
     np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -61,56 +28,12 @@ def test_cme_weights_validation():
         cme_weights(np.eye(2), -0.1, np.ones(2))
 
 
-def test_conditional_embedding_evaluate(blocks):
-    emb = cme_condition_on_treatment(
-        blocks["d"], blocks["x"], blocks["w"], SPEC_D, SPEC_X, SPEC_W, 0.02
-    )
-    q = np.array([0.3])
-    beta = emb.weights(q)[:, 0]
-    K = gram_loops(blocks["d"], [q], [0.9])[:, 0]
-    want_beta = np.linalg.solve(
-        gram_loops(blocks["d"], blocks["d"], [0.9]) + 14 * 0.02 * np.eye(14), K
-    )
-    np.testing.assert_allclose(beta, want_beta, rtol=1e-10)
-
-    x0, w0 = blocks["x"][0], blocks["w"][0]
-    kx = gram_loops(blocks["x"], [x0], [1.1, 0.7])[:, 0]
-    kw = gram_loops(blocks["w"], [w0], [1.3])[:, 0]
-    assert emb.evaluate(q, x0, w0) == pytest.approx(float(beta @ (kx * kw)),
-                                                   rel=1e-12)
-
-
-def test_conditional_embedding_batch_weights(blocks):
-    emb = cme_condition_on_v(
-        blocks["w"], blocks["x"], blocks["w"], SPEC_W, SPEC_X, SPEC_W, 0.1
-    )
-    queries = np.array([[0.0], [1.0], [2.0]])
-    assert emb.weights(queries).shape == (14, 3)
-    with pytest.raises(InputError):
-        emb.evaluate(queries, blocks["x"][0], blocks["w"][0])
-
-
-def test_conditional_embedding_validation(blocks):
-    with pytest.raises(InputError):
-        ConditionalEmbedding(
-            blocks["d"], SPEC_D, -1.0, blocks["x"], blocks["w"], SPEC_X, SPEC_W
-        )
-    with pytest.raises(InputError):
-        ConditionalEmbedding(
-            blocks["d"][:4], SPEC_D, 0.1, blocks["x"], blocks["w"], SPEC_X, SPEC_W
-        )
-
-
 def test_zero_penalty_reproduces_training_point():
     # distinct well-separated inputs make the Gram near identity, so the
     # lam=0 weights at a training input pick out that observation
     d = np.linspace(0.0, 50.0, 11)[:, None]
-    rng = np.random.default_rng(59)
-    emb = cme_condition_on_treatment(
-        d, rng.normal(size=(11, 2)), rng.normal(size=(11, 1)),
-        KernelSpec.gaussian([1.0]), SPEC_X, SPEC_W, 0.0,
-    )
-    beta = emb.weights(d[4])[:, 0]
+    spec = KernelSpec.gaussian([1.0])
+    beta = cme_weights(gram(d, d, spec), 0.0, gram(d, d[4:5], spec))[:, 0]
     want = np.zeros(11)
     want[4] = 1.0
     np.testing.assert_allclose(beta, want, atol=1e-6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelnc.effects import TuningPlan
-from kernelnc.errors import InputError, NumericalError
+from kernelnc.errors import ConfigError, InputError, NumericalError
 from kernelnc.simlab import (
     MSE_GRID_HI,
     MSE_GRID_LO,
@@ -208,6 +208,11 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("KERNELNC_WORKERS", "3")
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2
+    with pytest.raises(ConfigError, match="workers must be an integer"):
+        resolve_workers("two")
+    monkeypatch.setenv("KERNELNC_WORKERS", "abc")
+    with pytest.raises(ConfigError, match="KERNELNC_WORKERS must be an integer"):
+        resolve_workers(None)
 
 
 def test_dimension_sweep():
