@@ -12,11 +12,9 @@ from .bridge import (
     BridgeModel,
     bridge_products,
     compute_grams,
-    eval_bridge,
     fit_bridge,
     project_stage1,
     solve_coef,
-    stage2_fitted_values,
     theoretical_embedding_penalty,
     theoretical_schedule,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "estimate_cate",
     "estimate_ds",
     "estimate_te_baseline",
-    "eval_bridge",
     "fit_bridge",
     "from_arrays",
     "generate",
@@ -112,7 +109,6 @@ __all__ = [
     "solve_coef",
     "solve_ridge",
     "spec_from_data",
-    "stage2_fitted_values",
     "theoretical_embedding_penalty",
     "theoretical_schedule",
     "true_curve",

@@ -4,9 +4,8 @@ Stage 1 ridge-projects each sample point onto the sample through the
 (treatment, covariates, control-exposure) kernel; stage 2
 ridge-regresses outcomes on the projected features, which is where the
 negative control outcomes enter. One sample serves both stages, and
-both are closed-form linear solves. The fitted bridge evaluates at
-arbitrary (treatment, covariates, control-outcome) points and underpins
-every effect estimator.
+both are closed-form linear solves. Every effect estimator averages
+the fitted bridge over a (covariates, control-outcome) population.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateScaleError, InputError, NumericalError
 from .kernels import KernelSpec, gram
-from .ridge import RidgeSystem, TuneReport, loocv_embedding, loocv_scalar
+from .ridge import RidgeSystem, TuneReport
 
 # Penalty of the conditional embedding given each conditioning role:
 # lam1 embeds (x, w[, v]) given the treatment, lam2 embeds (x, w) given
@@ -36,20 +35,6 @@ def _step(num: int, label: str):
         yield
     except (InputError, NumericalError, DegenerateScaleError) as err:
         raise type(err)(f"step {num} ({label}): {err}") from err
-
-
-def _as_block(arr, dim: int, name: str) -> np.ndarray:
-    """Normalize query points to shape (q, dim)."""
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        # A 1-D array is a batch of scalars when the block is 1-D,
-        # otherwise a single point.
-        a = a[:, None] if dim == 1 else a[None, :]
-    if a.ndim != 2 or a.shape[1] != dim:
-        raise InputError(f"{name} queries must have {dim} column(s), got {a.shape}")
-    return a
 
 
 def compute_grams(
@@ -93,18 +78,18 @@ def _output_gram(grams: Mapping[str, np.ndarray], include_v: bool) -> np.ndarray
 
 
 def project_stage1(
-    A: np.ndarray, stage2_core: np.ndarray, K_ww: np.ndarray, lam: float
+    stage1: RidgeSystem, stage2_core: np.ndarray, K_ww: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-1 solve: weights B and the derived second-stage kernel M.
 
-    B = (A + n lam I)^{-1} A, and M multiplies the second-stage core
-    Gram by B' K_ww B, symmetrized to wash out round-off.
+    `stage1` is the system of the stage-1 Gram A. B is its smoother
+    (A + n lam I)^{-1} A, and M multiplies the second-stage core Gram by
+    B' K_ww B, symmetrized to wash out round-off.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InputError(f"lam must be finite and >= 0, got {lam}")
-    n = A.shape[0]
     try:
-        B = RidgeSystem(A, n * lam).solve(A)
+        B = stage1.smoother(stage1.n * lam)
     except NumericalError as err:
         raise NumericalError(f"stage 1: {err}") from err
     M = stage2_core * (B.T @ K_ww @ B)
@@ -112,15 +97,21 @@ def project_stage1(
     return B, M
 
 
-def solve_coef(M: np.ndarray, y: np.ndarray, xi: float) -> np.ndarray:
-    """Stage-2 solve: coefficients (M M' + m xi M)^{-1} M y."""
+def solve_coef(stage2: RidgeSystem, y: np.ndarray, xi: float) -> np.ndarray:
+    """Stage-2 solve: coefficients (M + m xi I)^{-1} y.
+
+    `stage2` is the system of the second-stage kernel M. For nonsingular
+    M this equals the paper's (M M' + m xi M)^{-1} M y without squaring
+    the condition number of M, and it is the ridge whose xi the scalar
+    leave-one-out loss tunes.
+    """
     if not np.isfinite(xi) or xi < 0.0:
         raise InputError(f"xi must be finite and >= 0, got {xi}")
-    m = M.shape[0]
+    m = stage2.n
     if y.shape != (m,):
         raise InputError(f"y must have shape ({m},), got {y.shape}")
     try:
-        return RidgeSystem(M @ M.T + m * xi * M, 0.0).solve(M @ y)
+        return stage2.solve(m * xi, y)
     except NumericalError as err:
         raise NumericalError(f"stage 2: {err}") from err
 
@@ -178,19 +169,22 @@ def tune_and_fit(
         del grams["z"]
         if "d" not in embeds:
             del grams["d"]
+        stage1 = RidgeSystem(A)
         if lam is None:
             with _step(2, "penalty tuning"):
-                reports["lam"] = loocv_embedding(A, grams["w"], grid)
+                reports["lam"] = stage1.loo_embedding(grams["w"], grid)
             lam = reports["lam"].selected
         with _step(3, "bridge fit"):
-            B, M = project_stage1(A, core, grams["w"], lam)
-        del A, core
+            B, M = project_stage1(stage1, core, grams["w"], lam)
+        del A, core, stage1
+        stage2 = RidgeSystem(M)
         if xi is None:
             with _step(2, "penalty tuning"):
-                reports["xi"] = loocv_scalar(M, data.y, grid)
+                reports["xi"] = stage2.loo_scalar(data.y, grid)
             xi = reports["xi"].selected
         with _step(3, "bridge fit"):
-            coef = solve_coef(M, data.y, xi)
+            coef = solve_coef(stage2, data.y, xi)
+        del stage2
         roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
         kept = {role: specs[role] for role in roles}
         model = BridgeModel(data, kept, float(lam), float(xi), B, M, coef)
@@ -202,7 +196,7 @@ def tune_and_fit(
                 if role not in grams:
                     raise InputError(f"dataset has no {role!r} columns")
                 K_out = _output_gram(grams, include_v=role == "d")
-                reports[name] = loocv_embedding(grams[role], K_out, grid)
+                reports[name] = RidgeSystem(grams[role]).loo_embedding(K_out, grid)
             penalty = reports[name].selected
         penalties[name] = float(penalty)
     return model, penalties, reports
@@ -217,40 +211,6 @@ def fit_bridge(
     system was at fault.
     """
     return tune_and_fit(data, specs, compute_grams(data, specs), lam, xi)[0]
-
-
-def eval_bridge(model: BridgeModel, d, x, w, v=None) -> np.ndarray:
-    """Evaluate the bridge at query (d, x, w[, v]) points.
-
-    Each argument is a batch with one row per query (scalars and 1-D
-    inputs are promoted); returns one value per query.
-    """
-    specs = model.specs
-    dq = _as_block(d, specs["d"].dim, "d")
-    xq = _as_block(x, specs["x"].dim, "x")
-    wq = _as_block(w, specs["w"].dim, "w")
-    nq = dq.shape[0]
-    if xq.shape[0] != nq or wq.shape[0] != nq:
-        raise InputError("d, x, w must carry the same number of query rows")
-    kd = gram(model.data.block("d"), dq, specs["d"])
-    kx = gram(model.data.block("x"), xq, specs["x"])
-    kw = gram(model.data.block("w"), wq, specs["w"])
-    feats = kd * kx * (model.stage1_weights.T @ kw)
-    if model.has_v:
-        if v is None:
-            raise InputError("model includes a 'v' block; pass v queries")
-        vq = _as_block(v, specs["v"].dim, "v")
-        if vq.shape[0] != nq:
-            raise InputError("v must carry the same number of query rows")
-        feats = feats * gram(model.data.block("v"), vq, specs["v"])
-    elif v is not None:
-        raise InputError("model has no 'v' block")
-    return model.coef @ feats
-
-
-def stage2_fitted_values(model: BridgeModel) -> np.ndarray:
-    """In-sample predictions for the second-stage outcomes."""
-    return model.stage2_gram.T @ model.coef
 
 
 def theoretical_embedding_penalty(n: int, smoothness: float) -> float:

@@ -99,7 +99,8 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown configuration key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        # An empty default mapping (kernels.lengthscales) takes any keys.
+        if base[key] and isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _deep_merge(base[key], value, where)
         else:
             out[key] = value
@@ -161,6 +162,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(value, key: str, kind=float):
+    """`kind(value)` for a config value, or a ConfigError naming its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def _as_config_error(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -168,35 +181,29 @@ def _as_config_error(fn, *args, **kwargs):
         raise ConfigError(str(err)) from err
 
 
+def _tuning_grid(cfg: dict) -> np.ndarray | None:
+    grid = cfg["tuning"]["grid"]
+    return None if grid is None else _number(grid, "tuning.grid", _float_array)
+
+
 def _build_tuning(cfg: dict) -> TuningPlan:
     t = cfg["tuning"]
-    grid = t["grid"]
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-    return _as_config_error(
-        TuningPlan,
-        mode=t["mode"],
-        lam=t["lam"],
-        xi=t["xi"],
-        lam1=t["lam1"],
-        lam2=t["lam2"],
-        c0=float(t["c0"]),
-        c=float(t["c"]),
-        c1=float(t["c1"]),
-        c2=float(t["c2"]),
-        grid=grid,
-    )
-
-
-def _check_forced(cfg: dict) -> None:
-    t = cfg["tuning"]
-    if t["mode"] == "forced":
-        for name in ("lam", "xi", "lam1", "lam2"):
-            value = t[name]
+    penalties = {}
+    for name in ("lam", "xi", "lam1", "lam2"):
+        value = t[name]
+        if value is not None:
+            value = _number(value, f"tuning.{name}")
             _require(
-                value is None or float(value) > 0.0,
+                t["mode"] != "forced" or value > 0.0,
                 f"forced penalty {name} must be > 0, got {value}",
             )
+        penalties[name] = value
+    smoothness = {
+        name: _number(t[name], f"tuning.{name}") for name in ("c0", "c", "c1", "c2")
+    }
+    return _as_config_error(
+        TuningPlan, mode=t["mode"], grid=_tuning_grid(cfg), **penalties, **smoothness
+    )
 
 
 def _build_design(sim: dict) -> SimDesign:
@@ -204,10 +211,10 @@ def _build_design(sim: dict) -> SimDesign:
     return _as_config_error(
         SimDesign,
         kind=sim["design"],
-        n=int(sim["n"]),
-        dim_x=int(sim["dim_x"]),
-        dim_z=int(sim["dim_z"]),
-        dim_w=int(sim["dim_w"]),
+        **{
+            key: _number(sim[key], f"simulate.{key}", int)
+            for key in ("n", "dim_x", "dim_z", "dim_w")
+        },
     )
 
 
@@ -241,11 +248,12 @@ def load_dataset(cfg: dict) -> Dataset:
         return ingest(data_cfg["path"], _build_schema(data_cfg))
     if data_cfg["simulate"] is not None:
         sim = dict(data_cfg["simulate"])
-        replicate = int(sim.pop("replicate", 0))
+        replicate = _number(sim.pop("replicate", 0), "data.simulate.replicate", int)
         unknown = set(sim).difference(_SIM_KEYS)
         _require(not unknown, f"unknown data.simulate keys {sorted(unknown)}")
         merged = {**cfg["simulate"], **sim}
-        return generate(_build_design(merged), int(cfg["seed"]), replicate)
+        seed = _number(cfg["seed"], "seed", int)
+        return generate(_build_design(merged), seed, replicate)
     raise ConfigError("set data.path (CSV) or data.simulate (synthetic draw)")
 
 
@@ -258,7 +266,7 @@ def _build_request(cfg: dict) -> EffectRequest:
         _require(kind == "ate", "estimator 'te' only supports effect 'ate'")
     grid = est["grid"]
     if grid is not None:
-        grid = np.asarray(grid, dtype=float)
+        grid = _number(grid, "estimate.grid", _float_array)
     alt_x = alt_w = alt_v = None
     if kind == "ds":
         alt = est["alt_population"]
@@ -270,18 +278,20 @@ def _build_request(cfg: dict) -> EffectRequest:
         blocks = population_from_csv(alt["path"], columns)
         alt_x, alt_w = blocks["x"], blocks["w"]
         alt_v = blocks.get("v")
-    v_value = est["v_value"]
+    d_value, v_value = est["d_value"], est["v_value"]
+    if d_value is not None:
+        d_value = _number(d_value, "estimate.d_value")
     if v_value is not None:
-        v_value = np.atleast_1d(np.asarray(v_value, dtype=float))
+        v_value = np.atleast_1d(_number(v_value, "estimate.v_value", _float_array))
     return _as_config_error(
         EffectRequest,
         kind=kind,
         grid=grid,
-        grid_size=int(est["grid_size"]),
+        grid_size=_number(est["grid_size"], "estimate.grid_size", int),
         alt_x=alt_x,
         alt_w=alt_w,
         alt_v=alt_v,
-        d_value=est["d_value"],
+        d_value=d_value,
         v_value=v_value,
     )
 
@@ -291,7 +301,7 @@ def _lengthscales(cfg: dict) -> dict[str, float]:
     _require(isinstance(raw, dict), "kernels.lengthscales must be a mapping")
     out = {}
     for name, value in raw.items():
-        value = float(value)
+        value = _number(value, f"kernels.lengthscales.{name}")
         _require(value > 0, f"lengthscale for {name!r} must be > 0")
         out[str(name)] = value
     return out
@@ -319,7 +329,6 @@ def _write_manifest(outdir, command, cfg, outputs, timings, results) -> Path:
 
 
 def cmd_estimate(cfg: dict) -> int:
-    _check_forced(cfg)
     tuning = _build_tuning(cfg)
     request = _build_request(cfg)
     lengthscales = _lengthscales(cfg)
@@ -376,14 +385,13 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    _check_forced(cfg)
     tuning = _build_tuning(cfg)
     sim = cfg["simulate"]
     design = _build_design(sim)
     estimators = list(sim["estimators"])
     for est in estimators:
         _require(est in ESTIMATORS, f"unknown estimator {est!r}")
-    replicates = int(sim["replicates"])
+    replicates = _number(sim["replicates"], "simulate.replicates", int)
     _require(replicates >= 1, "simulate.replicates must be >= 1")
     outdir = _prepare_outdir(cfg)
 
@@ -391,7 +399,7 @@ def cmd_simulate(cfg: dict) -> int:
     reports = run_experiment(
         design,
         replicates,
-        int(cfg["seed"]),
+        _number(cfg["seed"], "seed", int),
         estimators,
         tuning,
         workers=cfg["workers"],
@@ -446,9 +454,7 @@ def cmd_tune(cfg: dict) -> int:
     est_name = cfg["estimate"]["estimator"]
     _require(est_name in ESTIMATORS, f"unknown estimator {est_name!r}")
     lengthscales = _lengthscales(cfg)
-    grid = cfg["tuning"]["grid"]
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
+    grid = _tuning_grid(cfg)
     outdir = _prepare_outdir(cfg)
 
     timings: dict[str, float] = {}

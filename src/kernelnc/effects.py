@@ -26,7 +26,6 @@ import numpy as np
 from .bridge import (
     EMBEDDING_PENALTIES,
     BridgeModel,
-    _as_block,
     _step,
     compute_grams,
     theoretical_embedding_penalty,
@@ -37,7 +36,7 @@ from .data import Dataset
 from .embeddings import cme_weights
 from .errors import InputError
 from .kernels import KernelSpec, gram, spec_from_data
-from .ridge import RidgeSystem, TuneReport, loocv_scalar
+from .ridge import RidgeSystem, TuneReport
 
 EFFECT_KINDS = ("ate", "ds", "att", "cate")
 ESTIMATORS = ("nc", "te")
@@ -117,6 +116,20 @@ class EffectCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.shape != self.values.shape or self.grid.ndim != 1:
             raise InputError("grid and values must be 1-D arrays of equal length")
+
+
+def _as_block(arr, dim: int, name: str) -> np.ndarray:
+    """Normalize query points to shape (q, dim)."""
+    a = np.asarray(arr, dtype=float)
+    if a.ndim == 0:
+        a = a.reshape(1, 1)
+    elif a.ndim == 1:
+        # A 1-D array is a batch of scalars when the block is 1-D,
+        # otherwise a single point.
+        a = a[:, None] if dim == 1 else a[None, :]
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise InputError(f"{name} queries must have {dim} column(s), got {a.shape}")
+    return a
 
 
 def kernel_specs(
@@ -342,11 +355,12 @@ def _te_fit(
         full = full * g
         rest = g if rest is None else rest * g
     y = data.y
+    system = RidgeSystem(full)
     reports: dict[str, TuneReport] = {}
     if lam is None:
-        reports["lam"] = loocv_scalar(full, y, candidates)
+        reports["lam"] = system.loo_scalar(y, candidates)
         lam = reports["lam"].selected
-    coef = RidgeSystem(full, data.n * float(lam)).solve(y)
+    coef = system.solve(data.n * float(lam), y)
     return coef, rest.mean(axis=1), float(lam), reports
 
 

@@ -25,4 +25,4 @@ def cme_weights(K_BB: np.ndarray, lam: float, K_Bb: np.ndarray) -> np.ndarray:
     n = K_BB.shape[0]
     if not np.isfinite(lam) or lam < 0.0:
         raise InputError(f"lambda must be finite and >= 0, got {lam}")
-    return RidgeSystem(K_BB, n * lam).solve(np.asarray(K_Bb, dtype=float))
+    return RidgeSystem(K_BB).solve(n * lam, np.asarray(K_Bb, dtype=float))

@@ -83,37 +83,6 @@ def _as_matrix(samples: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def gaussian_kernel(a, b, lengthscales: Sequence[float]) -> float:
-    """Product Gaussian kernel between two points.
-
-    Computes prod_j exp(-(a_j - b_j)^2 / (2 sigma_j^2)), so identical
-    points score 1 and the value decays to 0 with distance.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    scales = np.atleast_1d(np.asarray(lengthscales, dtype=float))
-    if a.shape != b.shape or a.shape != scales.shape:
-        raise InputError(
-            f"shape mismatch: a {a.shape}, b {b.shape}, lengthscales {scales.shape}"
-        )
-    if not np.all(np.isfinite(scales)) or np.any(scales <= 0.0):
-        raise InputError("lengthscales must be finite and positive")
-    out = 1.0
-    for aj, bj, sj in zip(a, b, scales):
-        t = (aj - bj) / sj
-        out *= float(np.exp(-0.5 * t * t))
-    return out
-
-
-def indicator_kernel(a, b) -> float:
-    """Exact-match kernel: 1.0 when a == b in every column, else 0.0."""
-    a = np.atleast_1d(np.asarray(a))
-    b = np.atleast_1d(np.asarray(b))
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch: a {a.shape}, b {b.shape}")
-    return 1.0 if bool(np.all(a == b)) else 0.0
-
-
 def gram(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix K[i, j] = k(rows_i, cols_j) under a product kernel.
 

@@ -1,10 +1,12 @@
 """Regularized PSD solves, kernel ridge regression, and leave-one-out tuning.
 
-The two tuners share one trick: a single symmetric eigendecomposition of
-the input Gram serves every candidate penalty, because the smoother
+One eigendecomposition K = Q diag(e) Q' serves every candidate penalty
+and then the fit at the selected one, because the smoother
 R = K (K + n lambda I)^{-1} has the same eigenvectors for all lambda.
-Both leave-one-out losses are exact closed forms, not refits; the test
-suite checks them against brute-force refits to 1e-8 relative error.
+Both leave-one-out losses are exact closed forms, not refits, written
+through I - R = Q diag(n lambda / (e + n lambda)) Q' so that no digits
+cancel at small lambda; the test suite checks them against brute-force
+refits to 1e-8 relative error.
 """
 
 from __future__ import annotations
@@ -31,86 +33,6 @@ def _check_square(K: np.ndarray, name: str) -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(K))[0]
         raise NumericalError(f"non-finite entry in {name} at ({i}, {j})")
     return K
-
-
-@dataclass
-class RidgeSystem:
-    """The PSD system (K + ridge I) with a cached Cholesky factorization.
-
-    Factorization happens on first solve and escalates a diagonal jitter
-    when K + ridge I is numerically singular: starting from
-    1e-12 * mean(diag K) and growing tenfold, at most three retries.
-    The jitter actually applied is recorded on the instance.
-    """
-
-    kernel: np.ndarray
-    ridge: float
-    jitter: float = field(default=0.0, init=False)
-    _factor: tuple | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.kernel = _check_square(self.kernel, "kernel")
-        if not np.isfinite(self.ridge) or self.ridge < 0.0:
-            raise InputError(f"ridge must be finite and >= 0, got {self.ridge}")
-
-    def _factorize(self) -> tuple:
-        if self._factor is not None:
-            return self._factor
-        n = self.kernel.shape[0]
-        mean_diag = float(np.trace(self.kernel)) / n
-        scale = mean_diag if mean_diag > 0.0 else 1.0
-        jitters = [0.0] + [_JITTER_UNIT * scale * 10.0**k for k in range(_MAX_RETRIES)]
-        for jit in jitters:
-            shifted = self.kernel.copy()
-            shifted.flat[:: n + 1] += self.ridge + jit
-            try:
-                self._factor = scipy.linalg.cho_factor(shifted, lower=True)
-            except scipy.linalg.LinAlgError:
-                continue
-            self.jitter = jit
-            return self._factor
-        raise NumericalError(
-            f"Cholesky failed for a {n}x{n} system with ridge {self.ridge:g}; "
-            f"attempted jitters {[f'{j:g}' for j in jitters]}"
-        )
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Return (K + ridge I)^{-1} b for a vector or matrix b."""
-        b = np.asarray(b, dtype=float)
-        rows = b.shape[0] if b.ndim in (1, 2) else -1
-        if rows != self.kernel.shape[0]:
-            raise InputError(
-                f"rhs has {rows} rows, system has {self.kernel.shape[0]}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise NumericalError("non-finite entry in right-hand side")
-        return scipy.linalg.cho_solve(self._factorize(), b)
-
-
-def solve_ridge(K: np.ndarray, ridge: float, b: np.ndarray) -> np.ndarray:
-    """One-shot (K + ridge I)^{-1} b with the jitter-escalation policy."""
-    return RidgeSystem(K, ridge).solve(b)
-
-
-def krr_fit_predict(
-    K_train: np.ndarray, targets: np.ndarray, lam: float, K_cross: np.ndarray
-) -> np.ndarray:
-    """Kernel ridge predictions targets' (K + n lambda I)^{-1} K_cross.
-
-    `K_cross` holds training rows against query columns, shape
-    (n_train, n_query); returns one prediction per query.
-    """
-    y = np.asarray(targets, dtype=float)
-    if y.ndim != 1:
-        raise InputError("targets must be 1-D")
-    n = y.shape[0]
-    kc = np.asarray(K_cross, dtype=float)
-    if kc.ndim == 1:
-        kc = kc[:, None]
-    if kc.shape[0] != n:
-        raise InputError(f"K_cross has {kc.shape[0]} rows, expected {n}")
-    coef = RidgeSystem(K_train, n * lam).solve(y)
-    return kc.T @ coef
 
 
 @dataclass(frozen=True)
@@ -144,68 +66,185 @@ def _prepare_grid(grid) -> np.ndarray:
     return g
 
 
-def loocv_scalar(K: np.ndarray, y: np.ndarray, grid=None) -> TuneReport:
-    """Exact leave-one-out loss for scalar kernel ridge regression.
+@dataclass
+class RidgeSystem:
+    """A PSD kernel K and the one decomposition that solves K + ridge I.
 
-    For each candidate lambda, with H = I - K (K + n lambda I)^{-1} and
-    Htilde = diag(H), the loss is n^{-1} || Htilde^{-1} H y ||^2: the
-    mean squared leave-one-out residual, no refits required.
+    The first leave-one-out loss computes eigh(K) and caches it; every
+    later loss, solve and smoother reads that cache. A system that was
+    never tuned solves by Cholesky instead: one eigendecomposition costs
+    more than the solve it would replace.
+
+    When K + ridge I is numerically singular (the Cholesky factorization
+    fails, or a round-off negative eigenvalue leaves e + ridge <= 0), a
+    diagonal jitter is added: 1e-12 * mean(diag K), growing tenfold, at
+    most three retries. The largest jitter applied is kept on `jitter`.
     """
-    y = np.asarray(y, dtype=float)
-    g = _prepare_grid(grid)
+
+    kernel: np.ndarray
+    jitter: float = field(default=0.0, init=False)
+    _eig: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.kernel = _check_square(self.kernel, "kernel")
+
+    @property
+    def n(self) -> int:
+        return self.kernel.shape[0]
+
+    def _with_jitter(self, ridge: float, attempt, method: str):
+        """`attempt(ridge + jitter)` at the first jitter where it is not None."""
+        if not np.isfinite(ridge) or ridge < 0.0:
+            raise InputError(f"ridge must be finite and >= 0, got {ridge}")
+        mean_diag = float(np.trace(self.kernel)) / self.n
+        scale = mean_diag if mean_diag > 0.0 else 1.0
+        jitters = [0.0] + [_JITTER_UNIT * scale * 10.0**k for k in range(_MAX_RETRIES)]
+        for jit in jitters:
+            out = attempt(ridge + jit)
+            if out is not None:
+                self.jitter = max(self.jitter, jit)
+                return out
+        raise NumericalError(
+            f"{method} failed for a {self.n}x{self.n} system with ridge {ridge:g}; "
+            f"attempted jitters {[f'{j:g}' for j in jitters]}"
+        )
+
+    def _cholesky(self, shift: float) -> tuple | None:
+        shifted = self.kernel.copy()
+        shifted.flat[:: self.n + 1] += shift
+        try:
+            return scipy.linalg.cho_factor(shifted, lower=True)
+        except scipy.linalg.LinAlgError:
+            return None
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._eig is None:
+            self._eig = np.linalg.eigh(self.kernel)
+        return self._eig
+
+    def _spectrum(self, ridge: float) -> np.ndarray:
+        """Eigenvalues of K + ridge I (plus jitter), all of them positive."""
+
+        def attempt(shift):
+            t = self._eig[0] + shift
+            return t if t[0] > 0.0 else None  # eigh sorts ascending
+
+        return self._with_jitter(ridge, attempt, "eigendecomposition")
+
+    def solve(self, ridge: float, b: np.ndarray) -> np.ndarray:
+        """Return (K + ridge I)^{-1} b for a vector or matrix b."""
+        b = np.asarray(b, dtype=float)
+        rows = b.shape[0] if b.ndim in (1, 2) else -1
+        if rows != self.n:
+            raise InputError(f"rhs has {rows} rows, system has {self.n}")
+        if not np.all(np.isfinite(b)):
+            raise NumericalError("non-finite entry in right-hand side")
+        if self._eig is None:
+            factor = self._with_jitter(ridge, self._cholesky, "Cholesky")
+            return scipy.linalg.cho_solve(factor, b)
+        t = self._spectrum(ridge)
+        Q = self._eig[1]
+        return Q @ ((Q.T @ b) / (t if b.ndim == 1 else t[:, None]))
+
+    def smoother(self, ridge: float) -> np.ndarray:
+        """The smoother K (K + ridge I)^{-1}, which equals (K + ridge I)^{-1} K."""
+        if self._eig is None:
+            return self.solve(ridge, self.kernel)
+        e, Q = self._eig
+        return (Q * (e / self._spectrum(ridge))) @ Q.T
+
+    def _tune(self, g: np.ndarray, loss_kind: str, loss) -> TuneReport:
+        """Evaluate `loss(s, h)` at each candidate lambda on the grid `g`.
+
+        I - R = Q diag(s) Q', with R = K (K + n lambda I)^{-1}, and
+        h = diag(I - R). Both losses are invariant to the scale of s, so s
+        is taken relative to its largest entry, (e_min + n lambda) /
+        (e + n lambda): equal eigenvalues then give exactly equal entries.
+        """
+        Q2 = self._eigh()[1] ** 2
+        losses = np.empty_like(g)
+        for idx, lam in enumerate(g):
+            t = self._spectrum(self.n * lam)
+            s = t[0] / t
+            losses[idx] = loss(s, Q2 @ s)
+        return TuneReport(g, losses, float(g[int(np.argmin(losses))]), loss_kind)
+
+    def loo_scalar(self, y: np.ndarray, grid=None) -> TuneReport:
+        """Exact leave-one-out loss for scalar kernel ridge regression.
+
+        For each candidate lambda, with H = I - K (K + n lambda I)^{-1}
+        and Htilde = diag(H), the loss is n^{-1} || Htilde^{-1} H y ||^2:
+        the mean squared leave-one-out residual, no refits required.
+        """
+        y = np.asarray(y, dtype=float)
+        g = _prepare_grid(grid)
+        if y.shape != (self.n,):
+            raise InputError(f"y must have shape ({self.n},), got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise NumericalError("non-finite entry in y")
+        Q = self._eigh()[1]
+        Qty = Q.T @ y
+
+        def loss(s, h):
+            resid = (Q @ (s * Qty)) / h
+            return float(resid @ resid) / self.n
+
+        return self._tune(g, "scalar_loocv", loss)
+
+    def loo_embedding(self, K_output: np.ndarray, grid=None) -> TuneReport:
+        """Exact leave-one-out loss for a conditional mean embedding.
+
+        For each candidate lambda, with H = I - K (K + n lambda I)^{-1}
+        and S = diag(H)^{-2}, the loss is n^{-1} tr(S H K_output H): the
+        mean squared RKHS distance between each held-out output feature
+        and its leave-one-out embedding. With P = Q' K_output Q, the
+        diagonal of H K_output H is rowsum(((Q s) P) * (Q s)).
+        """
+        g = _prepare_grid(grid)
+        Ko = _check_square(K_output, "K_output")
+        if Ko.shape != self.kernel.shape:
+            raise InputError(f"K_output is {Ko.shape}, the kernel is {self.kernel.shape}")
+        Q = self._eigh()[1]
+        P = Q.T @ Ko @ Q
+
+        def loss(s, h):
+            U = Q * s
+            return float(np.mean(np.sum((U @ P) * U, axis=1) / (h * h)))
+
+        return self._tune(g, "embedding_loocv", loss)
+
+
+def solve_ridge(K: np.ndarray, ridge: float, b: np.ndarray) -> np.ndarray:
+    """One-shot (K + ridge I)^{-1} b with the jitter-escalation policy."""
+    return RidgeSystem(K).solve(ridge, b)
+
+
+def krr_fit_predict(
+    K_train: np.ndarray, targets: np.ndarray, lam: float, K_cross: np.ndarray
+) -> np.ndarray:
+    """Kernel ridge predictions targets' (K + n lambda I)^{-1} K_cross.
+
+    `K_cross` holds training rows against query columns, shape
+    (n_train, n_query); returns one prediction per query.
+    """
+    y = np.asarray(targets, dtype=float)
+    if y.ndim != 1:
+        raise InputError("targets must be 1-D")
     n = y.shape[0]
-    if y.ndim != 1 or n == 0:
-        raise InputError("y must be a non-empty 1-D array")
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("non-finite entry in y")
-    K = _check_square(K, "K")
-    if K.shape[0] != n:
-        raise InputError(f"K is {K.shape[0]}x{K.shape[0]} but y has length {n}")
-    eigvals, Q = np.linalg.eigh(K)
-    Qty = Q.T @ y
-    Q2 = Q * Q
-    losses = np.empty_like(g)
-    for idx, lam in enumerate(g):
-        d = eigvals / (eigvals + n * lam)
-        h_diag = 1.0 - Q2 @ d
-        if np.any(h_diag == 0.0):
-            raise NumericalError(f"zero leave-one-out diagonal at lambda={lam:g}")
-        resid = (y - Q @ (d * Qty)) / h_diag
-        losses[idx] = float(resid @ resid) / n
-    report = TuneReport(g, losses, float(g[int(np.argmin(losses))]), "scalar_loocv")
-    return report
+    kc = np.asarray(K_cross, dtype=float)
+    if kc.ndim == 1:
+        kc = kc[:, None]
+    if kc.shape[0] != n:
+        raise InputError(f"K_cross has {kc.shape[0]} rows, expected {n}")
+    coef = RidgeSystem(K_train).solve(n * lam, y)
+    return kc.T @ coef
+
+
+def loocv_scalar(K: np.ndarray, y: np.ndarray, grid=None) -> TuneReport:
+    """Leave-one-out tuning of a scalar kernel ridge; see RidgeSystem.loo_scalar."""
+    return RidgeSystem(K).loo_scalar(y, grid)
 
 
 def loocv_embedding(K_input: np.ndarray, K_output: np.ndarray, grid=None) -> TuneReport:
-    """Exact leave-one-out loss for a conditional mean embedding.
-
-    For each candidate lambda, with R = K_input (K_input + n lambda I)^{-1}
-    and S = diag((1 - R_ii)^{-2}), the loss is
-    n^{-1} tr(S (K_output - 2 K_output R' + R K_output R')): the mean
-    squared RKHS distance between each held-out output feature and its
-    leave-one-out embedding.
-    """
-    g = _prepare_grid(grid)
-    Ko = _check_square(K_output, "K_output")
-    eigvals, Q = np.linalg.eigh(_check_square(K_input, "K_input"))
-    n = Q.shape[0]
-    if Ko.shape[0] != n:
-        raise InputError(
-            f"K_output is {Ko.shape[0]}x{Ko.shape[0]}, K_input is {n}x{n}"
-        )
-    Q2 = Q * Q
-    KoQ = Ko @ Q
-    P = Q.T @ KoQ
-    t1 = np.diag(Ko)
-    losses = np.empty_like(g)
-    for idx, lam in enumerate(g):
-        d = eigvals / (eigvals + n * lam)
-        denom = 1.0 - Q2 @ d
-        if np.any(denom == 0.0):
-            raise NumericalError(f"zero leave-one-out diagonal at lambda={lam:g}")
-        t2 = np.sum(Q * (KoQ * d), axis=1)
-        U = Q * d
-        t3 = np.sum((U @ P) * U, axis=1)
-        losses[idx] = float(np.mean((t1 - 2.0 * t2 + t3) / (denom * denom)))
-    report = TuneReport(g, losses, float(g[int(np.argmin(losses))]), "embedding_loocv")
-    return report
+    """Leave-one-out tuning of a mean embedding; see RidgeSystem.loo_embedding."""
+    return RidgeSystem(K_input).loo_embedding(K_output, grid)

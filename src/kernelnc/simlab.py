@@ -23,7 +23,8 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, from_arrays
-from .effects import EffectRequest, TuningPlan, run_end_to_end
+from .bridge import _step
+from .effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from .errors import ConfigError, InputError, KernelncError, NumericalError
 
 DESIGN_KINDS = ("quadratic", "sigmoid", "peaked", "no_confounding", "discrete")
@@ -158,11 +159,21 @@ def score_replicate(
     contrast between the treated and untreated arms.
     """
     data = generate(design, seed, replicate)
+    # Select the kernels once per replicate: every estimator then reuses
+    # the Gaussian lengthscales rather than recomputing the medians.
+    with _step(1, "kernel selection"):
+        specs = kernel_specs(data)
+    lengthscales = {
+        name: column.lengthscale
+        for role, spec in specs.items()
+        for name, column in zip(data.names(role), spec.columns)
+        if column.lengthscale is not None
+    }
     grid = scoring_grid(design)
     request = EffectRequest("ate", grid=grid)
     out: dict[str, float] = {}
     for est in estimators:
-        curve = run_end_to_end(data, request, tuning, estimator=est)
+        curve = run_end_to_end(data, request, tuning, est, lengthscales)
         if design.kind == "discrete":
             out[est] = float(curve.values[1] - curve.values[0])
         else:

@@ -6,11 +6,9 @@ import pytest
 from kernelnc.bridge import (
     bridge_products,
     compute_grams,
-    eval_bridge,
     fit_bridge,
     project_stage1,
     solve_coef,
-    stage2_fitted_values,
     theoretical_embedding_penalty,
     theoretical_schedule,
 )
@@ -18,6 +16,7 @@ from kernelnc.data import from_arrays
 from kernelnc.effects import kernel_specs
 from kernelnc.errors import InputError
 from kernelnc.kernels import KernelSpec
+from kernelnc.ridge import RidgeSystem
 
 import oracle_dense as od
 
@@ -35,27 +34,23 @@ def _indicator_specs():
 
 
 def test_identity_gram_hand_instance():
-    # n=3, lam=1/3: B = I/2, M = I/4; xi=1/12 then gives alpha = 2y,
-    # stage-2 fits y/2, and the bridge itself interpolates y exactly
+    # n=3, lam=1/3: B = I/2, M = I/4; xi=1/12 then gives alpha = 2y
     data = _indicator_dataset()
     specs = _indicator_specs()
     grams = compute_grams(data, specs)
     A, core = bridge_products(grams)
     np.testing.assert_array_equal(A, np.eye(3))
 
-    B, M = project_stage1(A, core, grams["w"], 1.0 / 3.0)
+    B, M = project_stage1(RidgeSystem(A), core, grams["w"], 1.0 / 3.0)
     np.testing.assert_allclose(B, np.eye(3) / 2.0, atol=1e-12)
     np.testing.assert_allclose(M, np.eye(3) / 4.0, atol=1e-12)
 
     y = data.y
-    alpha = solve_coef(M, y, 1.0 / 12.0)
+    alpha = solve_coef(RidgeSystem(M), y, 1.0 / 12.0)
     np.testing.assert_allclose(alpha, 2.0 * y, rtol=1e-10)
 
     model = fit_bridge(data, specs, 1.0 / 3.0, 1.0 / 12.0)
     np.testing.assert_allclose(model.coef, 2.0 * y, rtol=1e-10)
-    np.testing.assert_allclose(stage2_fitted_values(model), y / 2.0, rtol=1e-10)
-    got = eval_bridge(model, data.block("d"), data.block("x"), data.block("w"))
-    np.testing.assert_allclose(got, y, rtol=1e-10)
 
 
 def _random_dataset(rng, n, with_v=False):
@@ -85,13 +80,6 @@ def test_fit_matches_dense_oracle():
     np.testing.assert_allclose(model.stage2_gram, fit["M"], rtol=1e-9)
     np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
 
-    queries = rng.normal(size=(4, 4))
-    got = eval_bridge(model, queries[:, 0], queries[:, 1:3], queries[:, 3])
-    want = [
-        od.value_at(fit, q[0], q[1:3], q[3:4]) for q in queries
-    ]
-    np.testing.assert_allclose(got, want, rtol=1e-8)
-
 
 def test_fit_with_v_block_matches_dense_oracle():
     rng = np.random.default_rng(71)
@@ -104,27 +92,9 @@ def test_fit_with_v_block_matches_dense_oracle():
         data.y, _oracle_scales(data, ("d", "x", "z", "w", "v")), 0.1, 0.05,
         v=data.block("v"),
     )
+    np.testing.assert_allclose(model.stage1_weights, fit["B"], rtol=1e-9)
+    np.testing.assert_allclose(model.stage2_gram, fit["M"], rtol=1e-9)
     np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
-    got = eval_bridge(
-        model, data.block("d")[:3], data.block("x")[:3], data.block("w")[:3],
-        data.block("v")[:3],
-    )
-    want = [
-        od.value_at(fit, data.block("d")[i], data.block("x")[i],
-                    data.block("w")[i], data.block("v")[i])
-        for i in range(3)
-    ]
-    np.testing.assert_allclose(got, want, rtol=1e-8)
-
-
-def test_eval_bridge_validation():
-    rng = np.random.default_rng(73)
-    data = _random_dataset(rng, 10)
-    model = fit_bridge(data, kernel_specs(data), 0.1, 0.1)
-    with pytest.raises(InputError):
-        eval_bridge(model, [0.0, 1.0], np.zeros((1, 2)), [0.0])
-    with pytest.raises(InputError):
-        eval_bridge(model, [0.0], np.zeros((1, 2)), [0.0], v=[1.0])
 
 
 def test_theoretical_penalty_spot_values():

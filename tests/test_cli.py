@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 import yaml
 
 from kernelnc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -63,6 +64,33 @@ def test_config_semantic_errors(tmp_path, capsys):
         ["estimate", "--config", both, "--from-manifest", both]
     ) == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("estimate", {"tuning": {"mode": "forced", "lam": "abc"}}, "tuning.lam"),
+        ("estimate", {"tuning": {"c0": "smooth"}}, "tuning.c0"),
+        ("estimate", {"tuning": {"grid": [1e-3, "abc"]}}, "tuning.grid"),
+        ("tune", {"tuning": {"grid": [1e-3, "abc"]}}, "tuning.grid"),
+        ("simulate", {"simulate": {"n": "many"}}, "simulate.n"),
+        ("simulate", {"simulate": {"replicates": "all"}}, "simulate.replicates"),
+        ("estimate", {"data": {"simulate": {"replicate": "first"}}},
+         "data.simulate.replicate"),
+        ("estimate", {"seed": "lucky"}, "seed"),
+        ("estimate", {"estimate": {"grid_size": "ten"}}, "estimate.grid_size"),
+        ("estimate", {"kernels": {"lengthscales": {"x1": "wide"}}},
+         "kernels.lengthscales.x1"),
+    ],
+)
+def test_non_numeric_config_value_is_a_config_error(
+    tmp_path, capsys, command, body, key
+):
+    body = {"output_dir": str(tmp_path / "out"), **body}
+    body.setdefault("data", {"simulate": {}})
+    cfg = _write_config(tmp_path / "c.yaml", body)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert f"configuration error: {key} must be numeric" in capsys.readouterr().err
 
 
 def test_bad_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -128,6 +156,32 @@ def test_estimate_outputs_match_inprocess_run(tmp_path, capsys):
     assert manifest["config"]["seed"] == 11
     assert manifest["results"]["grid_points"] == 3
     assert manifest["results"]["lambda"] == 0.05
+
+
+def test_lengthscale_overrides_from_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {
+            "seed": 4,
+            "output_dir": str(out),
+            "data": {"simulate": {"design": "quadratic", "n": 40}},
+            "estimate": {"grid": [0.5]},
+            "tuning": dict(FORCED),
+            "kernels": {"lengthscales": {"x1": 0.7, "w": 1.5}},
+        },
+    )
+    assert main(["estimate", "--config", cfg]) == EXIT_OK
+    curve = run_end_to_end(
+        generate(SimDesign(kind="quadratic", n=40), seed=4),
+        EffectRequest("ate", grid=np.array([0.5])),
+        TuningPlan(mode="forced", lam=0.05, xi=0.02),
+        lengthscales={"x1": 0.7, "w": 1.5},
+    )
+    row = _read_csv(out / "curve.csv")[1]
+    assert float(row[1]) == curve.values[0]
+    assert row[8] == curve.metadata["lengthscale_digest"]
+    capsys.readouterr()
 
 
 def test_estimate_from_csv_with_roles(tmp_path, capsys):

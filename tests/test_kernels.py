@@ -7,9 +7,7 @@ from kernelnc.errors import DegenerateScaleError, InputError
 from kernelnc.kernels import (
     ColumnKernel,
     KernelSpec,
-    gaussian_kernel,
     gram,
-    indicator_kernel,
     median_heuristic,
     spec_from_data,
 )
@@ -19,28 +17,28 @@ from oracle_dense import gram_loops, median_gap
 
 def test_gaussian_hand_values():
     # unit gap at unit lengthscale decays by exactly exp(-1/2)
-    assert gaussian_kernel([0.0], [1.0], [1.0]) == pytest.approx(
-        0.6065306597126334, rel=1e-15
-    )
+    one = gram([[0.0]], [[1.0]], KernelSpec.gaussian([1.0]))
+    assert one[0, 0] == pytest.approx(0.6065306597126334, rel=1e-15)
     # two columns multiply: exp(-0.5) * exp(-0.5) = exp(-1)
-    assert gaussian_kernel([0.0, 0.0], [1.0, 2.0], [1.0, 2.0]) == pytest.approx(
-        0.36787944117144233, rel=1e-15
-    )
-    assert gaussian_kernel([3.0, -2.0], [3.0, -2.0], [0.7, 4.0]) == 1.0
+    two = gram([[0.0, 0.0]], [[1.0, 2.0]], KernelSpec.gaussian([1.0, 2.0]))
+    assert two[0, 0] == pytest.approx(0.36787944117144233, rel=1e-15)
+    same = gram([[3.0, -2.0]], [[3.0, -2.0]], KernelSpec.gaussian([0.7, 4.0]))
+    assert same[0, 0] == 1.0
 
 
 def test_gaussian_rejects_bad_scales():
     with pytest.raises(InputError):
-        gaussian_kernel([0.0], [1.0], [0.0])
+        ColumnKernel("gaussian", 0.0)
     with pytest.raises(InputError):
-        gaussian_kernel([0.0], [1.0], [np.inf])
+        ColumnKernel("gaussian", np.inf)
     with pytest.raises(InputError):
-        gaussian_kernel([0.0, 1.0], [1.0], [1.0])
+        gram([[0.0, 1.0]], [[1.0]], KernelSpec.gaussian([1.0]))
 
 
 def test_indicator_kernel():
-    assert indicator_kernel([1.0, 2.0], [1.0, 2.0]) == 1.0
-    assert indicator_kernel([1.0, 2.0], [1.0, 3.0]) == 0.0
+    spec = KernelSpec.indicator(2)
+    assert gram([[1.0, 2.0]], [[1.0, 2.0]], spec)[0, 0] == 1.0
+    assert gram([[1.0, 2.0]], [[1.0, 3.0]], spec)[0, 0] == 0.0
 
 
 def test_median_heuristic_hand_case():

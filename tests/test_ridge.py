@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from kernelnc.bridge import bridge_products, compute_grams, project_stage1
+from kernelnc.effects import EffectRequest, kernel_specs, run_end_to_end
 from kernelnc.errors import InputError, NumericalError
 from kernelnc.kernels import KernelSpec, gram
 from kernelnc.ridge import (
@@ -14,6 +17,7 @@ from kernelnc.ridge import (
     loocv_scalar,
     solve_ridge,
 )
+from kernelnc.simlab import SimDesign, generate
 
 from oracle_dense import krr_predict, loo_embedding_losses, loo_scalar_losses
 
@@ -31,39 +35,67 @@ def test_default_grid_is_pinned():
     assert np.all(np.diff(np.log(DEFAULT_GRID)) > 0)
 
 
+def _untuned_and_tuned(K):
+    """The same kernel as a Cholesky system and as a cached-eigh system."""
+    tuned = RidgeSystem(K)
+    tuned.loo_scalar(np.ones(tuned.n))
+    return RidgeSystem(K), tuned
+
+
 def test_ridge_system_identity():
     b = np.array([2.0, -4.0, 6.0])
-    out = RidgeSystem(np.eye(3), 1.0).solve(b)
-    np.testing.assert_allclose(out, b / 2.0, rtol=1e-14)
+    for system in _untuned_and_tuned(np.eye(3)):
+        out = system.solve(1.0, b)
+        np.testing.assert_allclose(out, b / 2.0, rtol=1e-14)
 
 
 def test_ridge_system_matches_dense_solve():
     rng = np.random.default_rng(23)
     K = _random_gram(rng, 15)
     b = rng.normal(size=(15, 4))
-    got = RidgeSystem(K, 0.3).solve(b)
-    np.testing.assert_allclose(got, np.linalg.solve(K + 0.3 * np.eye(15), b),
-                               rtol=1e-11)
+    want = np.linalg.solve(K + 0.3 * np.eye(15), b)
+    for system in _untuned_and_tuned(K):
+        np.testing.assert_allclose(system.solve(0.3, b), want, rtol=1e-11)
+        np.testing.assert_allclose(system.solve(0.3, b[:, 0]), want[:, 0],
+                                   rtol=1e-11)
+        np.testing.assert_allclose(
+            system.smoother(0.3), np.linalg.solve(K + 0.3 * np.eye(15), K),
+            rtol=1e-10, atol=1e-13,
+        )
 
 
 def test_ridge_system_jitter_escalation():
-    # an all-zero kernel with no ridge is singular; the solver must
-    # recover through the jitter ladder and record what it applied
-    sys = RidgeSystem(np.zeros((4, 4)), 0.0)
-    out = sys.solve(np.zeros(4))
-    assert sys.jitter > 0.0
-    np.testing.assert_allclose(out, np.zeros(4))
+    # an all-zero kernel with no ridge is singular; both solve paths
+    # must recover through the jitter ladder and record what they applied
+    for system in _untuned_and_tuned(np.zeros((4, 4))):
+        out = system.solve(0.0, np.zeros(4))
+        assert system.jitter > 0.0
+        np.testing.assert_allclose(out, np.zeros(4))
+
+
+def test_ridge_system_shifts_negative_eigenvalues():
+    # a round-off negative eigenvalue below -n*lam must not reach the
+    # leave-one-out diagonal: the ladder shifts it, and records the shift
+    Q = np.linalg.qr(np.random.default_rng(19).normal(size=(4, 4)))[0]
+    K = (Q * np.array([-5e-12, 0.5, 1.0, 2.5])) @ Q.T
+    system = RidgeSystem(K)
+    report = system.loo_scalar(np.arange(4.0), [1e-14, 1e-2])
+    assert np.all(np.isfinite(report.losses)) and np.all(report.losses > 0.0)
+    assert system.jitter == pytest.approx(1e-11 * np.trace(K) / 4, rel=1e-12)
 
 
 def test_ridge_system_validation():
     with pytest.raises(InputError):
-        RidgeSystem(np.ones((2, 3)), 0.1)
-    with pytest.raises(InputError):
-        RidgeSystem(np.eye(2), -0.5)
+        RidgeSystem(np.ones((2, 3)))
     with pytest.raises(NumericalError):
-        RidgeSystem(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
-    with pytest.raises(InputError):
-        RidgeSystem(np.eye(2), 0.1).solve(np.ones(3))
+        RidgeSystem(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for system in _untuned_and_tuned(np.eye(2)):
+        with pytest.raises(InputError):
+            system.solve(-0.5, np.ones(2))
+        with pytest.raises(InputError):
+            system.smoother(np.inf)
+        with pytest.raises(InputError):
+            system.solve(0.1, np.ones(3))
 
 
 def test_krr_hand_case():
@@ -141,6 +173,24 @@ def test_loocv_embedding_matches_brute_force():
         )
 
 
+def test_loocv_exact_over_the_default_grid():
+    # the whole shipped grid, down to 1e-8, on a quadratic-design stage-1
+    # Gram A with output Gram K_ww and the stage-2 kernel M with outcomes y
+    data = generate(SimDesign("quadratic", n=40), 1)
+    grams = compute_grams(data, kernel_specs(data))
+    A, core = bridge_products(grams)
+    emb = loocv_embedding(A, grams["w"])
+    np.testing.assert_allclose(
+        emb.losses, loo_embedding_losses(A, grams["w"], DEFAULT_GRID), rtol=1e-8
+    )
+    _, M = project_stage1(RidgeSystem(A), core, grams["w"], emb.selected)
+    np.testing.assert_allclose(
+        loocv_scalar(M, data.y).losses,
+        loo_scalar_losses(M, data.y, DEFAULT_GRID),
+        rtol=1e-8,
+    )
+
+
 def test_loocv_uses_default_grid():
     rng = np.random.default_rng(47)
     K = _random_gram(rng, 12)
@@ -170,3 +220,25 @@ def test_tune_report_tie_break_and_validation():
         TuneReport(np.array([0.1, 1.0]), np.array([0.5, 0.4]), 0.1, "scalar")
     with pytest.raises(NumericalError):
         TuneReport(np.array([0.1]), np.array([np.nan]), 0.1, "scalar")
+
+
+def test_one_decomposition_per_tuned_system(monkeypatch):
+    # with every penalty left to leave-one-out, each system is
+    # eigendecomposed once and that decomposition also does the solve:
+    # A and M for the bridge, the product Gram for the baseline
+    calls = {"eigh": 0, "cho_factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        counted("cho_factor", scipy.linalg.cho_factor))
+    data = generate(SimDesign("quadratic", n=60), 3)
+    for estimator, eighs in (("nc", 2), ("te", 1)):
+        calls.update(eigh=0, cho_factor=0)
+        run_end_to_end(data, EffectRequest("ate", grid_size=5), estimator=estimator)
+        assert calls == {"eigh": eighs, "cho_factor": 0}, estimator
