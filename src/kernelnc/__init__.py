@@ -32,7 +32,6 @@ from .effects import (
     run_end_to_end,
     tuning_reports,
 )
-from .embeddings import cme_weights
 from .errors import (
     ConfigError,
     DegenerateScaleError,
@@ -84,7 +83,6 @@ __all__ = [
     "TuneReport",
     "TuningPlan",
     "bridge_products",
-    "cme_weights",
     "compute_grams",
     "dimension_sweep",
     "estimate_ate",

@@ -22,12 +22,6 @@ from .errors import DegenerateScaleError, InputError, NumericalError
 from .kernels import KernelSpec, gram
 from .ridge import RidgeSystem, TuneReport
 
-# Penalty of the conditional embedding given each conditioning role:
-# lam1 embeds (x, w[, v]) given the treatment, lam2 embeds (x, w) given
-# the subgroup covariates.
-EMBEDDING_PENALTIES = {"d": "lam1", "v": "lam2"}
-
-
 @contextmanager
 def _step(num: int, label: str):
     """Tag package errors with the pipeline step that raised them."""
@@ -67,14 +61,6 @@ def bridge_products(grams: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.nda
         A = A * grams["v"]
         core = core * grams["v"]
     return A, core
-
-
-def _output_gram(grams: Mapping[str, np.ndarray], include_v: bool) -> np.ndarray:
-    """Gram of the embedded outputs (x, w[, v]) over the sample."""
-    out = grams["x"] * grams["w"]
-    if include_v and "v" in grams:
-        out = out * grams["v"]
-    return out
 
 
 def project_stage1(
@@ -144,62 +130,41 @@ def tune_and_fit(
     grams: dict[str, np.ndarray],
     lam: float | None = None,
     xi: float | None = None,
-    embeds: Mapping[str, float | None] | None = None,
     grid=None,
-    model: BridgeModel | None = None,
-) -> tuple[BridgeModel, dict[str, float], dict[str, TuneReport]]:
-    """The tuning sequence lam -> project_stage1 -> xi -> (lam1 | lam2).
+) -> tuple[BridgeModel, dict[str, TuneReport]]:
+    """The bridge's tuning sequence lam -> project_stage1 -> xi -> solve_coef.
 
-    `grams` is the call's Gram set from :func:`compute_grams`. `embeds`
-    maps the conditioning role of each conditional embedding the caller
-    will use ("d" for lam1, "v" for lam2) to its penalty. Every penalty
-    left as None is selected by closed-form leave-one-out on `grid`.
-    Given a fitted `model`, the bridge steps are skipped.
+    `grams` is the call's Gram set from :func:`compute_grams`; the
+    products consume its d and z entries. Every penalty left as None is
+    selected by closed-form leave-one-out on `grid`.
 
-    Returns the bridge, every penalty by name, and the report of each
-    tuned one. Errors carry the number of the pipeline step that raised
-    them.
+    Returns the bridge and the report of each tuned penalty. Errors
+    carry the number of the pipeline step that raised them.
     """
-    embeds = dict(embeds or {})
     reports: dict[str, TuneReport] = {}
-    if model is None:
-        A, core = bridge_products(grams)
-        # Only the products read z, and past them only the treatment
-        # embedding reads d; dropping them bounds the call's peak memory.
-        del grams["z"]
-        if "d" not in embeds:
-            del grams["d"]
-        stage1 = RidgeSystem(A)
-        if lam is None:
-            with _step(2, "penalty tuning"):
-                reports["lam"] = stage1.loo_embedding(grams["w"], grid)
-            lam = reports["lam"].selected
-        with _step(3, "bridge fit"):
-            B, M = project_stage1(stage1, core, grams["w"], lam)
-        del A, core, stage1
-        stage2 = RidgeSystem(M)
-        if xi is None:
-            with _step(2, "penalty tuning"):
-                reports["xi"] = stage2.loo_scalar(data.y, grid)
-            xi = reports["xi"].selected
-        with _step(3, "bridge fit"):
-            coef = solve_coef(stage2, data.y, xi)
-        del stage2
-        roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
-        kept = {role: specs[role] for role in roles}
-        model = BridgeModel(data, kept, float(lam), float(xi), B, M, coef)
-    penalties = {"lam": model.lam, "xi": model.xi}
-    for role, penalty in embeds.items():
-        name = EMBEDDING_PENALTIES[role]
-        if penalty is None:
-            with _step(4, "embedding weights"):
-                if role not in grams:
-                    raise InputError(f"dataset has no {role!r} columns")
-                K_out = _output_gram(grams, include_v=role == "d")
-                reports[name] = RidgeSystem(grams[role]).loo_embedding(K_out, grid)
-            penalty = reports[name].selected
-        penalties[name] = float(penalty)
-    return model, penalties, reports
+    A, core = bridge_products(grams)
+    # Only the products read d and z; dropping them bounds the call's
+    # peak memory.
+    del grams["d"], grams["z"]
+    stage1 = RidgeSystem(A)
+    if lam is None:
+        with _step(2, "penalty tuning"):
+            reports["lam"] = stage1.loo_embedding(grams["w"], grid)
+        lam = reports["lam"].selected
+    with _step(3, "bridge fit"):
+        B, M = project_stage1(stage1, core, grams["w"], lam)
+    del A, core, stage1
+    stage2 = RidgeSystem(M)
+    if xi is None:
+        with _step(2, "penalty tuning"):
+            reports["xi"] = stage2.loo_scalar(data.y, grid)
+        xi = reports["xi"].selected
+    with _step(3, "bridge fit"):
+        coef = solve_coef(stage2, data.y, xi)
+    del stage2
+    roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
+    kept = {role: specs[role] for role in roles}
+    return BridgeModel(data, kept, float(lam), float(xi), B, M, coef), reports
 
 
 def fit_bridge(

@@ -163,11 +163,15 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _number(value, key: str, kind=float):
-    """`kind(value)` for a config value, or a ConfigError naming its key."""
+    """`kind(value)` for a finite config value, or a ConfigError naming its key."""
     try:
-        return kind(value)
+        if np.all(np.isfinite(np.asarray(value, dtype=float))):
+            return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+    except OverflowError:
+        pass
+    raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
 def _float_array(value) -> np.ndarray:

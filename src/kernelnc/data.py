@@ -192,6 +192,42 @@ def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _column_cells(
+    body: list[list[str]], idx: int, name: str, violations: list[str]
+) -> list[str]:
+    """Stripped cells of one column; each missing one is a violation."""
+    cells = []
+    for r, row in enumerate(body):
+        cell = row[idx].strip() if idx < len(row) else ""
+        if cell == "":
+            violations.append(f"missing value at row {r + 2}, column {name!r}")
+        cells.append(cell)
+    return cells
+
+
+def _continuous(cells: list[str], name: str, violations: list[str]) -> np.ndarray:
+    """Finite floats of continuous cells, nan where a cell is bad.
+
+    Every non-numeric or non-finite cell is a violation; missing ones
+    were already reported by :func:`_column_cells`.
+    """
+    out = np.full(len(cells), np.nan)
+    for r, cell in enumerate(cells):
+        if cell == "":
+            continue
+        try:
+            parsed = float(cell)
+        except ValueError:
+            problem = "non-numeric"
+        else:
+            if np.isfinite(parsed):
+                out[r] = parsed
+                continue
+            problem = "non-finite"
+        violations.append(f"{problem} value {cell!r} at row {r + 2}, column {name!r}")
+    return out
+
+
 def ingest(path, schema: Schema) -> Dataset:
     """Read a CSV under a schema, reporting every violation at once."""
     path = Path(path)
@@ -216,44 +252,16 @@ def ingest(path, schema: Schema) -> Dataset:
         raise IngestError(violations)
 
     order = [name for name, _ in schema.role_of()]
-    n = len(body)
-    values = np.empty((n, len(order)))
+    values = np.empty((len(body), len(order)))
     label_maps: dict[str, dict[str, int]] = {}
     for j, name in enumerate(order):
-        col_idx = seen[name]
-        is_cat = name in schema.categorical
-        cells: list[str] = []
-        for r, row in enumerate(body):
-            if col_idx >= len(row) or row[col_idx].strip() == "":
-                violations.append(f"missing value at row {r + 2}, column {name!r}")
-                cells.append("")
-                continue
-            cells.append(row[col_idx].strip())
-        if is_cat:
+        cells = _column_cells(body, seen[name], name, violations)
+        if name in schema.categorical:
             labels = sorted(set(c for c in cells if c != ""))
             label_maps[name] = {lab: code for code, lab in enumerate(labels)}
-            for r, cell in enumerate(cells):
-                values[r, j] = label_maps[name].get(cell, np.nan)
+            values[:, j] = [label_maps[name].get(cell, np.nan) for cell in cells]
         else:
-            for r, cell in enumerate(cells):
-                if cell == "":
-                    values[r, j] = np.nan
-                    continue
-                try:
-                    parsed = float(cell)
-                except ValueError:
-                    violations.append(
-                        f"non-numeric value {cell!r} at row {r + 2}, column {name!r}"
-                    )
-                    parsed = np.nan
-                else:
-                    if not np.isfinite(parsed):
-                        violations.append(
-                            f"non-finite value {cell!r} at row {r + 2}, "
-                            f"column {name!r}"
-                        )
-                        parsed = np.nan
-                values[r, j] = parsed
+            values[:, j] = _continuous(cells, name, violations)
     if violations:
         raise IngestError(violations)
 
@@ -303,7 +311,8 @@ def population_from_csv(path, columns: Mapping[str, Sequence[str]]) -> dict[str,
     """Read an alternative population: named x/w (and optional v) blocks.
 
     Relaxed counterpart to :func:`ingest` for distribution-shift targets,
-    which carry no outcome or treatment.
+    which carry no outcome or treatment; cells must be finite floats,
+    as in a continuous column of :func:`ingest`.
     """
     path = Path(path)
     header, body = _read_rows(path)
@@ -323,18 +332,8 @@ def population_from_csv(path, columns: Mapping[str, Sequence[str]]) -> dict[str,
         raise IngestError(violations)
     out: dict[str, list[np.ndarray]] = {"x": [], "w": [], "v": []}
     for name, role in wanted:
-        idx = seen[name]
-        col = np.empty(len(body))
-        for r, row in enumerate(body):
-            cell = row[idx].strip() if idx < len(row) else ""
-            try:
-                col[r] = float(cell)
-            except ValueError:
-                violations.append(
-                    f"non-numeric value {cell!r} at row {r + 2}, column {name!r}"
-                )
-                col[r] = np.nan
-        out[role].append(col)
+        cells = _column_cells(body, seen[name], name, violations)
+        out[role].append(_continuous(cells, name, violations))
     if violations:
         raise IngestError(violations)
     return {

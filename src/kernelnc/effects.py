@@ -24,7 +24,6 @@ from typing import Mapping
 import numpy as np
 
 from .bridge import (
-    EMBEDDING_PENALTIES,
     BridgeModel,
     _step,
     compute_grams,
@@ -33,7 +32,6 @@ from .bridge import (
     tune_and_fit,
 )
 from .data import Dataset
-from .embeddings import cme_weights
 from .errors import InputError
 from .kernels import KernelSpec, gram, spec_from_data
 from .ridge import RidgeSystem, TuneReport
@@ -74,6 +72,10 @@ class EffectRequest:
             raise InputError("kind 'att' needs d_value")
         if self.kind == "cate" and self.v_value is None:
             raise InputError("kind 'cate' needs v_value")
+        for name in ("d_value", "v_value"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, float))):
+                raise InputError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -187,24 +189,35 @@ def _resolve_grid(request: EffectRequest, data: Dataset) -> np.ndarray:
     return default_grid(data.block("d")[:, 0], request.grid_size, categorical)
 
 
-def _curve_values(
-    model: BridgeModel, grid: np.ndarray, c: np.ndarray, extra: np.ndarray | None = None
-) -> np.ndarray:
+def _evaluate(
+    model: BridgeModel,
+    grid,
+    kind: str,
+    features: np.ndarray,
+    weights: np.ndarray | None = None,
+    extra: np.ndarray | None = None,
+    penalty: float | None = None,
+) -> EffectCurve:
+    """Step 5: the curve from the n x q features of a population.
+
+    ate and ds average the features uniformly; att and cate weight them
+    by conditional embedding weights, and cate also multiplies in the
+    kernel column `extra` of its subgroup point.
+    """
+    grid = np.asarray(grid, dtype=float).ravel()
+    c = features.mean(axis=1) if weights is None else features @ weights
+    coef = model.coef * c if extra is None else model.coef * extra * c
     kd = gram(model.data.block("d"), grid[:, None], model.specs["d"])
-    weights = model.coef * c if extra is None else model.coef * extra * c
-    return kd.T @ weights
-
-
-def _base_metadata(model: BridgeModel, kind: str, extra_penalty: float | None) -> dict:
-    return {
+    metadata = {
         "estimator": "nc",
         "effect": kind,
         "n": model.data.n,
         "m": model.data.n,
         "lam": model.lam,
         "xi": model.xi,
-        "extra_penalty": extra_penalty,
+        "extra_penalty": penalty,
     }
+    return EffectCurve(grid, kd.T @ coef, "nc", metadata)
 
 
 def estimate_ds(
@@ -216,7 +229,6 @@ def estimate_ds(
     the training one; with the training sample passed back in, this is
     exactly the in-population dose-response estimator.
     """
-    grid = np.asarray(grid, dtype=float).ravel()
     specs = model.specs
     ax = _as_block(alt_x, specs["x"].dim, "alt_x")
     aw = _as_block(alt_w, specs["w"].dim, "alt_w")
@@ -233,10 +245,7 @@ def estimate_ds(
     elif alt_v is not None:
         raise InputError("model has no 'v' block")
     kw = gram(model.data.block("w"), aw, specs["w"])
-    pop = kx * (model.stage1_weights.T @ kw)
-    c = pop.mean(axis=1)
-    values = _curve_values(model, grid, c)
-    return EffectCurve(grid, values, "nc", _base_metadata(model, "ds", None))
+    return _evaluate(model, grid, "ds", kx * (model.stage1_weights.T @ kw))
 
 
 def _reference_features(
@@ -254,38 +263,51 @@ def _reference_features(
     return kx * (model.stage1_weights.T @ grams["w"])
 
 
-def _ate(model: BridgeModel, grams: Mapping[str, np.ndarray], grid) -> EffectCurve:
-    grid = np.asarray(grid, dtype=float).ravel()
-    c = _reference_features(model, grams, True).mean(axis=1)
-    values = _curve_values(model, grid, c)
-    return EffectCurve(grid, values, "nc", _base_metadata(model, "ate", None))
+def _embedding(
+    data: Dataset,
+    specs: Mapping[str, KernelSpec],
+    grams: Mapping[str, np.ndarray],
+    kind: str,
+    query=None,
+    penalty: float | None = None,
+    grid=None,
+) -> tuple[np.ndarray | None, np.ndarray | None, float, dict[str, TuneReport]]:
+    """Step 4: the conditional mean embedding of att or cate.
 
+    One kernel ridge on the conditioning Gram: the treatment's for att
+    (penalty lam1, outputs x, w[, v]), the subgroup covariates' for cate
+    (penalty lam2, outputs x, w). A penalty left as None is selected by
+    closed-form leave-one-out on `grid`, and the weights
+    (K + n penalty I)^{-1} k_q of the `query` point are solved from the
+    same system, so a tuned one reuses its eigendecomposition.
 
-def _att(
-    model: BridgeModel, grams: Mapping[str, np.ndarray], grid, d_value, lam1: float
-) -> EffectCurve:
-    grid = np.asarray(grid, dtype=float).ravel()
-    kq = gram(model.data.block("d"), np.asarray([[float(d_value)]]), model.specs["d"])
-    beta = cme_weights(grams["d"], float(lam1), kq)[:, 0]
-    c = _reference_features(model, grams, True) @ beta
-    values = _curve_values(model, grid, c)
-    return EffectCurve(grid, values, "nc", _base_metadata(model, "att", float(lam1)))
-
-
-def _cate(
-    model: BridgeModel, grams: Mapping[str, np.ndarray], grid, v_value, lam2: float
-) -> EffectCurve:
-    if not model.has_v:
-        raise InputError("CATE needs a bridge fitted with a 'v' block")
-    grid = np.asarray(grid, dtype=float).ravel()
-    v_row = _as_block(v_value, model.specs["v"].dim, "v")
-    if v_row.shape[0] != 1:
-        raise InputError("cate takes a single v point")
-    kq = gram(model.data.block("v"), v_row, model.specs["v"])
-    beta = cme_weights(grams["v"], float(lam2), kq)[:, 0]
-    c = _reference_features(model, grams, False) @ beta
-    values = _curve_values(model, grid, c, extra=kq[:, 0])
-    return EffectCurve(grid, values, "nc", _base_metadata(model, "cate", float(lam2)))
+    Returns the weights, the cate's own kernel column k_q, the penalty
+    and the report of a tuned one; without a query, only the penalty
+    and its report.
+    """
+    role, name = ("d", "lam1") if kind == "att" else ("v", "lam2")
+    reports: dict[str, TuneReport] = {}
+    with _step(4, "embedding weights"):
+        if role not in grams:
+            raise InputError(f"{kind} needs a dataset with {role!r} columns")
+        system = RidgeSystem(grams[role])
+        if penalty is None:
+            outputs = grams["x"] * grams["w"]
+            if role == "d" and "v" in grams:
+                outputs = outputs * grams["v"]
+            reports[name] = system.loo_embedding(outputs, grid)
+            penalty = reports[name].selected
+        if query is None:
+            return None, None, float(penalty), reports
+        if role == "d":
+            point = np.asarray([[float(query)]])
+        else:
+            point = _as_block(query, specs["v"].dim, "v")
+            if point.shape[0] != 1:
+                raise InputError("cate takes a single v point")
+        kq = gram(data.block(role), point, specs[role])
+        weights = system.solve(data.n * float(penalty), kq)[:, 0]
+    return weights, (kq[:, 0] if role == "v" else None), float(penalty), reports
 
 
 def estimate_ate(model: BridgeModel, grid) -> EffectCurve:
@@ -293,20 +315,18 @@ def estimate_ate(model: BridgeModel, grid) -> EffectCurve:
 
     Equal bit for bit to :func:`estimate_ds` over the training sample.
     """
-    return _ate(model, compute_grams(model.data, model.specs), grid)
+    grams = compute_grams(model.data, model.specs)
+    return _evaluate(model, grid, "ate", _reference_features(model, grams, True))
 
 
-def _embedding_penalty(
-    model: BridgeModel, grams: dict[str, np.ndarray], role: str, penalty, candidates
-) -> float:
-    """`penalty`, or the one the tuning sequence selects when it is None."""
-    if penalty is None:
-        _, penalties, _ = tune_and_fit(
-            model.data, model.specs, grams, embeds={role: None}, grid=candidates,
-            model=model,
-        )
-        penalty = penalties[EMBEDDING_PENALTIES[role]]
-    return penalty
+def _conditional(model: BridgeModel, grid, kind: str, query, penalty, candidates):
+    """att or cate of a fitted bridge: steps 4 and 5 on a fresh Gram set."""
+    grams = compute_grams(model.data, model.specs)
+    weights, extra, penalty, _ = _embedding(
+        model.data, model.specs, grams, kind, query, penalty, candidates
+    )
+    features = _reference_features(model, grams, kind == "att")
+    return _evaluate(model, grid, kind, features, weights, extra, penalty)
 
 
 def estimate_att(
@@ -318,9 +338,7 @@ def estimate_att(
     weights on the treatment block with penalty `lam1` (LOOCV-tuned when
     None). The curve sweeps counterfactual treatment levels.
     """
-    grams = compute_grams(model.data, model.specs)
-    lam1 = _embedding_penalty(model, grams, "d", lam1, candidates)
-    return _att(model, grams, grid, d_value, lam1)
+    return _conditional(model, grid, "att", d_value, lam1, candidates)
 
 
 def estimate_cate(
@@ -333,9 +351,7 @@ def estimate_cate(
     embedding weights (penalty `lam2`, LOOCV-tuned when None) that
     average the remaining covariates and control outcomes.
     """
-    grams = compute_grams(model.data, model.specs)
-    lam2 = _embedding_penalty(model, grams, "v", lam2, candidates)
-    return _cate(model, grams, grid, v_value, lam2)
+    return _conditional(model, grid, "cate", v_value, lam2, candidates)
 
 
 def _te_fit(
@@ -439,21 +455,27 @@ def run_end_to_end(
             lam, xi = theoretical_schedule(n, n, tuning.c0, tuning.c, reuse=True)
             lam1 = theoretical_embedding_penalty(n, tuning.c1)
             lam2 = theoretical_embedding_penalty(n, tuning.c2)
-        embeds = {"att": {"d": lam1}, "cate": {"v": lam2}}.get(request.kind)
-        model, penalties, _ = tune_and_fit(
-            data, specs, grams, lam, xi, embeds, tuning.grid
-        )
+        # Step 4 runs before the bridge, whose products consume d.
+        weights = extra = penalty = None
+        if request.kind in ("att", "cate"):
+            query, penalty = (
+                (request.d_value, lam1) if request.kind == "att"
+                else (request.v_value, lam2)
+            )
+            weights, extra, penalty, _ = _embedding(
+                data, specs, grams, request.kind, query, penalty, tuning.grid
+            )
+        model, _ = tune_and_fit(data, specs, grams, lam, xi, tuning.grid)
         with _step(5, "effect evaluation"):
-            if request.kind == "ate":
-                curve = _ate(model, grams, grid)
-            elif request.kind == "ds":
+            if request.kind == "ds":
                 curve = estimate_ds(
                     model, grid, request.alt_x, request.alt_w, request.alt_v
                 )
-            elif request.kind == "att":
-                curve = _att(model, grams, grid, request.d_value, penalties["lam1"])
             else:
-                curve = _cate(model, grams, grid, request.v_value, penalties["lam2"])
+                features = _reference_features(model, grams, request.kind != "cate")
+                curve = _evaluate(
+                    model, grid, request.kind, features, weights, extra, penalty
+                )
 
     curve.metadata.update(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
@@ -480,5 +502,7 @@ def tuning_reports(
     grams = compute_grams(data, specs)
     if estimator == "te":
         return _te_fit(data, grams, None, candidates)[3]
-    embeds = {role: None for role in EMBEDDING_PENALTIES if data.has_role(role)}
-    return tune_and_fit(data, specs, grams, embeds=embeds, grid=candidates)[2]
+    reports: dict[str, TuneReport] = {}
+    for kind in ("att", "cate") if data.has_role("v") else ("att",):
+        reports.update(_embedding(data, specs, grams, kind, grid=candidates)[3])
+    return {**tune_and_fit(data, specs, grams, grid=candidates)[1], **reports}

@@ -93,6 +93,33 @@ def test_non_numeric_config_value_is_a_config_error(
     assert f"configuration error: {key} must be numeric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("simulate", {"simulate": {"n": float("inf")}}, "simulate.n"),
+        ("simulate", {"simulate": {"n": 10**400}}, "simulate.n"),
+        ("estimate", {"tuning": {"mode": "forced", "lam": float("inf")}},
+         "tuning.lam"),
+        ("estimate", {"tuning": {"grid": [1e-3, float("nan")]}}, "tuning.grid"),
+        ("estimate", {"estimate": {"effect": "att", "d_value": float("nan")}},
+         "estimate.d_value"),
+        ("estimate", {"estimate": {"effect": "cate", "v_value": [float("inf")]}},
+         "estimate.v_value"),
+        ("estimate", {"seed": float("inf")}, "seed"),
+        ("estimate", {"kernels": {"lengthscales": {"x1": float("nan")}}},
+         "kernels.lengthscales.x1"),
+    ],
+)
+def test_non_finite_config_value_is_a_config_error(
+    tmp_path, capsys, command, body, key
+):
+    body = {"output_dir": str(tmp_path / "out"), **body}
+    body.setdefault("data", {"simulate": {}})
+    cfg = _write_config(tmp_path / "c.yaml", body)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert f"configuration error: {key} must be finite" in capsys.readouterr().err
+
+
 def test_bad_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KERNELNC_WORKERS", "abc")
     argv = ["simulate", "--replicates", "1", "--output-dir", str(tmp_path)]
@@ -227,6 +254,30 @@ def test_estimate_ds_with_population_csv(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["results"]["effect"] == "ds"
     capsys.readouterr()
+
+
+def test_population_csv_with_non_finite_cells_is_a_config_error(tmp_path, capsys):
+    pop = tmp_path / "pop.csv"
+    pop.write_text("x1,x2,w\n0.1,nan,0.2\n-0.4,0.3,inf\n0.2,-0.2,0.0\n")
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {
+            "output_dir": str(tmp_path / "out"),
+            "data": {"simulate": {"design": "quadratic", "n": 50, "dim_x": 2}},
+            "estimate": {
+                "effect": "ds",
+                "grid": [0.3, 0.7],
+                "alt_population": {"path": str(pop), "x": ["x1", "x2"],
+                                   "w": ["w"]},
+            },
+            "tuning": dict(FORCED),
+        },
+    )
+    assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "non-finite value 'nan' at row 2, column 'x2'" in err
+    assert "non-finite value 'inf' at row 3, column 'w'" in err
+    assert not (tmp_path / "out" / "curve.csv").exists()
 
 
 def test_simulate_outputs_match_inprocess_run(tmp_path, capsys):

@@ -153,3 +153,17 @@ def test_population_from_csv(tmp_path):
         population_from_csv(path, {"w": ("w",)})
     with pytest.raises(IngestError, match="not found"):
         population_from_csv(path, {"x": ("x9",), "w": ("w",)})
+
+
+def test_population_from_csv_collects_every_bad_cell(tmp_path):
+    # the same cell check as a continuous column of ingest
+    path = tmp_path / "pop.csv"
+    path.write_text("x1,x2,w\n0.1,nan,0.3\n0.4,oops,-inf\n0.7,0.8\n")
+    with pytest.raises(IngestError) as err:
+        population_from_csv(path, {"x": ("x1", "x2"), "w": ("w",)})
+    assert err.value.violations == [
+        "non-finite value 'nan' at row 2, column 'x2'",
+        "non-numeric value 'oops' at row 3, column 'x2'",
+        "missing value at row 4, column 'w'",
+        "non-finite value '-inf' at row 3, column 'w'",
+    ]

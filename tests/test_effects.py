@@ -187,6 +187,18 @@ def test_request_validation():
     EffectRequest("att", d_value=1.0)
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [("att", "d_value", np.nan), ("att", "d_value", np.inf),
+     ("cate", "v_value", np.array([np.inf])), ("cate", "v_value", [0.1, np.nan])],
+)
+def test_request_rejects_non_finite_conditioning_point(kind, field, value):
+    # a non-finite point gives a zero kernel column and so a silent
+    # all-zero curve; the request refuses it up front
+    with pytest.raises(InputError, match=f"{field} must be finite"):
+        EffectRequest(kind, **{field: value})
+
+
 def test_run_end_to_end_matches_manual_composition(fitted):
     data, model, _ = fitted
     plan = TuningPlan(mode="forced", lam=0.05, xi=0.02)

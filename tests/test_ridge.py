@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from kernelnc.bridge import bridge_products, compute_grams, project_stage1
-from kernelnc.effects import EffectRequest, kernel_specs, run_end_to_end
+from kernelnc.data import from_arrays
+from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from kernelnc.errors import InputError, NumericalError
 from kernelnc.kernels import KernelSpec, gram
 from kernelnc.ridge import (
@@ -96,6 +97,19 @@ def test_ridge_system_validation():
             system.smoother(np.inf)
         with pytest.raises(InputError):
             system.solve(0.1, np.ones(3))
+
+
+def test_zero_penalty_reproduces_training_point():
+    # distinct well-separated inputs make the Gram near identity, so the
+    # zero-penalty embedding weights at a training input pick out that
+    # observation
+    d = np.linspace(0.0, 50.0, 11)[:, None]
+    spec = KernelSpec.gaussian([1.0])
+    want = np.zeros(11)
+    want[4] = 1.0
+    for system in _untuned_and_tuned(gram(d, d, spec)):
+        beta = system.solve(0.0, gram(d, d[4:5], spec))[:, 0]
+        np.testing.assert_allclose(beta, want, atol=1e-6)
 
 
 def test_krr_hand_case():
@@ -225,7 +239,8 @@ def test_tune_report_tie_break_and_validation():
 def test_one_decomposition_per_tuned_system(monkeypatch):
     # with every penalty left to leave-one-out, each system is
     # eigendecomposed once and that decomposition also does the solve:
-    # A and M for the bridge, the product Gram for the baseline
+    # A and M for the bridge, K_dd or K_vv for the conditional embedding,
+    # the product Gram for the baseline
     calls = {"eigh": 0, "cho_factor": 0}
 
     def counted(name, fn):
@@ -237,8 +252,20 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "cho_factor",
                         counted("cho_factor", scipy.linalg.cho_factor))
-    data = generate(SimDesign("quadratic", n=60), 3)
-    for estimator, eighs in (("nc", 2), ("te", 1)):
+    base = generate(SimDesign("quadratic", n=60), 3)
+    x = base.block("x")
+    data = from_arrays(base.y, base.block("d"), x, base.block("z"), base.block("w"),
+                       v=x[:, 0])
+    runs = (
+        ("nc", EffectRequest("ate", grid_size=5), None, 2, 0),
+        ("te", EffectRequest("ate", grid_size=5), None, 1, 0),
+        ("nc", EffectRequest("att", grid_size=5, d_value=0.2), None, 3, 0),
+        ("nc", EffectRequest("cate", grid_size=5, v_value=0.1), None, 3, 0),
+        # a forced lam1 is never tuned, so its system solves by Cholesky
+        ("nc", EffectRequest("att", grid_size=5, d_value=0.2),
+         TuningPlan("forced", lam1=0.01), 2, 1),
+    )
+    for estimator, request, plan, eighs, chols in runs:
         calls.update(eigh=0, cho_factor=0)
-        run_end_to_end(data, EffectRequest("ate", grid_size=5), estimator=estimator)
-        assert calls == {"eigh": eighs, "cho_factor": 0}, estimator
+        run_end_to_end(data, request, plan, estimator=estimator)
+        assert calls == {"eigh": eighs, "cho_factor": chols}, (estimator, request.kind)
