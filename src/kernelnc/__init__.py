@@ -53,7 +53,6 @@ from .ridge import (
 from .simlab import (
     ReplicateReport,
     SimDesign,
-    dimension_sweep,
     generate,
     run_experiment,
     score_replicate,
@@ -84,7 +83,6 @@ __all__ = [
     "TuningPlan",
     "bridge_products",
     "compute_grams",
-    "dimension_sweep",
     "estimate_ate",
     "estimate_att",
     "estimate_cate",

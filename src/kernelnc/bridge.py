@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,16 +32,19 @@ def _step(num: int, label: str):
 
 
 def compute_grams(
-    data: Dataset, specs: Mapping[str, KernelSpec]
+    data: Dataset,
+    specs: Mapping[str, KernelSpec],
+    roles: Sequence[str] = ("d", "x", "z", "w", "v"),
 ) -> dict[str, np.ndarray]:
     """The Gram set of one call: role -> n x n Gram over `data`.
 
-    Covers the roles d, x, z, w and, when present, v. Every later step
-    of a call reads its training-sample Grams from this dict rather than
-    calling `gram` again, and deletes the entries no later step reads.
-    The set is never kept beyond the call that built it.
+    Covers each of `roles` that the data has; the default is every
+    role. Every later step of a call reads its training-sample Grams
+    from this dict rather than calling `gram` again, and deletes the
+    entries no later step reads. The set is never kept beyond the call
+    that built it.
     """
-    roles = ["d", "x", "z", "w"] + (["v"] if data.has_role("v") else [])
+    roles = [role for role in roles if data.has_role(role)]
     missing = set(roles).difference(specs)
     if missing:
         raise InputError(f"kernel specs missing for roles {sorted(missing)}")

@@ -32,6 +32,7 @@ from .data import (
 from .effects import (
     EFFECT_KINDS,
     ESTIMATORS,
+    PENALTIES,
     EffectRequest,
     TuningPlan,
     run_end_to_end,
@@ -163,9 +164,15 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _number(value, key: str, kind=float):
-    """`kind(value)` for a finite config value, or a ConfigError naming its key."""
+    """`kind(value)` for a finite config value, or a ConfigError naming its key.
+
+    With `kind=int` the value must also be integral.
+    """
     try:
-        if np.all(np.isfinite(np.asarray(value, dtype=float))):
+        arr = np.asarray(value, dtype=float)
+        if np.all(np.isfinite(arr)):
+            if kind is int and arr != np.round(arr):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
             return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be numeric, got {value!r}") from None
@@ -193,14 +200,11 @@ def _tuning_grid(cfg: dict) -> np.ndarray | None:
 def _build_tuning(cfg: dict) -> TuningPlan:
     t = cfg["tuning"]
     penalties = {}
-    for name in ("lam", "xi", "lam1", "lam2"):
+    for name in PENALTIES:
         value = t[name]
         if value is not None:
             value = _number(value, f"tuning.{name}")
-            _require(
-                t["mode"] != "forced" or value > 0.0,
-                f"forced penalty {name} must be > 0, got {value}",
-            )
+            _require(value > 0.0, f"penalty {name} must be > 0, got {value}")
         penalties[name] = value
     smoothness = {
         name: _number(t[name], f"tuning.{name}") for name in ("c0", "c", "c1", "c2")

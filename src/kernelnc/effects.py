@@ -39,6 +39,7 @@ from .ridge import RidgeSystem, TuneReport
 EFFECT_KINDS = ("ate", "ds", "att", "cate")
 ESTIMATORS = ("nc", "te")
 TUNING_MODES = ("loocv", "theoretical", "forced")
+PENALTIES = ("lam", "xi", "lam1", "lam2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +86,8 @@ class TuningPlan:
     Mode "loocv" tunes every penalty on the grid; "theoretical" sets
     them from the smoothness parameters; "forced" uses the values given
     here and falls back to LOOCV for any left as None, which is how the
-    robustness sweeps pin one penalty while tuning the other.
+    robustness sweeps pin one penalty while tuning the other. Penalty
+    values apply only in mode "forced".
     """
 
     mode: str = "loocv"
@@ -102,6 +104,20 @@ class TuningPlan:
     def __post_init__(self) -> None:
         if self.mode not in TUNING_MODES:
             raise InputError(f"unknown tuning mode {self.mode!r}")
+        for name in PENALTIES:
+            if self.mode != "forced" and getattr(self, name) is not None:
+                raise InputError(
+                    f"penalty {name} is set but tuning mode is {self.mode!r}; "
+                    "penalty values apply only in mode 'forced'"
+                )
+
+    def penalties(self, n: int) -> dict[str, float | None]:
+        """lam, xi, lam1 and lam2 for a sample of size n; None is tuned."""
+        if self.mode != "theoretical":
+            return {name: getattr(self, name) for name in PENALTIES}
+        lam, xi = theoretical_schedule(n, n, self.c0, self.c, reuse=True)
+        lam1, lam2 = (theoretical_embedding_penalty(n, c) for c in (self.c1, self.c2))
+        return {"lam": lam, "xi": xi, "lam1": lam1, "lam2": lam2}
 
 
 @dataclass
@@ -147,9 +163,12 @@ def kernel_specs(
     specs: dict[str, KernelSpec] = {}
     for role in roles:
         forced = [overrides.pop(name, None) for name in data.names(role)]
-        specs[role] = spec_from_data(
-            data.block(role), data.categorical_flags(role), forced
-        )
+        try:
+            specs[role] = spec_from_data(
+                data.block(role), data.categorical_flags(role), forced
+            )
+        except InputError as err:
+            raise InputError(f"{role!r} block: {err}") from err
     if overrides:
         raise InputError(
             f"lengthscale overrides for unknown columns {sorted(overrides)}"
@@ -189,78 +208,37 @@ def _resolve_grid(request: EffectRequest, data: Dataset) -> np.ndarray:
     return default_grid(data.block("d")[:, 0], request.grid_size, categorical)
 
 
-def _evaluate(
-    model: BridgeModel,
-    grid,
-    kind: str,
-    features: np.ndarray,
-    weights: np.ndarray | None = None,
-    extra: np.ndarray | None = None,
-    penalty: float | None = None,
+def _curve(
+    data: Dataset, specs, grid, coef: np.ndarray, estimator: str, kind: str, lam, xi, extra
 ) -> EffectCurve:
-    """Step 5: the curve from the n x q features of a population.
-
-    ate and ds average the features uniformly; att and cate weight them
-    by conditional embedding weights, and cate also multiplies in the
-    kernel column `extra` of its subgroup point.
-    """
+    """The curve g -> sum_i coef_i k_d(d_i, g) over `grid`, with its metadata."""
     grid = np.asarray(grid, dtype=float).ravel()
-    c = features.mean(axis=1) if weights is None else features @ weights
-    coef = model.coef * c if extra is None else model.coef * extra * c
-    kd = gram(model.data.block("d"), grid[:, None], model.specs["d"])
-    metadata = {
-        "estimator": "nc",
-        "effect": kind,
-        "n": model.data.n,
-        "m": model.data.n,
-        "lam": model.lam,
-        "xi": model.xi,
-        "extra_penalty": penalty,
-    }
-    return EffectCurve(grid, kd.T @ coef, "nc", metadata)
+    kd = gram(data.block("d"), grid[:, None], specs["d"])
+    metadata = dict(estimator=estimator, effect=kind, n=data.n, m=data.n,
+                    lam=lam, xi=xi, extra_penalty=extra)
+    return EffectCurve(grid, kd.T @ coef, estimator, metadata)
 
 
-def estimate_ds(
-    model: BridgeModel, grid, alt_x, alt_w, alt_v=None
-) -> EffectCurve:
-    """Dose-response under an alternative covariate/control population.
-
-    Averages the bridge over the supplied (x, w[, v]) sample instead of
-    the training one; with the training sample passed back in, this is
-    exactly the in-population dose-response estimator.
-    """
-    specs = model.specs
-    ax = _as_block(alt_x, specs["x"].dim, "alt_x")
-    aw = _as_block(alt_w, specs["w"].dim, "alt_w")
+def _population_features(model: BridgeModel, request: EffectRequest) -> np.ndarray:
+    """n x m features pairing each sample point with the m-point (x, w[, v])
+    population of a ds request, averaged by step 5 as the training ones are."""
+    specs, data = model.specs, model.data
+    ax = _as_block(request.alt_x, specs["x"].dim, "alt_x")
+    aw = _as_block(request.alt_w, specs["w"].dim, "alt_w")
     if ax.shape[0] != aw.shape[0]:
         raise InputError("alt_x and alt_w must have the same number of rows")
-    kx = gram(model.data.block("x"), ax, specs["x"])
+    kx = gram(data.block("x"), ax, specs["x"])
     if model.has_v:
-        if alt_v is None:
+        if request.alt_v is None:
             raise InputError("model includes a 'v' block; pass alt_v")
-        av = _as_block(alt_v, specs["v"].dim, "alt_v")
+        av = _as_block(request.alt_v, specs["v"].dim, "alt_v")
         if av.shape[0] != ax.shape[0]:
             raise InputError("alt_v must match alt_x rows")
-        kx = kx * gram(model.data.block("v"), av, specs["v"])
-    elif alt_v is not None:
+        kx = kx * gram(data.block("v"), av, specs["v"])
+    elif request.alt_v is not None:
         raise InputError("model has no 'v' block")
-    kw = gram(model.data.block("w"), aw, specs["w"])
-    return _evaluate(model, grid, "ds", kx * (model.stage1_weights.T @ kw))
-
-
-def _reference_features(
-    model: BridgeModel, grams: Mapping[str, np.ndarray], include_v: bool
-) -> np.ndarray:
-    """n x n features pairing each sample point with every observation.
-
-    Averaged over the observations they give the dose-response
-    reweighting; weighted by conditional embedding weights, the
-    conditional ones.
-    """
-    kx = grams["x"]
-    if include_v and model.has_v:
-        kx = kx * grams["v"]
-    return kx * (model.stage1_weights.T @ grams["w"])
+    kw = gram(data.block("w"), aw, specs["w"])
+    return kx * (model.stage1_weights.T @ kw)
 
 
 def _embedding(
@@ -310,23 +288,73 @@ def _embedding(
     return weights, (kq[:, 0] if role == "v" else None), float(penalty), reports
 
 
+def _nc_curve(
+    data: Dataset, specs: Mapping[str, KernelSpec], grams: dict[str, np.ndarray],
+    request: EffectRequest, grid, penalties, candidates, model: BridgeModel | None = None,
+) -> EffectCurve:
+    """Steps 4, 2-3 and 5 of the bridge estimator over one Gram set.
+
+    The att/cate embedding runs first, as the bridge's products consume
+    the treatment Gram. The bridge is then tuned and fitted, unless a
+    fitted `model` is passed. Its coefficients are reweighted by the
+    features of the averaged population: the alternative sample for
+    ds, the training sample otherwise. ate and ds average them
+    uniformly, att and cate by the embedding weights, and cate also
+    multiplies in its subgroup point's kernel column. A penalty absent
+    from `penalties` or None is tuned by leave-one-out on `candidates`.
+    """
+    kind = request.kind
+    weights = extra = penalty = None
+    if kind in ("att", "cate"):
+        query, name = (
+            (request.d_value, "lam1") if kind == "att" else (request.v_value, "lam2")
+        )
+        weights, extra, penalty, _ = _embedding(
+            data, specs, grams, kind, query, penalties.get(name), candidates
+        )
+    if model is None:
+        model, _ = tune_and_fit(
+            data, specs, grams, penalties.get("lam"), penalties.get("xi"), candidates
+        )
+    with _step(5, "effect evaluation"):
+        if kind == "ds":
+            features = _population_features(model, request)
+        else:
+            kx = grams["x"] * grams["v"] if kind != "cate" and "v" in grams else grams["x"]
+            features = kx * (model.stage1_weights.T @ grams["w"])
+        c = features.mean(axis=1) if weights is None else features @ weights
+        coef = model.coef * c if extra is None else model.coef * extra * c
+        return _curve(data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty)
+
+
+def _fitted_curve(model: BridgeModel, grid, request, penalties=None, candidates=None):
+    """Steps 4 and 5 for a fitted bridge, on only the Grams they read."""
+    roles = {"ds": (), "att": ("d", "x", "w", "v")}.get(request.kind, ("x", "w", "v"))
+    grams = compute_grams(model.data, model.specs, roles)
+    return _nc_curve(
+        model.data, model.specs, grams, request, grid, penalties or {}, candidates, model
+    )
+
+
 def estimate_ate(model: BridgeModel, grid) -> EffectCurve:
     """Dose-response curve averaged over the training population.
 
     Equal bit for bit to :func:`estimate_ds` over the training sample.
     """
-    grams = compute_grams(model.data, model.specs)
-    return _evaluate(model, grid, "ate", _reference_features(model, grams, True))
+    return _fitted_curve(model, grid, EffectRequest("ate"))
 
 
-def _conditional(model: BridgeModel, grid, kind: str, query, penalty, candidates):
-    """att or cate of a fitted bridge: steps 4 and 5 on a fresh Gram set."""
-    grams = compute_grams(model.data, model.specs)
-    weights, extra, penalty, _ = _embedding(
-        model.data, model.specs, grams, kind, query, penalty, candidates
-    )
-    features = _reference_features(model, grams, kind == "att")
-    return _evaluate(model, grid, kind, features, weights, extra, penalty)
+def estimate_ds(
+    model: BridgeModel, grid, alt_x, alt_w, alt_v=None
+) -> EffectCurve:
+    """Dose-response under an alternative covariate/control population.
+
+    Averages the bridge over the supplied (x, w[, v]) sample instead of
+    the training one; with the training sample passed back in, this is
+    exactly the in-population dose-response estimator.
+    """
+    request = EffectRequest("ds", alt_x=alt_x, alt_w=alt_w, alt_v=alt_v)
+    return _fitted_curve(model, grid, request)
 
 
 def estimate_att(
@@ -338,7 +366,8 @@ def estimate_att(
     weights on the treatment block with penalty `lam1` (LOOCV-tuned when
     None). The curve sweeps counterfactual treatment levels.
     """
-    return _conditional(model, grid, "att", d_value, lam1, candidates)
+    request = EffectRequest("att", d_value=d_value)
+    return _fitted_curve(model, grid, request, {"lam1": lam1}, candidates)
 
 
 def estimate_cate(
@@ -351,7 +380,8 @@ def estimate_cate(
     embedding weights (penalty `lam2`, LOOCV-tuned when None) that
     average the remaining covariates and control outcomes.
     """
-    return _conditional(model, grid, "cate", v_value, lam2, candidates)
+    request = EffectRequest("cate", v_value=v_value)
+    return _fitted_curve(model, grid, request, {"lam2": lam2}, candidates)
 
 
 def _te_fit(
@@ -394,27 +424,8 @@ def estimate_te_baseline(
     """
     specs = dict(specs) if specs is not None else kernel_specs(data)
     coef, gbar, lam, _ = _te_fit(data, compute_grams(data, specs), lam, candidates)
-    if grid is None:
-        grid = default_grid(
-            data.block("d")[:, 0], categorical=data.categorical_flags("d")[0]
-        )
-    grid = np.asarray(grid, dtype=float).ravel()
-    kd = gram(data.block("d"), grid[:, None], specs["d"])
-    values = kd.T @ (coef * gbar)
-    metadata = {
-        "estimator": "te",
-        "effect": "ate",
-        "n": data.n,
-        "m": data.n,
-        "lam": lam,
-        "xi": None,
-        "extra_penalty": None,
-    }
-    return EffectCurve(grid, values, "te", metadata)
-
-
-def _forced_or_none(tuning: TuningPlan, name: str) -> float | None:
-    return getattr(tuning, name) if tuning.mode == "forced" else None
+    grid = _resolve_grid(EffectRequest("ate"), data) if grid is None else grid
+    return _curve(data, specs, grid, coef * gbar, "te", "ate", lam, None, None)
 
 
 def run_end_to_end(
@@ -439,44 +450,14 @@ def run_end_to_end(
     with _step(1, "kernel selection"):
         specs = kernel_specs(data, lengthscales)
         grid = _resolve_grid(request, data)
-
-    n = data.n
-    lam, xi = _forced_or_none(tuning, "lam"), _forced_or_none(tuning, "xi")
-    lam1, lam2 = _forced_or_none(tuning, "lam1"), _forced_or_none(tuning, "lam2")
+    penalties = tuning.penalties(data.n)
     if estimator == "te":
-        if tuning.mode == "theoretical":
-            lam = theoretical_embedding_penalty(n, tuning.c0)
         with _step(3, "bridge fit"):
-            curve = estimate_te_baseline(data, specs, grid, lam, tuning.grid)
+            curve = estimate_te_baseline(data, specs, grid, penalties["lam"], tuning.grid)
     else:
         with _step(1, "kernel selection"):
             grams = compute_grams(data, specs)
-        if tuning.mode == "theoretical":
-            lam, xi = theoretical_schedule(n, n, tuning.c0, tuning.c, reuse=True)
-            lam1 = theoretical_embedding_penalty(n, tuning.c1)
-            lam2 = theoretical_embedding_penalty(n, tuning.c2)
-        # Step 4 runs before the bridge, whose products consume d.
-        weights = extra = penalty = None
-        if request.kind in ("att", "cate"):
-            query, penalty = (
-                (request.d_value, lam1) if request.kind == "att"
-                else (request.v_value, lam2)
-            )
-            weights, extra, penalty, _ = _embedding(
-                data, specs, grams, request.kind, query, penalty, tuning.grid
-            )
-        model, _ = tune_and_fit(data, specs, grams, lam, xi, tuning.grid)
-        with _step(5, "effect evaluation"):
-            if request.kind == "ds":
-                curve = estimate_ds(
-                    model, grid, request.alt_x, request.alt_w, request.alt_v
-                )
-            else:
-                features = _reference_features(model, grams, request.kind != "cate")
-                curve = _evaluate(
-                    model, grid, request.kind, features, weights, extra, penalty
-                )
-
+        curve = _nc_curve(data, specs, grams, request, grid, penalties, tuning.grid)
     curve.metadata.update(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
     )

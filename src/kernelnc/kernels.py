@@ -145,7 +145,7 @@ def spec_from_data(
     Gaussian with the median heuristic otherwise.
 
     `lengthscales` entries, where given and not None, override the
-    heuristic for that column.
+    heuristic for that column; a categorical column takes none.
     """
     arr = _as_matrix(samples, "samples")
     p = arr.shape[1]
@@ -156,6 +156,8 @@ def spec_from_data(
     cols = []
     for j in range(p):
         if cat[j]:
+            if forced[j] is not None:
+                raise InputError(f"column {j} is categorical and takes no lengthscale")
             cols.append(ColumnKernel(INDICATOR))
         elif forced[j] is not None:
             cols.append(ColumnKernel(GAUSSIAN, float(forced[j])))

@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, from_arrays
 from .bridge import _step
-from .effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
+from .effects import ESTIMATORS, EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from .errors import ConfigError, InputError, KernelncError, NumericalError
 
 DESIGN_KINDS = ("quadratic", "sigmoid", "peaked", "no_confounding", "discrete")
-ESTIMATOR_NAMES = ("nc", "te")
 
 WORKERS_ENV = "KERNELNC_WORKERS"
 
@@ -130,14 +129,6 @@ def generate(design: SimDesign, seed: int, replicate: int = 0) -> Dataset:
     return from_arrays(y, d, x, z, w)
 
 
-def dimension_sweep(base: SimDesign, dim_x=(), dim_z=(), dim_w=()) -> list[SimDesign]:
-    """Variants of a base design along each dimension axis in turn."""
-    out = [replace(base, dim_x=v) for v in dim_x]
-    out += [replace(base, dim_z=v) for v in dim_z]
-    out += [replace(base, dim_w=v) for v in dim_w]
-    return out
-
-
 def scoring_grid(design: SimDesign) -> np.ndarray:
     """Treatment levels where replicates are scored."""
     if design.kind == "discrete":
@@ -149,7 +140,7 @@ def score_replicate(
     design: SimDesign,
     seed: int,
     replicate: int,
-    estimators=ESTIMATOR_NAMES,
+    estimators=ESTIMATORS,
     tuning: TuningPlan | None = None,
 ) -> dict[str, float]:
     """Generate one dataset and score each estimator on it.
@@ -241,16 +232,19 @@ def resolve_workers(workers: int | None) -> int:
         if not value:
             return 1
     try:
-        return max(1, int(value))
-    except (TypeError, ValueError):
+        count = int(value)
+        if count != float(value):
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    return max(1, count)
 
 
 def run_experiment(
     design: SimDesign,
     replicates: int,
     seed: int,
-    estimators=ESTIMATOR_NAMES,
+    estimators=ESTIMATORS,
     tuning: TuningPlan | None = None,
     workers: int | None = None,
     strict: bool = True,
@@ -265,7 +259,7 @@ def run_experiment(
     if replicates < 1:
         raise InputError("need at least one replicate")
     for est in estimators:
-        if est not in ESTIMATOR_NAMES:
+        if est not in ESTIMATORS:
             raise InputError(f"unknown estimator {est!r}")
     nworkers = resolve_workers(workers)
     jobs = [

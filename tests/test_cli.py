@@ -96,6 +96,67 @@ def test_non_numeric_config_value_is_a_config_error(
 @pytest.mark.parametrize(
     "command, body, key",
     [
+        ("simulate", {"simulate": {"n": 60.9}}, "simulate.n"),
+        ("simulate", {"simulate": {"n": 40, "replicates": 1.7}},
+         "simulate.replicates"),
+        ("simulate", {"simulate": {"n": 40, "dim_z": 1.5}}, "simulate.dim_z"),
+        ("estimate", {"data": {"simulate": {"n": 40, "dim_x": 2.5}}},
+         "simulate.dim_x"),
+        ("estimate", {"data": {"simulate": {"n": 40, "replicate": 0.5}}},
+         "data.simulate.replicate"),
+        ("estimate", {"seed": 1.5}, "seed"),
+        ("estimate", {"estimate": {"grid_size": 10.5}}, "estimate.grid_size"),
+        ("simulate", {"simulate": {"n": 40}, "workers": 2.7}, "workers"),
+    ],
+)
+def test_non_integral_config_value_is_a_config_error(
+    tmp_path, capsys, command, body, key
+):
+    # an integer setting is never truncated: 60.9 is not silently 60
+    body = {"output_dir": str(tmp_path / "out"), **body}
+    body.setdefault("data", {"simulate": {"n": 40}})
+    cfg = _write_config(tmp_path / "c.yaml", body)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert f"configuration error: {key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tuning, name",
+    [
+        ({"lam": 0.5, "xi": 0.5}, "lam"),
+        ({"xi": 0.5}, "xi"),
+        ({"mode": "theoretical", "lam1": 0.1}, "lam1"),
+        ({"mode": "theoretical", "lam2": 0.1}, "lam2"),
+    ],
+)
+def test_penalty_outside_forced_mode_is_a_config_error(tmp_path, capsys, tuning, name):
+    # only mode 'forced' uses penalty values; elsewhere they would be ignored
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {"output_dir": str(tmp_path / "out"), "data": {"simulate": {"n": 40}},
+         "tuning": tuning},
+    )
+    assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+    assert f"configuration error: penalty {name} is set" in capsys.readouterr().err
+
+
+def test_lengthscale_on_a_categorical_column_is_a_runtime_error(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {
+            "output_dir": str(tmp_path / "out"),
+            "data": {"simulate": {"design": "discrete", "n": 40}},
+            "kernels": {"lengthscales": {"d": 0.5}},
+        },
+    )
+    assert main(["estimate", "--config", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "step 1 (kernel selection)" in err and "is categorical" in err
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
         ("simulate", {"simulate": {"n": float("inf")}}, "simulate.n"),
         ("simulate", {"simulate": {"n": 10**400}}, "simulate.n"),
         ("estimate", {"tuning": {"mode": "forced", "lam": float("inf")}},

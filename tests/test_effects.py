@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from kernelnc.bridge import fit_bridge
+from kernelnc import bridge, effects, kernels
+from kernelnc.bridge import fit_bridge, theoretical_schedule
 from kernelnc.data import from_arrays
 from kernelnc.effects import (
+    ESTIMATORS,
     EffectRequest,
     TuningPlan,
     default_grid,
@@ -199,14 +201,62 @@ def test_request_rejects_non_finite_conditioning_point(kind, field, value):
         EffectRequest(kind, **{field: value})
 
 
-def test_run_end_to_end_matches_manual_composition(fitted):
-    data, model, _ = fitted
-    plan = TuningPlan(mode="forced", lam=0.05, xi=0.02)
-    curve = run_end_to_end(data, EffectRequest("ate", grid=GRID), plan)
-    manual = estimate_ate(model, GRID)
+@pytest.mark.parametrize("kind", ["ate", "ds", "att", "cate"])
+def test_run_end_to_end_matches_manual_composition(fitted_v, kind):
+    data, model, _ = fitted_v
+    alt = {"alt_x": data.block("x")[:9] + 0.3, "alt_w": data.block("w")[:9],
+           "alt_v": data.block("v")[:9] - 0.2}
+    request = EffectRequest(kind, grid=GRID, d_value=0.4, v_value=0.2, **alt)
+    plan = TuningPlan(mode="forced", lam=0.05, xi=0.02, lam1=0.07, lam2=0.04)
+    curve = run_end_to_end(data, request, plan)
+    manual = {
+        "ate": lambda: estimate_ate(model, GRID),
+        "ds": lambda: estimate_ds(model, GRID, **alt),
+        "att": lambda: estimate_att(model, GRID, 0.4, lam1=0.07),
+        "cate": lambda: estimate_cate(model, GRID, 0.2, lam2=0.04),
+    }[kind]()
     assert np.array_equal(curve.values, manual.values)
+    assert manual.metadata.items() <= curve.metadata.items()
     assert curve.metadata["tuning_mode"] == "forced"
     assert len(curve.metadata["lengthscale_digest"]) == 12
+
+
+@pytest.mark.parametrize(
+    "kind, with_v, built", [("ate", False, 2), ("att", False, 3), ("cate", True, 3)]
+)
+def test_public_estimators_build_only_the_grams_they_read(
+    monkeypatch, fitted, fitted_v, kind, with_v, built
+):
+    # ate reads x and w, att also d, cate v, x and w; z never after the fit
+    data, model, _ = fitted_v if with_v else fitted
+    shapes = []
+
+    def counted(rows, cols, spec):
+        out = kernels.gram(rows, cols, spec)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(bridge, "gram", counted)
+    monkeypatch.setattr(effects, "gram", counted)
+    {
+        "ate": lambda: estimate_ate(model, GRID),
+        "att": lambda: estimate_att(model, GRID, 0.4, lam1=0.07),
+        "cate": lambda: estimate_cate(model, GRID, 0.2, lam2=0.04),
+    }[kind]()
+    assert shapes.count((data.n, data.n)) == built
+
+
+def test_tuning_plan_resolves_every_penalty():
+    for mode, name in (("loocv", "xi"), ("theoretical", "lam1")):
+        with pytest.raises(InputError, match=f"penalty {name} is set"):
+            TuningPlan(mode=mode, **{name: 0.1})
+    n = 50
+    assert TuningPlan().penalties(n) == dict.fromkeys(("lam", "xi", "lam1", "lam2"))
+    forced = TuningPlan(mode="forced", lam=0.1, lam2=0.2).penalties(n)
+    assert forced == {"lam": 0.1, "xi": None, "lam1": None, "lam2": 0.2}
+    theory = TuningPlan(mode="theoretical", c=1.5, c1=1.5).penalties(n)
+    assert (theory["lam"], theory["xi"]) == theoretical_schedule(n, n, 2.0, 1.5, True)
+    assert (theory["lam1"], theory["lam2"]) == (n ** (-1 / 2.5), n ** (-1 / 3))
 
 
 def test_run_end_to_end_te_restrictions(fitted):
@@ -229,8 +279,10 @@ def test_run_end_to_end_is_deterministic(fitted):
 def test_run_end_to_end_theoretical_mode(fitted):
     data, _, _ = fitted
     plan = TuningPlan(mode="theoretical", c0=2.0, c=2.0)
-    curve = run_end_to_end(data, EffectRequest("ate", grid=GRID), plan)
-    assert curve.metadata["lam"] == pytest.approx(data.n ** (-1.0 / 3.0), rel=1e-12)
+    for estimator in ESTIMATORS:
+        request = EffectRequest("ate", grid=GRID)
+        curve = run_end_to_end(data, request, plan, estimator)
+        assert curve.metadata["lam"] == data.n ** (-1.0 / 3.0), estimator
 
 
 def test_step_tagging_names_the_failing_stage():

@@ -115,6 +115,9 @@ def test_spec_from_data_overrides_and_flags():
     assert spec.columns[1].lengthscale == 2.5
     auto = spec_from_data(arr[:, 1:])
     assert auto.columns[0].lengthscale == median_gap(arr[:, 1])
+    # the indicator kernel has no scale; an override there would be dropped
+    with pytest.raises(InputError, match="column 0 is categorical"):
+        spec_from_data(arr, categorical=[True, False], lengthscales=[0.5, None])
 
 
 def test_spec_validation():

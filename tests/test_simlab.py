@@ -12,7 +12,6 @@ from kernelnc.simlab import (
     _decay,
     _link,
     _x_factor,
-    dimension_sweep,
     generate,
     resolve_workers,
     run_experiment,
@@ -210,15 +209,9 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(2) == 2
     with pytest.raises(ConfigError, match="workers must be an integer"):
         resolve_workers("two")
+    with pytest.raises(ConfigError, match="workers must be an integer, got 2.7"):
+        resolve_workers(2.7)
     monkeypatch.setenv("KERNELNC_WORKERS", "abc")
     with pytest.raises(ConfigError, match="KERNELNC_WORKERS must be an integer"):
         resolve_workers(None)
 
-
-def test_dimension_sweep():
-    base = SimDesign(n=100)
-    sweep = dimension_sweep(base, dim_x=(1, 10), dim_z=(2,), dim_w=(3,))
-    assert [d.dim_x for d in sweep[:2]] == [1, 10]
-    assert sweep[2].dim_z == 2 and sweep[3].dim_w == 3
-    assert all(d.n == 100 for d in sweep)
-    assert base.dim_x == 5
