@@ -45,6 +45,7 @@ from .ridge import (
     DEFAULT_GRID,
     RidgeSystem,
     TuneReport,
+    gram_factor,
     krr_fit_predict,
     loocv_embedding,
     loocv_scalar,
@@ -92,6 +93,7 @@ __all__ = [
     "from_arrays",
     "generate",
     "gram",
+    "gram_factor",
     "ingest",
     "kernel_specs",
     "krr_fit_predict",

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateScaleError, InputError, NumericalError
 from .kernels import KernelSpec, gram
-from .ridge import RidgeSystem, TuneReport
+from .ridge import RidgeSystem, TuneReport, gram_factor
 
 @contextmanager
 def _step(num: int, label: str):
@@ -67,13 +67,15 @@ def bridge_products(grams: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.nda
 
 
 def project_stage1(
-    stage1: RidgeSystem, stage2_core: np.ndarray, K_ww: np.ndarray, lam: float
+    stage1: RidgeSystem, stage2_core: np.ndarray, w_factor: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-1 solve: weights B and the derived second-stage kernel M.
 
     `stage1` is the system of the stage-1 Gram A. B is its smoother
     (A + n lam I)^{-1} A, and M multiplies the second-stage core Gram by
-    B' K_ww B, symmetrized to wash out round-off.
+    B' K_ww B = (B' L)(B' L)', where `w_factor` is the factor L of
+    K_ww = L L' (see :func:`gram_factor`); M is symmetrized to wash out
+    round-off.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InputError(f"lam must be finite and >= 0, got {lam}")
@@ -81,7 +83,8 @@ def project_stage1(
         B = stage1.smoother(stage1.n * lam)
     except NumericalError as err:
         raise NumericalError(f"stage 1: {err}") from err
-    M = stage2_core * (B.T @ K_ww @ B)
+    BL = B.T @ w_factor
+    M = stage2_core * (BL @ BL.T)
     M = 0.5 * (M + M.T)
     return B, M
 
@@ -111,7 +114,10 @@ class BridgeModel:
 
     `stage1_weights` (n x n) holds the stage-1 ridge weights of each
     sample point over the sample; `stage2_gram` (n x n) is the derived
-    second-stage kernel; `coef` (n,) are the bridge coefficients.
+    second-stage kernel; `coef` (n,) are the bridge coefficients;
+    `w_factor` (n x r) is the pivoted-Cholesky factor L of the
+    control-outcome Gram, K_ww = L L', through which every later step
+    reads K_ww.
     """
 
     data: Dataset
@@ -121,6 +127,7 @@ class BridgeModel:
     stage1_weights: np.ndarray
     stage2_gram: np.ndarray
     coef: np.ndarray
+    w_factor: np.ndarray
 
     @property
     def has_v(self) -> bool:
@@ -138,8 +145,9 @@ def tune_and_fit(
     """The bridge's tuning sequence lam -> project_stage1 -> xi -> solve_coef.
 
     `grams` is the call's Gram set from :func:`compute_grams`; the
-    products consume its d and z entries. Every penalty left as None is
-    selected by closed-form leave-one-out on `grid`.
+    products consume its d and z entries, and its w entry is factored in
+    its own buffer and removed. Every penalty left as None is selected
+    by closed-form leave-one-out on `grid`.
 
     Returns the bridge and the report of each tuned penalty. Errors
     carry the number of the pipeline step that raised them.
@@ -149,13 +157,15 @@ def tune_and_fit(
     # Only the products read d and z; dropping them bounds the call's
     # peak memory.
     del grams["d"], grams["z"]
+    with _step(3, "bridge fit"):
+        w_factor = gram_factor(grams.pop("w"))
     stage1 = RidgeSystem(A)
     if lam is None:
         with _step(2, "penalty tuning"):
-            reports["lam"] = stage1.loo_embedding(grams["w"], grid)
+            reports["lam"] = stage1.loo_embedding(w_factor, grid)
         lam = reports["lam"].selected
     with _step(3, "bridge fit"):
-        B, M = project_stage1(stage1, core, grams["w"], lam)
+        B, M = project_stage1(stage1, core, w_factor, lam)
     del A, core, stage1
     stage2 = RidgeSystem(M)
     if xi is None:
@@ -167,7 +177,8 @@ def tune_and_fit(
     del stage2
     roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
     kept = {role: specs[role] for role in roles}
-    return BridgeModel(data, kept, float(lam), float(xi), B, M, coef), reports
+    model = BridgeModel(data, kept, float(lam), float(xi), B, M, coef, w_factor)
+    return model, reports
 
 
 def fit_bridge(

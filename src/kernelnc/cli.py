@@ -33,6 +33,7 @@ from .effects import (
     EFFECT_KINDS,
     ESTIMATORS,
     PENALTIES,
+    SMOOTHNESS,
     EffectRequest,
     TuningPlan,
     run_end_to_end,
@@ -206,9 +207,7 @@ def _build_tuning(cfg: dict) -> TuningPlan:
             value = _number(value, f"tuning.{name}")
             _require(value > 0.0, f"penalty {name} must be > 0, got {value}")
         penalties[name] = value
-    smoothness = {
-        name: _number(t[name], f"tuning.{name}") for name in ("c0", "c", "c1", "c2")
-    }
+    smoothness = {name: _number(t[name], f"tuning.{name}") for name in SMOOTHNESS}
     return _as_config_error(
         TuningPlan, mode=t["mode"], grid=_tuning_grid(cfg), **penalties, **smoothness
     )

@@ -32,14 +32,15 @@ from .bridge import (
     tune_and_fit,
 )
 from .data import Dataset
-from .errors import InputError
+from .errors import DegenerateScaleError, InputError
 from .kernels import KernelSpec, gram, spec_from_data
-from .ridge import RidgeSystem, TuneReport
+from .ridge import RidgeSystem, TuneReport, gram_factor
 
 EFFECT_KINDS = ("ate", "ds", "att", "cate")
 ESTIMATORS = ("nc", "te")
 TUNING_MODES = ("loocv", "theoretical", "forced")
 PENALTIES = ("lam", "xi", "lam1", "lam2")
+SMOOTHNESS = ("c0", "c", "c1", "c2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +88,8 @@ class TuningPlan:
     them from the smoothness parameters; "forced" uses the values given
     here and falls back to LOOCV for any left as None, which is how the
     robustness sweeps pin one penalty while tuning the other. Penalty
-    values apply only in mode "forced".
+    values apply only in mode "forced". The smoothness values c0, c, c1
+    and c2 must lie in (1, 2] in every mode.
     """
 
     mode: str = "loocv"
@@ -110,6 +112,10 @@ class TuningPlan:
                     f"penalty {name} is set but tuning mode is {self.mode!r}; "
                     "penalty values apply only in mode 'forced'"
                 )
+        for name in SMOOTHNESS:
+            value = getattr(self, name)
+            if not 1.0 < value <= 2.0:
+                raise InputError(f"smoothness {name} must lie in (1, 2], got {value}")
 
     def penalties(self, n: int) -> dict[str, float | None]:
         """lam, xi, lam1 and lam2 for a sample of size n; None is tuned."""
@@ -169,6 +175,9 @@ def kernel_specs(
             )
         except InputError as err:
             raise InputError(f"{role!r} block: {err}") from err
+        except DegenerateScaleError as err:
+            name = data.names(role)[err.column]
+            raise DegenerateScaleError(f"{role!r} block: column {name!r}: {err}") from err
     if overrides:
         raise InputError(
             f"lengthscale overrides for unknown columns {sorted(overrides)}"
@@ -219,6 +228,19 @@ def _curve(
     return EffectCurve(grid, kd.T @ coef, estimator, metadata)
 
 
+def _weighted_w(model: BridgeModel, aw: np.ndarray | None = None) -> np.ndarray:
+    """B' k_w(w, aw) for the stage-1 weights B and control outcomes `aw`.
+
+    Over the training sample (`aw` None, or equal to the training w) the
+    cross Gram is K_ww itself, which the model holds as its factor,
+    K_ww = L L', so the product is read as (B' L) L'.
+    """
+    B, L = model.stage1_weights, model.w_factor
+    if aw is None or np.array_equal(aw, model.data.block("w")):
+        return (B.T @ L) @ L.T
+    return B.T @ gram(model.data.block("w"), aw, model.specs["w"])
+
+
 def _population_features(model: BridgeModel, request: EffectRequest) -> np.ndarray:
     """n x m features pairing each sample point with the m-point (x, w[, v])
     population of a ds request, averaged by step 5 as the training ones are."""
@@ -237,8 +259,7 @@ def _population_features(model: BridgeModel, request: EffectRequest) -> np.ndarr
         kx = kx * gram(data.block("v"), av, specs["v"])
     elif request.alt_v is not None:
         raise InputError("model has no 'v' block")
-    kw = gram(data.block("w"), aw, specs["w"])
-    return kx * (model.stage1_weights.T @ kw)
+    return kx * _weighted_w(model, aw)
 
 
 def _embedding(
@@ -272,8 +293,10 @@ def _embedding(
         if penalty is None:
             outputs = grams["x"] * grams["w"]
             if role == "d" and "v" in grams:
-                outputs = outputs * grams["v"]
-            reports[name] = system.loo_embedding(outputs, grid)
+                outputs *= grams["v"]
+            factor = gram_factor(outputs)
+            del outputs
+            reports[name] = system.loo_embedding(factor, grid)
             penalty = reports[name].selected
         if query is None:
             return None, None, float(penalty), reports
@@ -321,18 +344,25 @@ def _nc_curve(
             features = _population_features(model, request)
         else:
             kx = grams["x"] * grams["v"] if kind != "cate" and "v" in grams else grams["x"]
-            features = kx * (model.stage1_weights.T @ grams["w"])
+            features = kx * _weighted_w(model)
         c = features.mean(axis=1) if weights is None else features @ weights
         coef = model.coef * c if extra is None else model.coef * extra * c
         return _curve(data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty)
 
 
 def _fitted_curve(model: BridgeModel, grid, request, penalties=None, candidates=None):
-    """Steps 4 and 5 for a fitted bridge, on only the Grams they read."""
-    roles = {"ds": (), "att": ("d", "x", "w", "v")}.get(request.kind, ("x", "w", "v"))
+    """Steps 4 and 5 for a fitted bridge, on only the Grams they read.
+
+    Step 5 reads K_ww through the model's factor, so w is built only for
+    the output Gram of an embedding whose penalty is tuned.
+    """
+    penalties = penalties or {}
+    roles = {"ds": (), "att": ("d", "x", "v")}.get(request.kind, ("x", "v"))
+    if None in penalties.values():
+        roles += ("w",)
     grams = compute_grams(model.data, model.specs, roles)
     return _nc_curve(
-        model.data, model.specs, grams, request, grid, penalties or {}, candidates, model
+        model.data, model.specs, grams, request, grid, penalties, candidates, model
     )
 
 

@@ -12,7 +12,11 @@ class InputError(KernelncError):
 
 
 class DegenerateScaleError(KernelncError):
-    """A lengthscale heuristic produced a non-positive scale."""
+    """A lengthscale heuristic produced a non-positive scale in `column`."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 class NumericalError(KernelncError):

@@ -131,7 +131,8 @@ def median_heuristic(samples: np.ndarray, dim: int = 0) -> float:
     if med <= 0.0:
         raise DegenerateScaleError(
             f"median interpoint distance in column {dim} is 0; supply a "
-            "lengthscale or declare the column categorical"
+            "lengthscale or declare the column categorical",
+            column=dim,
         )
     return med
 

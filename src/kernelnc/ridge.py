@@ -7,6 +7,13 @@ Both leave-one-out losses are exact closed forms, not refits, written
 through I - R = Q diag(n lambda / (e + n lambda)) Q' so that no digits
 cancel at small lambda; the test suite checks them against brute-force
 refits to 1e-8 relative error.
+
+The embedding loss reads its output Gram only through a pivoted-Cholesky
+factor K_output = L L' (n x r, see :func:`gram_factor`). With C = Q' L
+formed once, each candidate costs one n x n by n x r product, n^2 r,
+where the dense form n^-1 tr(S H K_output H) costs n^3. A Gaussian Gram
+over one continuous column has r of about 20 at n = 2000; a full-rank
+output (r = n) costs what the dense form did.
 """
 
 from __future__ import annotations
@@ -55,6 +62,28 @@ class TuneReport:
             raise NumericalError(f"non-finite {self.loss_kind} loss on the grid")
         if self.selected != self.grid[int(np.argmin(self.losses))]:
             raise InputError("selected penalty does not attain the minimum loss")
+
+
+def gram_factor(K: np.ndarray) -> np.ndarray:
+    """Pivoted-Cholesky factor L (n x r) of a PSD Gram, K = L L' to round-off.
+
+    LAPACK's dpstrf stops at its default tolerance, n eps max(diag K),
+    so r is the numerical rank of K. The factorization runs in the
+    buffer of K and overwrites it: the caller passes a Gram it no longer
+    reads, and only the n x r factor outlives the call.
+    """
+    K = _check_square(K, "K")
+    n = K.shape[0]
+    # K is symmetric, so K.T is the same matrix in Fortran order, which
+    # dpstrf factors in place instead of copying.
+    c, piv, r, info = scipy.linalg.lapack.dpstrf(K.T, lower=1, overwrite_a=1)
+    if info < 0:
+        raise NumericalError(f"dpstrf rejected argument {-info}")
+    L = c[:, :r]
+    L[~np.tri(n, r, dtype=bool)] = 0.0  # dpstrf leaves the input above the diagonal
+    factor = np.empty((n, r))
+    factor[piv - 1] = L  # P' K P = L L', so K = (P L)(P L)'
+    return factor
 
 
 def _prepare_grid(grid) -> np.ndarray:
@@ -191,25 +220,28 @@ class RidgeSystem:
 
         return self._tune(g, "scalar_loocv", loss)
 
-    def loo_embedding(self, K_output: np.ndarray, grid=None) -> TuneReport:
+    def loo_embedding(self, factor: np.ndarray, grid=None) -> TuneReport:
         """Exact leave-one-out loss for a conditional mean embedding.
 
-        For each candidate lambda, with H = I - K (K + n lambda I)^{-1}
-        and S = diag(H)^{-2}, the loss is n^{-1} tr(S H K_output H): the
-        mean squared RKHS distance between each held-out output feature
-        and its leave-one-out embedding. With P = Q' K_output Q, the
-        diagonal of H K_output H is rowsum(((Q s) P) * (Q s)).
+        `factor` is the n x r factor L of the output Gram,
+        K_output = L L' (see :func:`gram_factor`). For each candidate
+        lambda, with H = I - K (K + n lambda I)^{-1} and S = diag(H)^{-2},
+        the loss is n^{-1} tr(S H K_output H): the mean squared RKHS
+        distance between each held-out output feature and its
+        leave-one-out embedding. With C = Q' L, H L = Q (s C), so the
+        diagonal of H K_output H is rowsum((Q (s C))^2).
         """
         g = _prepare_grid(grid)
-        Ko = _check_square(K_output, "K_output")
-        if Ko.shape != self.kernel.shape:
-            raise InputError(f"K_output is {Ko.shape}, the kernel is {self.kernel.shape}")
+        L = np.asarray(factor, dtype=float)
+        if L.ndim != 2 or L.shape[0] != self.n:
+            raise InputError(f"factor is {L.shape}, the kernel has {self.n} rows")
         Q = self._eigh()[1]
-        P = Q.T @ Ko @ Q
+        C = Q.T @ L
 
         def loss(s, h):
-            U = Q * s
-            return float(np.mean(np.sum((U @ P) * U, axis=1) / (h * h)))
+            HL = Q @ (s[:, None] * C)
+            HL *= HL
+            return float(np.mean(np.sum(HL, axis=1) / (h * h)))
 
         return self._tune(g, "embedding_loocv", loss)
 
@@ -246,5 +278,9 @@ def loocv_scalar(K: np.ndarray, y: np.ndarray, grid=None) -> TuneReport:
 
 
 def loocv_embedding(K_input: np.ndarray, K_output: np.ndarray, grid=None) -> TuneReport:
-    """Leave-one-out tuning of a mean embedding; see RidgeSystem.loo_embedding."""
-    return RidgeSystem(K_input).loo_embedding(K_output, grid)
+    """Leave-one-out tuning of a mean embedding; see RidgeSystem.loo_embedding.
+
+    Factors a copy of `K_output`, which is left as it was.
+    """
+    factor = gram_factor(np.array(K_output, dtype=float))
+    return RidgeSystem(K_input).loo_embedding(factor, grid)

@@ -11,12 +11,13 @@ from kernelnc.bridge import (
     solve_coef,
     theoretical_embedding_penalty,
     theoretical_schedule,
+    tune_and_fit,
 )
 from kernelnc.data import from_arrays
 from kernelnc.effects import kernel_specs
 from kernelnc.errors import InputError
 from kernelnc.kernels import KernelSpec
-from kernelnc.ridge import RidgeSystem
+from kernelnc.ridge import RidgeSystem, gram_factor
 
 import oracle_dense as od
 
@@ -41,7 +42,7 @@ def test_identity_gram_hand_instance():
     A, core = bridge_products(grams)
     np.testing.assert_array_equal(A, np.eye(3))
 
-    B, M = project_stage1(RidgeSystem(A), core, grams["w"], 1.0 / 3.0)
+    B, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), 1.0 / 3.0)
     np.testing.assert_allclose(B, np.eye(3) / 2.0, atol=1e-12)
     np.testing.assert_allclose(M, np.eye(3) / 4.0, atol=1e-12)
 
@@ -51,6 +52,17 @@ def test_identity_gram_hand_instance():
 
     model = fit_bridge(data, specs, 1.0 / 3.0, 1.0 / 12.0)
     np.testing.assert_allclose(model.coef, 2.0 * y, rtol=1e-10)
+
+
+def test_tune_and_fit_keeps_only_the_factor_of_k_ww():
+    data = _random_dataset(np.random.default_rng(59), 30)
+    specs = kernel_specs(data)
+    grams = compute_grams(data, specs)
+    K_ww = grams["w"].copy()
+    model, _ = tune_and_fit(data, specs, grams, 0.1, 0.05)
+    assert "w" not in grams
+    L = model.w_factor
+    np.testing.assert_allclose(L @ L.T, K_ww, rtol=0.0, atol=1e-13)
 
 
 def _random_dataset(rng, n, with_v=False):

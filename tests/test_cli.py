@@ -140,6 +140,24 @@ def test_penalty_outside_forced_mode_is_a_config_error(tmp_path, capsys, tuning,
     assert f"configuration error: penalty {name} is set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tuning, name",
+    [({"mode": "theoretical", "c0": 5}, "c0"), ({"c0": 5, "c1": 0.1}, "c0"),
+     ({"mode": "forced", "c2": 1.0}, "c2")],
+)
+def test_smoothness_outside_its_range_is_a_config_error(tmp_path, capsys, tuning, name):
+    # every mode checks c0, c, c1 and c2 against (1, 2], not only the
+    # theoretical schedule that reads them
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {"output_dir": str(tmp_path / "out"), "data": {"simulate": {"n": 40}},
+         "tuning": tuning},
+    )
+    assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: smoothness {name} must lie in (1, 2]" in err
+
+
 def test_lengthscale_on_a_categorical_column_is_a_runtime_error(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "c.yaml",
@@ -206,7 +224,8 @@ def test_runtime_error_exit_code(tmp_path, capsys):
         },
     )
     assert main(["estimate", "--config", cfg]) == EXIT_RUNTIME
-    assert "runtime error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime error: step 1 (kernel selection): 'x' block: column 'x':" in err
 
 
 def test_estimate_outputs_match_inprocess_run(tmp_path, capsys):

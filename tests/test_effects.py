@@ -222,12 +222,17 @@ def test_run_end_to_end_matches_manual_composition(fitted_v, kind):
 
 
 @pytest.mark.parametrize(
-    "kind, with_v, built", [("ate", False, 2), ("att", False, 3), ("cate", True, 3)]
+    "kind, with_v, penalty, built",
+    [("ate", False, None, 1), ("att", False, 0.07, 2), ("att", False, None, 3),
+     ("cate", True, 0.04, 2), ("cate", True, None, 3)],
+    ids=["ate", "att-forced", "att-tuned", "cate-forced", "cate-tuned"],
 )
 def test_public_estimators_build_only_the_grams_they_read(
-    monkeypatch, fitted, fitted_v, kind, with_v, built
+    monkeypatch, fitted, fitted_v, kind, with_v, penalty, built
 ):
-    # ate reads x and w, att also d, cate v, x and w; z never after the fit
+    # ate reads x, att also d, cate v and x; K_ww only through the model's
+    # factor, so w is built only for a tuned embedding's output Gram, and
+    # z never after the fit
     data, model, _ = fitted_v if with_v else fitted
     shapes = []
 
@@ -240,8 +245,8 @@ def test_public_estimators_build_only_the_grams_they_read(
     monkeypatch.setattr(effects, "gram", counted)
     {
         "ate": lambda: estimate_ate(model, GRID),
-        "att": lambda: estimate_att(model, GRID, 0.4, lam1=0.07),
-        "cate": lambda: estimate_cate(model, GRID, 0.2, lam2=0.04),
+        "att": lambda: estimate_att(model, GRID, 0.4, lam1=penalty),
+        "cate": lambda: estimate_cate(model, GRID, 0.2, lam2=penalty),
     }[kind]()
     assert shapes.count((data.n, data.n)) == built
 
@@ -250,6 +255,9 @@ def test_tuning_plan_resolves_every_penalty():
     for mode, name in (("loocv", "xi"), ("theoretical", "lam1")):
         with pytest.raises(InputError, match=f"penalty {name} is set"):
             TuningPlan(mode=mode, **{name: 0.1})
+    for mode, name in (("loocv", "c"), ("forced", "c1"), ("theoretical", "c2")):
+        with pytest.raises(InputError, match=f"smoothness {name} must lie"):
+            TuningPlan(mode=mode, **{name: 2.5})
     n = 50
     assert TuningPlan().penalties(n) == dict.fromkeys(("lam", "xi", "lam1", "lam2"))
     forced = TuningPlan(mode="forced", lam=0.1, lam2=0.2).penalties(n)

@@ -13,6 +13,7 @@ from kernelnc.ridge import (
     DEFAULT_GRID,
     RidgeSystem,
     TuneReport,
+    gram_factor,
     krr_fit_predict,
     loocv_embedding,
     loocv_scalar,
@@ -197,12 +198,51 @@ def test_loocv_exact_over_the_default_grid():
     np.testing.assert_allclose(
         emb.losses, loo_embedding_losses(A, grams["w"], DEFAULT_GRID), rtol=1e-8
     )
-    _, M = project_stage1(RidgeSystem(A), core, grams["w"], emb.selected)
+    _, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), emb.selected)
     np.testing.assert_allclose(
         loocv_scalar(M, data.y).losses,
         loo_scalar_losses(M, data.y, DEFAULT_GRID),
         rtol=1e-8,
     )
+
+
+def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
+    # K_ww over one uniform control outcome has numerical rank r << n;
+    # the loss read through its n x r factor matches brute-force refits
+    # on the dense Gram over the whole shipped grid
+    data = generate(SimDesign("quadratic", n=200), 2)
+    grams = compute_grams(data, kernel_specs(data))
+    A, _ = bridge_products(grams)
+    K_ww = grams["w"].copy()
+    factor = gram_factor(grams.pop("w"))
+    assert factor.shape[1] < 40
+    report = RidgeSystem(A).loo_embedding(factor)
+    want = loo_embedding_losses(A, K_ww, DEFAULT_GRID)
+    np.testing.assert_allclose(report.losses, want, rtol=1e-8)
+    assert report.selected == DEFAULT_GRID[np.argmin(want)]
+
+
+def test_gram_factor_reconstructs_in_place(monkeypatch):
+    w = np.random.default_rng(53).uniform(-1.0, 1.0, size=(300, 1))
+    K = gram(w, w, KernelSpec.gaussian([0.5]))
+    want = K.copy()
+    shared = []
+    dpstrf = scipy.linalg.lapack.dpstrf
+
+    def spy(a, **kwargs):
+        out = dpstrf(a, **kwargs)
+        shared.append(np.shares_memory(out[0], K))
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", spy)
+    L = gram_factor(K)
+    # dpstrf wrote into the Gram's own buffer: no second n x n array
+    assert shared == [True]
+    assert L.shape[0] == 300 and L.shape[1] < 40
+    np.testing.assert_allclose(L @ L.T, want, rtol=0.0, atol=1e-12)
+    identity = gram_factor(np.eye(5))
+    assert identity.shape == (5, 5)
+    np.testing.assert_array_equal(identity @ identity.T, np.eye(5))
 
 
 def test_loocv_uses_default_grid():
