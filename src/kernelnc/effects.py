@@ -428,8 +428,11 @@ def _te_fit(
     rest = None
     for role in list(grams):
         g = grams.pop(role)
-        full = full * g
-        rest = g if rest is None else rest * g
+        full *= g
+        if rest is None:
+            rest = g
+        else:
+            rest *= g
     y = data.y
     system = RidgeSystem(full)
     reports: dict[str, TuneReport] = {}

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateScaleError, InputError
 
 GAUSSIAN = "gaussian"
 INDICATOR = "indicator"
+
+# Bytes of output rows filled per block in gram: a few hundred KiB keeps the
+# block and its scratch factor in cache.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,13 @@ def gram(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
     The product over columns accumulates in declared column order, so
     gram(S, S) is exactly symmetric: entry (i, j) and entry (j, i) see
     the same factors because (a - b)^2 == (b - a)^2 bit for bit.
+
+    The output is filled one block of rows at a time, about
+    _BLOCK_BYTES per block, so each factor is formed in one cache-resident
+    scratch block and no n x n temporary is allocated. A Gaussian factor
+    is exp(-0.5 t^2) with t = (a - b) / lengthscale, computed as
+    exp((t * t) * -0.5): scaling by -0.5 is exact, so this is the same
+    float as exp((-0.5 * t) * t).
     """
     r = _as_matrix(rows, "rows")
     c = _as_matrix(cols, "cols")
@@ -97,23 +107,109 @@ def gram(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
             f"spec has {spec.dim} columns but rows have {r.shape[1]} "
             f"and cols have {c.shape[1]}"
         )
-    out = np.ones((r.shape[0], c.shape[0]))
-    for j, ck in enumerate(spec.columns):
-        rj = r[:, j][:, None]
-        cj = c[:, j][None, :]
-        if ck.family == GAUSSIAN:
-            t = (rj - cj) / ck.lengthscale
-            out *= np.exp(-0.5 * t * t)
-        else:
-            out *= (rj == cj).astype(float)
+    nr, nc = r.shape[0], c.shape[0]
+    out = np.empty((nr, nc))
+    col_values = [np.ascontiguousarray(c[:, j]) for j in range(spec.dim)]
+    height = max(1, min(nr, _BLOCK_BYTES // (8 * nc)))
+    scratch = np.empty((height, nc))
+    for start in range(0, nr, height):
+        block = out[start : start + height]
+        for j, ck in enumerate(spec.columns):
+            # the first factor goes straight into the output rows
+            f = block if j == 0 else scratch[: block.shape[0]]
+            rj = r[start : start + height, j, None]
+            if ck.family == GAUSSIAN:
+                np.subtract(rj, col_values[j], out=f)
+                f /= ck.lengthscale
+                np.square(f, out=f)
+                f *= -0.5
+                np.exp(f, out=f)
+            else:
+                np.equal(rj, col_values[j], out=f)
+            if j > 0:
+                block *= f
     return out
+
+
+def _row_ends(xs: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row i of sorted `xs`, one past the last j with fl(xs[j] - xs[i]) <= t.
+
+    The search is confined to [lo[i], hi[i]]: every j < lo[i] must meet the
+    predicate and every j >= hi[i] must fail it. The predicate is the rounded
+    difference itself, which is monotone in j; searchsorted on fl(xs[i] + t)
+    can sit an ulp away from it, so the guess is moved until it holds,
+    jumping over runs of tied values in one step.
+    """
+    ends = np.clip(np.searchsorted(xs, xs + t, side="right"), lo, hi)
+    while True:
+        up = np.flatnonzero(ends < hi)
+        up = up[xs[ends[up]] - xs[up] <= t]
+        if up.size == 0:
+            break
+        ends[up] = np.minimum(np.searchsorted(xs, xs[ends[up]], side="right"), hi[up])
+    while True:
+        down = np.flatnonzero(ends > lo)
+        down = down[xs[ends[down] - 1] - xs[down] > t]
+        if down.size == 0:
+            return ends
+        ends[down] = np.maximum(np.searchsorted(xs, xs[ends[down] - 1], side="left"), lo[down])
+
+
+def _central_gaps(xs: np.ndarray) -> list[float]:
+    """The central order statistics of fl(xs[j] - xs[i]), i < j, for sorted `xs`.
+
+    One statistic for an odd pair count, two for an even one: exactly the
+    values np.median averages, so np.median of them is np.median of all
+    gaps. They are bracketed by bisection on the gap value: per row i,
+    the pairs (i, j) with lo[i] <= j < hi[i] form the window that still
+    holds them. Once the window holds a few n pairs they are gathered and
+    partitioned; no array of all n(n - 1)/2 gaps is ever formed.
+    """
+    n = xs.shape[0]
+    rows = np.arange(n)
+    pairs = n * (n - 1) // 2
+    k = sorted({(pairs - 1) // 2, pairs // 2})
+    lo, hi = rows + 1, np.full(n, n)
+    below = 0  # pairs (i, j < lo[i]), all smaller than the window
+    while True:
+        live = np.flatnonzero(hi > lo)
+        wmin = np.min(xs[lo[live]] - xs[live])
+        wmax = np.max(xs[hi[live] - 1] - xs[live])
+        if wmin == wmax:  # one distinct gap value, however many pairs
+            return [wmin] * len(k)
+        if int(np.sum(hi - lo)) <= 4 * n:
+            break
+        # a gap of two huge values can round to inf; bisect below it
+        mid = min(wmin + 0.5 * (wmax - wmin), np.finfo(float).max)
+        if mid >= wmax:  # adjacent floats: split off the smaller one
+            mid = wmin
+        ends = _row_ends(xs, mid, lo, hi)
+        count = int(np.sum(ends - rows - 1))
+        if count <= k[0]:
+            lo, below = ends, count
+        elif count > k[-1]:
+            hi = ends
+        else:  # count == k1 == k0 + 1: largest gap <= mid, smallest above it
+            last = np.flatnonzero(ends > rows + 1)
+            first = np.flatnonzero(ends < n)
+            return [
+                np.max(xs[ends[last] - 1] - xs[last]),
+                np.min(xs[ends[first]] - xs[first]),
+            ]
+    lens = hi - lo
+    i = np.repeat(rows, lens)
+    j = np.arange(i.shape[0]) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    ranks = [r - below for r in k]
+    return list(np.partition(xs[j] - xs[i], ranks)[ranks])
 
 
 def median_heuristic(samples: np.ndarray, dim: int = 0) -> float:
     """Median interpoint distance for one column of a sample matrix.
 
     Takes the median of |a_ij - a_kj| over all pairs i < k. An even pair
-    count yields the mean of the two central order statistics. Raises
+    count yields the mean of the two central order statistics. The result
+    is the same float as np.median over all pairwise distances, found
+    without forming them (see :func:`_central_gaps`). Raises
     :class:`DegenerateScaleError` when the result would be 0 (all values
     identical, or more than half of all pairs coincide); callers must
     then supply an explicit lengthscale or declare the column
@@ -127,7 +223,7 @@ def median_heuristic(samples: np.ndarray, dim: int = 0) -> float:
         raise InputError("median heuristic needs at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise InputError(f"non-finite values in column {dim}")
-    med = float(np.median(pdist(x[:, None], metric="cityblock")))
+    med = float(np.median(_central_gaps(np.sort(x))))
     if med <= 0.0:
         raise DegenerateScaleError(
             f"median interpoint distance in column {dim} is 0; supply a "

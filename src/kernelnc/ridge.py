@@ -189,13 +189,17 @@ class RidgeSystem:
         h = diag(I - R). Both losses are invariant to the scale of s, so s
         is taken relative to its largest entry, (e_min + n lambda) /
         (e + n lambda): equal eigenvalues then give exactly equal entries.
+        Every h is formed first, so that Q o Q (n x n) is released before
+        the losses allocate their own temporaries.
         """
         Q2 = self._eigh()[1] ** 2
-        losses = np.empty_like(g)
-        for idx, lam in enumerate(g):
+        sh = []
+        for lam in g:
             t = self._spectrum(self.n * lam)
             s = t[0] / t
-            losses[idx] = loss(s, Q2 @ s)
+            sh.append((s, Q2 @ s))
+        del Q2
+        losses = np.array([loss(s, h) for s, h in sh])
         return TuneReport(g, losses, float(g[int(np.argmin(losses))]), loss_kind)
 
     def loo_scalar(self, y: np.ndarray, grid=None) -> TuneReport:

@@ -1,8 +1,12 @@
 """Product-kernel construction: hand values, symmetry, PSD, lengthscales."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from kernelnc import kernels
 from kernelnc.errors import DegenerateScaleError, InputError
 from kernelnc.kernels import (
     ColumnKernel,
@@ -55,6 +59,47 @@ def test_median_heuristic_matches_brute_force():
         assert median_heuristic(arr, j) == median_gap(arr[:, j])
 
 
+def _median_columns():
+    rng = np.random.default_rng(23)
+    ulp = np.spacing(1.0)
+    return {
+        "n2": np.array([0.3, -1.2]),
+        "n3": np.array([2.0, -0.5, 0.25]),
+        "n6_odd_pairs": rng.normal(size=6),
+        "n7_odd_pairs": rng.normal(size=7),
+        "n9_even_pairs": rng.normal(size=9),
+        "n2000_normal": rng.normal(size=2000),
+        "n1001_uniform": rng.uniform(size=1001),
+        "rounded_ties": np.round(rng.normal(size=800), 1),
+        "three_levels": rng.integers(0, 3, size=900).astype(float),
+        "negative_wide": -np.exp(rng.normal(scale=8.0, size=500)) - 1e6,
+        "tenths": rng.integers(0, 7, size=400) * 0.1 + 0.3,
+        # gaps one ulp apart: bisection has to split adjacent floats
+        "adjacent_floats": np.repeat([0.0, 1.0 + ulp, 1.0 + 2 * ulp, 1e6], [5, 40, 40, 40]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_median_columns()))
+def test_median_heuristic_is_the_pdist_median(case):
+    col = _median_columns()[case]
+    expected = float(np.median(pdist(col[:, None], metric="cityblock")))
+    assert median_heuristic(col[:, None]) == expected
+
+
+@pytest.mark.parametrize("levels", [None, 3])
+def test_median_heuristic_needs_no_pairwise_array(levels):
+    # all 8e6 pairwise gaps of n = 4000 would take 64 MB
+    rng = np.random.default_rng(29)
+    col = rng.normal(size=4000) if levels is None else rng.integers(0, levels, 4000) * 1.0
+    tracemalloc.start()
+    try:
+        median_heuristic(col[:, None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_median_heuristic_degenerate():
     with pytest.raises(DegenerateScaleError):
         median_heuristic(np.full((6, 1), 2.5))
@@ -73,12 +118,71 @@ def test_gram_matches_dense_loops():
     )
 
 
+def _gram_reference(rows, cols, spec):
+    """Whole-matrix product of per-column factors, in column order."""
+    r, c = np.atleast_2d(rows), np.atleast_2d(cols)
+    out = np.ones((r.shape[0], c.shape[0]))
+    for j, ck in enumerate(spec.columns):
+        rj = r[:, j][:, None]
+        cj = c[:, j][None, :]
+        if ck.family == "gaussian":
+            t = (rj - cj) / ck.lengthscale
+            out *= np.exp(-0.5 * t * t)
+        else:
+            out *= (rj == cj).astype(float)
+    return out
+
+
+MIXED = KernelSpec(
+    (
+        ColumnKernel("gaussian", 0.7),
+        ColumnKernel("indicator"),
+        ColumnKernel("gaussian", 30.0),
+        ColumnKernel("gaussian", 1e-3),
+    )
+)
+
+
+def _mixed_sample(rng, n):
+    return np.column_stack(
+        [rng.normal(size=n), rng.integers(0, 3, n), 50 * rng.normal(size=n), rng.normal(size=n)]
+    )
+
+
+INDICATOR_FIRST = KernelSpec((ColumnKernel("indicator"), ColumnKernel("gaussian", 0.7)))
+
+
+@pytest.mark.parametrize("shape", [(37, 300), (300, 37), (1, 300), (300, 1), (1, 1)])
+def test_gram_equals_whole_matrix_reference(shape):
+    rng = np.random.default_rng(31)
+    rows, cols = _mixed_sample(rng, shape[0]), _mixed_sample(rng, shape[1])
+    assert np.array_equal(gram(rows, cols, MIXED), _gram_reference(rows, cols, MIXED))
+    # the first column's factor is written straight into the output rows
+    r, c = rows[:, [1, 0]], cols[:, [1, 0]]
+    expected = _gram_reference(r, c, INDICATOR_FIRST)
+    assert np.array_equal(gram(r, c, INDICATOR_FIRST), expected)
+
+
+def test_gram_rows_span_blocks_of_uneven_height():
+    rng = np.random.default_rng(37)
+    n = 300
+    height = kernels._BLOCK_BYTES // (8 * n)
+    assert 1 < height < n and n % height != 0
+    s = _mixed_sample(rng, n)
+    assert np.array_equal(gram(s, s, MIXED), _gram_reference(s, s, MIXED))
+
+
 def test_gram_symmetry_is_bitwise():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(40, 3))
     g = gram(a, a, KernelSpec.gaussian([1.0, 0.5, 2.0]))
     assert np.array_equal(g, g.T)
     assert np.array_equal(np.diag(g), np.ones(40))
+    # above one block of rows, with an indicator column
+    s = _mixed_sample(rng, 700)
+    assert 700 > kernels._BLOCK_BYTES // (8 * 700)
+    g = gram(s, s, MIXED)
+    assert np.array_equal(g, g.T)
 
 
 def test_gram_is_psd_and_bounded():
