@@ -41,16 +41,7 @@ from .errors import (
     NumericalError,
 )
 from .kernels import ColumnKernel, KernelSpec, gram, median_heuristic, spec_from_data
-from .ridge import (
-    DEFAULT_GRID,
-    RidgeSystem,
-    TuneReport,
-    gram_factor,
-    krr_fit_predict,
-    loocv_embedding,
-    loocv_scalar,
-    solve_ridge,
-)
+from .ridge import DEFAULT_GRID, RidgeSystem, TuneReport, gram_factor
 from .simlab import (
     ReplicateReport,
     SimDesign,
@@ -96,16 +87,12 @@ __all__ = [
     "gram_factor",
     "ingest",
     "kernel_specs",
-    "krr_fit_predict",
-    "loocv_embedding",
-    "loocv_scalar",
     "median_heuristic",
     "project_stage1",
     "run_end_to_end",
     "run_experiment",
     "score_replicate",
     "solve_coef",
-    "solve_ridge",
     "spec_from_data",
     "theoretical_embedding_penalty",
     "theoretical_schedule",

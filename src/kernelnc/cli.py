@@ -461,7 +461,7 @@ def cmd_tune(cfg: dict) -> int:
     est_name = cfg["estimate"]["estimator"]
     _require(est_name in ESTIMATORS, f"unknown estimator {est_name!r}")
     lengthscales = _lengthscales(cfg)
-    grid = _tuning_grid(cfg)
+    grid = _build_tuning(cfg).grid
     outdir = _prepare_outdir(cfg)
 
     timings: dict[str, float] = {}

@@ -62,11 +62,6 @@ class KernelSpec:
     def dim(self) -> int:
         return len(self.columns)
 
-    @property
-    def lengthscales(self) -> tuple[float | None, ...]:
-        """Per-column lengthscales, None on indicator columns."""
-        return tuple(c.lengthscale for c in self.columns)
-
     @classmethod
     def gaussian(cls, lengthscales: Iterable[float]) -> "KernelSpec":
         return cls(tuple(ColumnKernel(GAUSSIAN, float(s)) for s in lengthscales))

@@ -1,19 +1,20 @@
-"""Regularized PSD solves, kernel ridge regression, and leave-one-out tuning.
+"""Regularized PSD solves and leave-one-out tuning of kernel ridge penalties.
 
 One eigendecomposition K = Q diag(e) Q' serves every candidate penalty
 and then the fit at the selected one, because the smoother
 R = K (K + n lambda I)^{-1} has the same eigenvectors for all lambda.
-Both leave-one-out losses are exact closed forms, not refits, written
-through I - R = Q diag(n lambda / (e + n lambda)) Q' so that no digits
-cancel at small lambda; the test suite checks them against brute-force
-refits to 1e-8 relative error.
+The scalar and the embedding leave-one-out losses are one exact closed
+form, not refits, written through I - R = Q diag(n lambda / (e + n lambda)) Q'
+so that no digits cancel at small lambda; the test suite checks it
+against brute-force refits to 1e-8 relative error.
 
-The embedding loss reads its output Gram only through a pivoted-Cholesky
-factor K_output = L L' (n x r, see :func:`gram_factor`). With C = Q' L
-formed once, each candidate costs one n x n by n x r product, n^2 r,
-where the dense form n^-1 tr(S H K_output H) costs n^3. A Gaussian Gram
-over one continuous column has r of about 20 at n = 2000; a full-rank
-output (r = n) costs what the dense form did.
+The loss reads its output Gram only through a factor K_output = L L'
+(n x r): y itself for the scalar loss, the pivoted-Cholesky factor of
+:func:`gram_factor` for an embedding. With C = Q' L formed once, each
+candidate costs one n x n by n x r product, n^2 r, where the dense form
+n^-1 tr(S H K_output H) costs n^3. A Gaussian Gram over one continuous
+column has r of about 20 at n = 2000; a full-rank output (r = n) costs
+what the dense form did.
 """
 
 from __future__ import annotations
@@ -182,24 +183,33 @@ class RidgeSystem:
         e, Q = self._eig
         return (Q * (e / self._spectrum(ridge))) @ Q.T
 
-    def _tune(self, g: np.ndarray, loss_kind: str, loss) -> TuneReport:
-        """Evaluate `loss(s, h)` at each candidate lambda on the grid `g`.
+    def _tune(self, g: np.ndarray, loss_kind: str, L: np.ndarray) -> TuneReport:
+        """Leave-one-out losses of the output factor L (n x r) on the grid `g`.
 
         I - R = Q diag(s) Q', with R = K (K + n lambda I)^{-1}, and
-        h = diag(I - R). Both losses are invariant to the scale of s, so s
-        is taken relative to its largest entry, (e_min + n lambda) /
-        (e + n lambda): equal eigenvalues then give exactly equal entries.
-        Every h is formed first, so that Q o Q (n x n) is released before
-        the losses allocate their own temporaries.
+        h = diag(I - R). With C = Q' L, H L = Q (s C), so the loss
+        n^{-1} tr(S H L L' H), S = diag(h)^{-2}, is
+        mean(rowsum((Q (s C))^2) / h^2). It is invariant to the scale of
+        s, so s is taken relative to its largest entry, (e_min + n lambda)
+        / (e + n lambda): equal eigenvalues then give exactly equal
+        entries. Every h is formed first, so that Q o Q (n x n) is
+        released before the losses allocate their own temporaries.
         """
-        Q2 = self._eigh()[1] ** 2
+        Q = self._eigh()[1]
+        C = Q.T @ L
+        Q2 = Q**2
         sh = []
         for lam in g:
             t = self._spectrum(self.n * lam)
             s = t[0] / t
             sh.append((s, Q2 @ s))
         del Q2
-        losses = np.array([loss(s, h) for s, h in sh])
+        losses = np.empty(g.shape)
+        for k, (s, h) in enumerate(sh):
+            HL = Q @ (s[:, None] * C)
+            HL *= HL
+            losses[k] = np.mean(np.sum(HL, axis=1) / (h * h))
+            del HL  # with r = n, one n x n less while the next HL is formed
         return TuneReport(g, losses, float(g[int(np.argmin(losses))]), loss_kind)
 
     def loo_scalar(self, y: np.ndarray, grid=None) -> TuneReport:
@@ -207,7 +217,8 @@ class RidgeSystem:
 
         For each candidate lambda, with H = I - K (K + n lambda I)^{-1}
         and Htilde = diag(H), the loss is n^{-1} || Htilde^{-1} H y ||^2:
-        the mean squared leave-one-out residual, no refits required.
+        the mean squared leave-one-out residual, no refits required. It
+        is the embedding loss with the output Gram y y'.
         """
         y = np.asarray(y, dtype=float)
         g = _prepare_grid(grid)
@@ -215,14 +226,7 @@ class RidgeSystem:
             raise InputError(f"y must have shape ({self.n},), got {y.shape}")
         if not np.all(np.isfinite(y)):
             raise NumericalError("non-finite entry in y")
-        Q = self._eigh()[1]
-        Qty = Q.T @ y
-
-        def loss(s, h):
-            resid = (Q @ (s * Qty)) / h
-            return float(resid @ resid) / self.n
-
-        return self._tune(g, "scalar_loocv", loss)
+        return self._tune(g, "scalar_loocv", y[:, None])
 
     def loo_embedding(self, factor: np.ndarray, grid=None) -> TuneReport:
         """Exact leave-one-out loss for a conditional mean embedding.
@@ -232,59 +236,10 @@ class RidgeSystem:
         lambda, with H = I - K (K + n lambda I)^{-1} and S = diag(H)^{-2},
         the loss is n^{-1} tr(S H K_output H): the mean squared RKHS
         distance between each held-out output feature and its
-        leave-one-out embedding. With C = Q' L, H L = Q (s C), so the
-        diagonal of H K_output H is rowsum((Q (s C))^2).
+        leave-one-out embedding.
         """
         g = _prepare_grid(grid)
         L = np.asarray(factor, dtype=float)
         if L.ndim != 2 or L.shape[0] != self.n:
             raise InputError(f"factor is {L.shape}, the kernel has {self.n} rows")
-        Q = self._eigh()[1]
-        C = Q.T @ L
-
-        def loss(s, h):
-            HL = Q @ (s[:, None] * C)
-            HL *= HL
-            return float(np.mean(np.sum(HL, axis=1) / (h * h)))
-
-        return self._tune(g, "embedding_loocv", loss)
-
-
-def solve_ridge(K: np.ndarray, ridge: float, b: np.ndarray) -> np.ndarray:
-    """One-shot (K + ridge I)^{-1} b with the jitter-escalation policy."""
-    return RidgeSystem(K).solve(ridge, b)
-
-
-def krr_fit_predict(
-    K_train: np.ndarray, targets: np.ndarray, lam: float, K_cross: np.ndarray
-) -> np.ndarray:
-    """Kernel ridge predictions targets' (K + n lambda I)^{-1} K_cross.
-
-    `K_cross` holds training rows against query columns, shape
-    (n_train, n_query); returns one prediction per query.
-    """
-    y = np.asarray(targets, dtype=float)
-    if y.ndim != 1:
-        raise InputError("targets must be 1-D")
-    n = y.shape[0]
-    kc = np.asarray(K_cross, dtype=float)
-    if kc.ndim == 1:
-        kc = kc[:, None]
-    if kc.shape[0] != n:
-        raise InputError(f"K_cross has {kc.shape[0]} rows, expected {n}")
-    coef = RidgeSystem(K_train).solve(n * lam, y)
-    return kc.T @ coef
-
-
-def loocv_scalar(K: np.ndarray, y: np.ndarray, grid=None) -> TuneReport:
-    """Leave-one-out tuning of a scalar kernel ridge; see RidgeSystem.loo_scalar."""
-    return RidgeSystem(K).loo_scalar(y, grid)
-
-
-def loocv_embedding(K_input: np.ndarray, K_output: np.ndarray, grid=None) -> TuneReport:
-    """Leave-one-out tuning of a mean embedding; see RidgeSystem.loo_embedding.
-
-    Factors a copy of `K_output`, which is left as it was.
-    """
-    factor = gram_factor(np.array(K_output, dtype=float))
-    return RidgeSystem(K_input).loo_embedding(factor, grid)
+        return self._tune(g, "embedding_loocv", L)

@@ -28,7 +28,7 @@ from kernelnc.effects import (
     kernel_specs,
 )
 from kernelnc.kernels import KernelSpec, gram
-from kernelnc.ridge import krr_fit_predict, loocv_embedding, loocv_scalar, solve_ridge
+from kernelnc.ridge import RidgeSystem, gram_factor
 from kernelnc.simlab import SimDesign, run_experiment
 
 import oracle_dense as od
@@ -58,7 +58,7 @@ def test_criterion_1_scalar_loocv_matches_brute_force(capsys):
         K = _rand_gram(rng, n, cols=int(rng.integers(1, 4)))
         y = rng.normal(size=n)
         grid = np.sort(rng.uniform(1e-4, 10.0, size=5))
-        fast = loocv_scalar(K, y, grid).losses
+        fast = RidgeSystem(K).loo_scalar(y, grid).losses
         slow = od.loo_scalar_losses(K, y, grid)
         worst = max(worst, float(np.max(np.abs(fast - slow) / slow)))
     elapsed = time.perf_counter() - t0
@@ -77,7 +77,7 @@ def test_criterion_2_embedding_loocv_matches_brute_force(capsys):
         K_in = _rand_gram(rng, n)
         K_out = _rand_gram(rng, n, cols=3)
         grid = np.sort(rng.uniform(1e-4, 10.0, size=5))
-        fast = loocv_embedding(K_in, K_out, grid).losses
+        fast = RidgeSystem(K_in).loo_embedding(gram_factor(np.array(K_out)), grid).losses
         slow = od.loo_embedding_losses(K_in, K_out, grid)
         worst = max(worst, float(np.max(np.abs(fast - slow) / slow)))
     elapsed = time.perf_counter() - t0
@@ -256,10 +256,10 @@ def test_criterion_7_invariant_suite(capsys):
     sep = np.linspace(0.0, 42.0, 15)[:, None]
     K_sep = gram(sep, sep, KernelSpec.gaussian([1.0]))
     y = rng.normal(size=15)
-    interp = float(np.max(np.abs(krr_fit_predict(K_sep, y, 1e-12, K_sep) - y)))
+    interp = float(np.max(np.abs(K_sep.T @ RidgeSystem(K_sep).solve(15 * 1e-12, y) - y)))
 
     y2 = rng.normal(size=35)
-    norms = [float(np.linalg.norm(solve_ridge(K, 35 * lam, y2)))
+    norms = [float(np.linalg.norm(RidgeSystem(K).solve(35 * lam, y2)))
              for lam in (1e-3, 1e-1, 1e1)]
     shrinks = norms[0] > norms[1] > norms[2]
 

@@ -158,6 +158,27 @@ def test_smoothness_outside_its_range_is_a_config_error(tmp_path, capsys, tuning
     assert f"configuration error: smoothness {name} must lie in (1, 2]" in err
 
 
+@pytest.mark.parametrize(
+    "tuning, message",
+    [({"mode": "bogus"}, "unknown tuning mode 'bogus'"),
+     ({"mode": "forced", "lam": "abc"}, "tuning.lam"),
+     ({"c0": 7}, "smoothness c0 must lie in (1, 2]")],
+)
+def test_tune_rejects_the_tuning_section_that_estimate_rejects(
+    tmp_path, capsys, tuning, message
+):
+    # tune reads only the grid from the plan, but checks the whole
+    # section before it writes anything
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {"output_dir": str(out), "data": {"simulate": {"n": 40}}, "tuning": tuning},
+    )
+    assert main(["tune", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_lengthscale_on_a_categorical_column_is_a_runtime_error(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "c.yaml",

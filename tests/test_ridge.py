@@ -14,10 +14,6 @@ from kernelnc.ridge import (
     RidgeSystem,
     TuneReport,
     gram_factor,
-    krr_fit_predict,
-    loocv_embedding,
-    loocv_scalar,
-    solve_ridge,
 )
 from kernelnc.simlab import SimDesign, generate
 
@@ -100,6 +96,27 @@ def test_ridge_system_validation():
             system.solve(0.1, np.ones(3))
 
 
+def test_solves_and_losses_read_only_the_lower_triangle():
+    # eigh (UPLO='L') and the Cholesky solve (lower=True) read only the
+    # kernel's lower triangle: whatever lies above the diagonal changes
+    # no bit of a solve or a loss on either path
+    rng = np.random.default_rng(59)
+    K = _random_gram(rng, 30)
+    skewed = np.tril(K) + np.triu(rng.normal(size=(30, 30)), 1)
+    y = rng.normal(size=30)
+    b = rng.normal(size=(30, 3))
+    factor = gram_factor(_random_gram(rng, 30, p=3))
+    outputs = []
+    for kernel in (K, skewed):
+        system = RidgeSystem(kernel)
+        cholesky = system.solve(0.3, b)
+        scalar = system.loo_scalar(y).losses
+        embedding = system.loo_embedding(factor).losses
+        outputs.append((cholesky, scalar, embedding, system.solve(0.3, b)))
+    for got, want in zip(outputs[1], outputs[0]):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_zero_penalty_reproduces_training_point():
     # distinct well-separated inputs make the Gram near identity, so the
     # zero-penalty embedding weights at a training input pick out that
@@ -115,8 +132,8 @@ def test_zero_penalty_reproduces_training_point():
 
 def test_krr_hand_case():
     # orthonormal features: n*lam = 1 halves each coefficient
-    pred = krr_fit_predict(np.eye(2), np.array([2.0, 4.0]), 0.5,
-                           np.array([[1.0], [0.0]]))
+    pred = np.array([[1.0], [0.0]]).T @ RidgeSystem(np.eye(2)).solve(
+        2 * 0.5, np.array([2.0, 4.0]))
     np.testing.assert_allclose(pred, [1.0], rtol=1e-14)
 
 
@@ -128,7 +145,7 @@ def test_krr_matches_dense():
     Kq = gram(pts, rng.normal(size=(6, 2)), spec)
     y = rng.normal(size=20)
     np.testing.assert_allclose(
-        krr_fit_predict(K, y, 0.05, Kq), krr_predict(K, Kq, y, 0.05), rtol=1e-10
+        Kq.T @ RidgeSystem(K).solve(20 * 0.05, y), krr_predict(K, Kq, y, 0.05), rtol=1e-10
     )
 
 
@@ -138,7 +155,7 @@ def test_krr_interpolates_at_tiny_ridge():
     pts = np.linspace(0.0, 42.0, 15)[:, None]
     K = gram(pts, pts, KernelSpec.gaussian([1.0]))
     y = np.random.default_rng(31).normal(size=15)
-    np.testing.assert_allclose(krr_fit_predict(K, y, 1e-12, K), y, atol=1e-4)
+    np.testing.assert_allclose(K.T @ RidgeSystem(K).solve(15 * 1e-12, y), y, atol=1e-4)
 
 
 def test_coefficients_shrink_monotonically():
@@ -146,7 +163,7 @@ def test_coefficients_shrink_monotonically():
     K = _random_gram(rng, 25)
     y = rng.normal(size=25)
     norms = [
-        float(np.linalg.norm(solve_ridge(K, 25 * lam, y)))
+        float(np.linalg.norm(RidgeSystem(K).solve(25 * lam, y)))
         for lam in (1e-4, 1e-2, 1e0, 1e2)
     ]
     assert norms == sorted(norms, reverse=True)
@@ -156,7 +173,7 @@ def test_loocv_scalar_identity_gram():
     # with an identity Gram the held-out prediction is always 0, so the
     # loss equals mean(y^2) for every penalty and ties resolve smallest
     y = np.array([1.0, -2.0, 3.0])
-    report = loocv_scalar(np.eye(3), y, [1e-3, 1e-1, 1e1])
+    report = RidgeSystem(np.eye(3)).loo_scalar(y, [1e-3, 1e-1, 1e1])
     np.testing.assert_allclose(report.losses, np.full(3, np.mean(y**2)),
                                rtol=1e-12)
     assert report.selected == 1e-3
@@ -169,7 +186,7 @@ def test_loocv_scalar_matches_brute_force():
         K = _random_gram(rng, n)
         y = rng.normal(size=n)
         grid = np.sort(rng.uniform(1e-4, 1.0, size=4))
-        report = loocv_scalar(K, y, grid)
+        report = RidgeSystem(K).loo_scalar(y, grid)
         np.testing.assert_allclose(report.losses, loo_scalar_losses(K, y, grid),
                                    rtol=1e-9)
         assert report.selected == grid[np.argmin(report.losses)]
@@ -182,7 +199,7 @@ def test_loocv_embedding_matches_brute_force():
         K_in = _random_gram(rng, n)
         K_out = _random_gram(rng, n, p=3)
         grid = np.sort(rng.uniform(1e-4, 1.0, size=4))
-        report = loocv_embedding(K_in, K_out, grid)
+        report = RidgeSystem(K_in).loo_embedding(gram_factor(np.array(K_out)), grid)
         np.testing.assert_allclose(
             report.losses, loo_embedding_losses(K_in, K_out, grid), rtol=1e-9
         )
@@ -194,16 +211,30 @@ def test_loocv_exact_over_the_default_grid():
     data = generate(SimDesign("quadratic", n=40), 1)
     grams = compute_grams(data, kernel_specs(data))
     A, core = bridge_products(grams)
-    emb = loocv_embedding(A, grams["w"])
+    emb = RidgeSystem(A).loo_embedding(gram_factor(np.array(grams["w"])))
     np.testing.assert_allclose(
         emb.losses, loo_embedding_losses(A, grams["w"], DEFAULT_GRID), rtol=1e-8
     )
     _, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), emb.selected)
     np.testing.assert_allclose(
-        loocv_scalar(M, data.y).losses,
+        RidgeSystem(M).loo_scalar(data.y).losses,
         loo_scalar_losses(M, data.y, DEFAULT_GRID),
         rtol=1e-8,
     )
+
+
+def test_scalar_loss_exact_on_the_baselines_near_interpolating_gram():
+    # the baseline's product Gram over (d, x, z, w) is nearly singular, so
+    # its loss is smallest at the grid floor; the closed form must still
+    # match brute-force refits there
+    data = generate(SimDesign("no_confounding", n=60), 271828)
+    grams = compute_grams(data, kernel_specs(data))
+    K = grams["d"] * grams["x"] * grams["z"] * grams["w"]
+    report = RidgeSystem(K).loo_scalar(data.y)
+    np.testing.assert_allclose(
+        report.losses, loo_scalar_losses(K, data.y, DEFAULT_GRID), rtol=1e-8
+    )
+    assert report.selected == 1e-8
 
 
 def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
@@ -248,23 +279,23 @@ def test_gram_factor_reconstructs_in_place(monkeypatch):
 def test_loocv_uses_default_grid():
     rng = np.random.default_rng(47)
     K = _random_gram(rng, 12)
-    report = loocv_scalar(K, rng.normal(size=12))
+    report = RidgeSystem(K).loo_scalar(rng.normal(size=12))
     np.testing.assert_array_equal(report.grid, DEFAULT_GRID)
     assert report.loss_kind == "scalar_loocv"
-    other = loocv_embedding(K, K)
+    other = RidgeSystem(K).loo_embedding(gram_factor(np.array(K)))
     np.testing.assert_array_equal(other.grid, DEFAULT_GRID)
     assert other.loss_kind == "embedding_loocv"
 
 
 def test_loocv_validation():
     with pytest.raises(InputError):
-        loocv_scalar(np.eye(3), np.ones(4))
+        RidgeSystem(np.eye(3)).loo_scalar(np.ones(4))
     with pytest.raises(InputError):
-        loocv_scalar(np.eye(3), np.ones(3), [])
+        RidgeSystem(np.eye(3)).loo_scalar(np.ones(3), [])
     with pytest.raises(InputError):
-        loocv_scalar(np.eye(3), np.ones(3), [-1.0, 0.1])
+        RidgeSystem(np.eye(3)).loo_scalar(np.ones(3), [-1.0, 0.1])
     with pytest.raises(InputError):
-        loocv_embedding(np.eye(3), np.eye(4))
+        RidgeSystem(np.eye(3)).loo_embedding(gram_factor(np.eye(4)))
 
 
 def test_tune_report_tie_break_and_validation():
