@@ -275,10 +275,14 @@ def _embedding(
 
     One kernel ridge on the conditioning Gram: the treatment's for att
     (penalty lam1, outputs x, w[, v]), the subgroup covariates' for cate
-    (penalty lam2, outputs x, w). A penalty left as None is selected by
-    closed-form leave-one-out on `grid`, and the weights
-    (K + n penalty I)^{-1} k_q of the `query` point are solved from the
-    same system, so a tuned one reuses its eigendecomposition.
+    (penalty lam2, outputs x, w). The system is built from the
+    pivoted-Cholesky factor of a copy of that Gram, since the bridge's
+    products read the Gram itself later: a one-column treatment or
+    subgroup Gram has numerical rank r of about 20 at n = 1000, so the
+    system's eigendecomposition is r x r (see :class:`RidgeSystem`). A
+    penalty left as None is selected by closed-form leave-one-out on
+    `grid`, and the weights (K + n penalty I)^{-1} k_q of the `query`
+    point are solved from the same decomposition, tuned or forced.
 
     Returns the weights, the cate's own kernel column k_q, the penalty
     and the report of a tuned one; without a query, only the penalty
@@ -289,7 +293,7 @@ def _embedding(
     with _step(4, "embedding weights"):
         if role not in grams:
             raise InputError(f"{kind} needs a dataset with {role!r} columns")
-        system = RidgeSystem(grams[role])
+        system = RidgeSystem(factor=gram_factor(grams[role].copy()))
         if penalty is None:
             outputs = grams["x"] * grams["w"]
             if role == "d" and "v" in grams:

@@ -15,6 +15,13 @@ candidate costs one n x n by n x r product, n^2 r, where the dense form
 n^-1 tr(S H K_output H) costs n^3. A Gaussian Gram over one continuous
 column has r of about 20 at n = 2000; a full-rank output (r = n) costs
 what the dense form did.
+
+A system can also be built from the n x r factor of its own kernel, as
+the conditional embeddings build theirs: it eigendecomposes only the
+r x r matrix L'L and solves by Woodbury, n r^2 once and n r r_output per
+loss candidate in place of n^3. Its leave-one-out diagonal cancels
+digits where a point's leverage nears 1; the suite checks that loss
+against the same brute-force refits to 1e-8 over the whole shipped grid.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ def _check_square(K: np.ndarray, name: str) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] == 0:
         raise InputError(f"{name} must be a non-empty square matrix, got {K.shape}")
+    return _check_finite(K, name)
+
+
+def _check_finite(K: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(K)):
         i, j = np.argwhere(~np.isfinite(K))[0]
         raise NumericalError(f"non-finite entry in {name} at ({i}, {j})")
@@ -100,33 +111,53 @@ def _prepare_grid(grid) -> np.ndarray:
 class RidgeSystem:
     """A PSD kernel K and the one decomposition that solves K + ridge I.
 
-    The first leave-one-out loss computes eigh(K) and caches it; every
-    later loss, solve and smoother reads that cache. A system that was
-    never tuned solves by Cholesky instead: one eigendecomposition costs
-    more than the solve it would replace.
+    K is given dense, `RidgeSystem(K)`, or by an n x r factor,
+    `RidgeSystem(factor=L)` with K = L L' (see :func:`gram_factor`).
+
+    A dense system computes eigh(K) at its first leave-one-out loss and
+    caches it; every later loss, solve and smoother reads that cache. A
+    dense system that was never tuned solves by Cholesky instead: one
+    eigendecomposition costs more than the solve it would replace.
+
+    A factored system eigendecomposes only the r x r matrix
+    L'L = V diag(e) V', at its first loss or solve alike, and keeps
+    W = L V, so that K = W W' and W'W = diag(e). Every solve is then
+    (K + ridge I)^{-1} b = (b - W diag(1/(e + ridge)) W' b) / ridge,
+    which needs ridge > 0: K is singular off the span of W.
 
     When K + ridge I is numerically singular (the Cholesky factorization
-    fails, or a round-off negative eigenvalue leaves e + ridge <= 0), a
-    diagonal jitter is added: 1e-12 * mean(diag K), growing tenfold, at
-    most three retries. The largest jitter applied is kept on `jitter`.
+    fails, a round-off negative eigenvalue leaves e + ridge <= 0, or a
+    factored system gets ridge 0), a diagonal jitter is added:
+    1e-12 * mean(diag K), growing tenfold, at most three retries. The
+    largest jitter applied is kept on `jitter`.
     """
 
-    kernel: np.ndarray
+    kernel: np.ndarray | None = None
+    factor: np.ndarray | None = None
     jitter: float = field(default=0.0, init=False)
     _eig: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.kernel = _check_square(self.kernel, "kernel")
+        if (self.kernel is None) == (self.factor is None):
+            raise InputError("a ridge system takes either a kernel or its factor")
+        if self.factor is None:
+            self.kernel = _check_square(self.kernel, "kernel")
+            return
+        L = np.asarray(self.factor, dtype=float)
+        if L.ndim != 2 or L.shape[0] == 0:
+            raise InputError(f"factor must be a non-empty n x r matrix, got {L.shape}")
+        self.factor = _check_finite(L, "factor")
 
     @property
     def n(self) -> int:
-        return self.kernel.shape[0]
+        return (self.kernel if self.factor is None else self.factor).shape[0]
 
     def _with_jitter(self, ridge: float, attempt, method: str):
         """`attempt(ridge + jitter)` at the first jitter where it is not None."""
         if not np.isfinite(ridge) or ridge < 0.0:
             raise InputError(f"ridge must be finite and >= 0, got {ridge}")
-        mean_diag = float(np.trace(self.kernel)) / self.n
+        K, L = self.kernel, self.factor
+        mean_diag = float(np.trace(K) if L is None else np.sum(L * L)) / self.n
         scale = mean_diag if mean_diag > 0.0 else 1.0
         jitters = [0.0] + [_JITTER_UNIT * scale * 10.0**k for k in range(_MAX_RETRIES)]
         for jit in jitters:
@@ -148,16 +179,25 @@ class RidgeSystem:
             return None
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(e, Q) with K = Q diag(e) Q' and e ascending: Q orthonormal
+        (n x n) for a dense kernel, Q = W = L V (n x r) for a factor."""
         if self._eig is None:
-            self._eig = np.linalg.eigh(self.kernel)
+            if self.factor is None:
+                self._eig = np.linalg.eigh(self.kernel)
+            else:
+                e, V = np.linalg.eigh(self.factor.T @ self.factor)
+                self._eig = (e, self.factor @ V)
         return self._eig
 
-    def _spectrum(self, ridge: float) -> np.ndarray:
-        """Eigenvalues of K + ridge I (plus jitter), all of them positive."""
+    def _shift(self, ridge: float) -> float:
+        """ridge plus the jitter that makes K + shift I positive definite."""
+        e = self._eigh()[0]
+        factored = self.factor is not None
 
         def attempt(shift):
-            t = self._eig[0] + shift
-            return t if t[0] > 0.0 else None  # eigh sorts ascending
+            if factored and not shift > 0.0:
+                return None  # the null space of a factor's K
+            return shift if e.size == 0 or e[0] + shift > 0.0 else None
 
         return self._with_jitter(ridge, attempt, "eigendecomposition")
 
@@ -169,44 +209,56 @@ class RidgeSystem:
             raise InputError(f"rhs has {rows} rows, system has {self.n}")
         if not np.all(np.isfinite(b)):
             raise NumericalError("non-finite entry in right-hand side")
-        if self._eig is None:
-            factor = self._with_jitter(ridge, self._cholesky, "Cholesky")
-            return scipy.linalg.cho_solve(factor, b)
-        t = self._spectrum(ridge)
-        Q = self._eig[1]
-        return Q @ ((Q.T @ b) / (t if b.ndim == 1 else t[:, None]))
+        if self._eig is None and self.factor is None:
+            cho = self._with_jitter(ridge, self._cholesky, "Cholesky")
+            return scipy.linalg.cho_solve(cho, b)
+        shift = self._shift(ridge)
+        e, Q = self._eig
+        t = e + shift
+        Qtb = (Q.T @ b) / (t if b.ndim == 1 else t[:, None])
+        return Q @ Qtb if self.factor is None else (b - Q @ Qtb) / shift
 
     def smoother(self, ridge: float) -> np.ndarray:
         """The smoother K (K + ridge I)^{-1}, which equals (K + ridge I)^{-1} K."""
-        if self._eig is None:
+        if self._eig is None and self.factor is None:
             return self.solve(ridge, self.kernel)
+        shift = self._shift(ridge)
         e, Q = self._eig
-        return (Q * (e / self._spectrum(ridge))) @ Q.T
+        t = e + shift
+        return (Q * (e / t if self.factor is None else 1.0 / t)) @ Q.T
 
     def _tune(self, g: np.ndarray, loss_kind: str, L: np.ndarray) -> TuneReport:
         """Leave-one-out losses of the output factor L (n x r) on the grid `g`.
 
-        I - R = Q diag(s) Q', with R = K (K + n lambda I)^{-1}, and
-        h = diag(I - R). With C = Q' L, H L = Q (s C), so the loss
-        n^{-1} tr(S H L L' H), S = diag(h)^{-2}, is
-        mean(rowsum((Q (s C))^2) / h^2). It is invariant to the scale of
-        s, so s is taken relative to its largest entry, (e_min + n lambda)
-        / (e + n lambda): equal eigenvalues then give exactly equal
-        entries. Every h is formed first, so that Q o Q (n x n) is
-        released before the losses allocate their own temporaries.
+        The loss n^{-1} tr(S H L L' H), with H = I - K (K + n lambda I)^{-1},
+        h = diag(H) and S = diag(h)^{-2}, is mean(rowsum((H L)^2) / h^2),
+        with C = Q' L formed once:
+
+        - dense: H = Q diag(s) Q', so H L = Q (s C) and h = (Q o Q) s.
+          The loss is invariant to the scale of s, so s is taken relative
+          to its largest entry, (e_min + n lambda) / (e + n lambda): equal
+          eigenvalues then give exactly equal entries.
+        - factored: H = I - W diag(s) W' with s = 1 / (e + n lambda), so
+          H L = L - W (s C) and h = 1 - (W o W) s.
+
+        Every h is formed first, so that Q o Q is released before the
+        losses allocate their own temporaries.
         """
-        Q = self._eigh()[1]
+        e, Q = self._eigh()
+        factored = self.factor is not None
         C = Q.T @ L
         Q2 = Q**2
         sh = []
         for lam in g:
-            t = self._spectrum(self.n * lam)
-            s = t[0] / t
-            sh.append((s, Q2 @ s))
+            t = e + self._shift(self.n * lam)
+            s = 1.0 / t if factored else t[0] / t
+            sh.append((s, 1.0 - Q2 @ s if factored else Q2 @ s))
         del Q2
         losses = np.empty(g.shape)
         for k, (s, h) in enumerate(sh):
             HL = Q @ (s[:, None] * C)
+            if factored:
+                np.subtract(L, HL, out=HL)
             HL *= HL
             losses[k] = np.mean(np.sum(HL, axis=1) / (h * h))
             del HL  # with r = n, one n x n less while the next HL is formed

@@ -172,17 +172,22 @@ def score_replicate(
     return out
 
 
+def _threadpool_limits():
+    """threadpoolctl's `threadpool_limits`, or None where it is not installed."""
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        return None
+    return threadpool_limits
+
+
 def _scoped_score(design, seed, replicate, estimators, tuning, limit_threads):
-    if limit_threads:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            pass
-        else:
-            # Worker processes share the CPUs; keep each one single
-            # threaded so the pool does not oversubscribe BLAS.
-            with threadpool_limits(limits=1):
-                return score_replicate(design, seed, replicate, estimators, tuning)
+    limits = _threadpool_limits() if limit_threads else None
+    if limits is not None:
+        # Worker processes share the CPUs; keep each one single
+        # threaded so the pool does not oversubscribe BLAS.
+        with limits(limits=1):
+            return score_replicate(design, seed, replicate, estimators, tuning)
     return score_replicate(design, seed, replicate, estimators, tuning)
 
 
@@ -254,7 +259,9 @@ def run_experiment(
     Fails fast by default, naming the failing replicate and seed;
     with strict=False failed replicates are skipped and reported.
     Aggregation folds values in replicate order regardless of worker
-    scheduling, so results do not depend on the worker count.
+    scheduling, so results do not depend on the worker count. The
+    metadata's `blas_threads_pinned` is true only when a worker pool ran
+    with threadpoolctl holding each worker to one BLAS thread.
     """
     if replicates < 1:
         raise InputError("need at least one replicate")
@@ -299,6 +306,8 @@ def run_experiment(
         "scoring_grid": f"{grid.size} points on [{grid[0]:g}, {grid[-1]:g}]",
         "curve": "quadratic" if design.kind == "no_confounding" else design.kind,
         "failed": len(failures),
+        # Without threadpoolctl each pooled worker runs BLAS on every core.
+        "blas_threads_pinned": nworkers > 1 and _threadpool_limits() is not None,
     }
     reports: dict[str, ReplicateReport] = {}
     kept = sorted(results)

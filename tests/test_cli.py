@@ -418,6 +418,10 @@ def test_simulate_outputs_match_inprocess_run(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["nc"]["mean"] == reports["nc"].mean
     assert manifest["results"]["metadata"]["design"] == "discrete"
+    # run metadata reaches the manifest only, never the CSVs
+    assert manifest["results"]["metadata"]["blas_threads_pinned"] in (False, True)
+    for name in ("replicates.csv", "aggregate.csv"):
+        assert "blas" not in (out / name).read_text()
 
 
 def test_flag_precedence_over_config(tmp_path, capsys):

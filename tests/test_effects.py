@@ -22,6 +22,7 @@ from kernelnc.effects import (
 )
 from kernelnc.errors import InputError
 from kernelnc.kernels import KernelSpec
+from kernelnc.simlab import SimDesign, generate
 
 import oracle_dense as od
 
@@ -327,3 +328,41 @@ def test_tuning_reports_select_what_the_runner_records(fitted_v):
         assert (meta["lam"], meta["xi"], meta["extra_penalty"]) == (
             selected["lam"], selected["xi"], selected[extra]
         ), kind
+
+
+@pytest.mark.parametrize("kind, query", [("att", 0.2), ("cate", 0.1)])
+@pytest.mark.parametrize("penalty", [None, 0.01])
+def test_embedding_leaves_the_gram_set_unchanged(fitted_v, kind, query, penalty):
+    # step 4 factors a copy of its conditioning Gram: the factorization
+    # works in place, and the bridge's products read K_dd and K_vv after it
+    data = fitted_v[0]
+    specs = kernel_specs(data)
+    grams = bridge.compute_grams(data, specs)
+    before = {role: g.copy() for role, g in grams.items()}
+    weights, _, _, _ = effects._embedding(data, specs, grams, kind, query, penalty)
+    assert np.all(np.isfinite(weights))
+    assert grams.keys() == before.keys()
+    for role, g in before.items():
+        np.testing.assert_array_equal(grams[role], g, err_msg=role)
+
+
+def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch):
+    # a binary treatment's Gram has rank 2, so with lam1 = 0 the factored
+    # system is singular: the solve takes the jitter ladder, records the
+    # jitter, and still returns finite weights
+    systems = []
+    with_jitter = effects.RidgeSystem._with_jitter
+
+    def recorded(self, ridge, attempt, method):
+        systems.append(self)
+        return with_jitter(self, ridge, attempt, method)
+
+    monkeypatch.setattr(effects.RidgeSystem, "_with_jitter", recorded)
+    data = generate(SimDesign("discrete", n=40), 5)
+    specs = kernel_specs(data)
+    grams = bridge.compute_grams(data, specs)
+    weights, _, penalty, _ = effects._embedding(data, specs, grams, "att", 1.0, 0.0)
+    assert penalty == 0.0 and np.all(np.isfinite(weights))
+    assert {id(s) for s in systems} == {id(systems[0])}
+    assert systems[0].factor.shape == (40, 2)
+    assert systems[0].jitter > 0.0

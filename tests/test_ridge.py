@@ -307,36 +307,124 @@ def test_tune_report_tie_break_and_validation():
         TuneReport(np.array([0.1]), np.array([np.nan]), 0.1, "scalar")
 
 
-def test_one_decomposition_per_tuned_system(monkeypatch):
-    # with every penalty left to leave-one-out, each system is
-    # eigendecomposed once and that decomposition also does the solve:
-    # A and M for the bridge, K_dd or K_vv for the conditional embedding,
-    # the product Gram for the baseline
-    calls = {"eigh": 0, "cho_factor": 0}
+def _study_data(n, seed):
+    """A quadratic-design dataset with the subgroup block v = x[:, 0]."""
+    base = generate(SimDesign("quadratic", n=n), seed)
+    x = base.block("x")
+    return from_arrays(base.y, base.block("d"), x, base.block("z"), base.block("w"),
+                       v=x[:, 0])
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+
+def _conditioning_case(case):
+    """(conditioning Gram, output Gram) of one att/cate embedding."""
+    if case == "full_rank":
+        K_in = _random_gram(np.random.default_rng(61), 120, p=4)
+        return K_in, _random_gram(np.random.default_rng(67), 120, p=3)
+    data = _study_data(200, 1) if case != "discrete_d" else generate(
+        SimDesign("discrete", n=120), 3)
+    grams = compute_grams(data, kernel_specs(data))
+    outputs = grams["x"] * grams["w"]
+    if case == "cate_v":
+        return grams["v"], outputs
+    if "v" in grams:
+        outputs *= grams["v"]
+    return grams["d"], outputs
+
+
+@pytest.mark.parametrize("case, rank", [
+    ("att_d", "deficient"), ("cate_v", "deficient"), ("discrete_d", 2), ("full_rank", 120),
+])
+def test_factored_embedding_loss_exact_over_the_default_grid(case, rank):
+    # step 4 builds its system from the pivoted-Cholesky factor of the
+    # conditioning Gram; the Woodbury form of its loss must match
+    # brute-force refits on the dense Gram over the whole shipped grid,
+    # at every rank up to r = n
+    K_in, K_out = _conditioning_case(case)
+    system = RidgeSystem(factor=gram_factor(K_in.copy()))
+    r = system.factor.shape[1]
+    assert r == rank if rank != "deficient" else r < 40
+    report = system.loo_embedding(gram_factor(K_out.copy()))
+    want = loo_embedding_losses(K_in, K_out, DEFAULT_GRID)
+    np.testing.assert_allclose(report.losses, want, rtol=1e-8)
+    assert report.selected == DEFAULT_GRID[np.argmin(want)]
+    assert system.jitter == 0.0
+
+
+def test_factored_system_solves_as_the_dense_one():
+    rng = np.random.default_rng(71)
+    pts = rng.uniform(-1.0, 1.0, size=(80, 1))
+    K = gram(pts, pts, KernelSpec.gaussian([0.5]))
+    b = rng.normal(size=(80, 3))
+    system = RidgeSystem(factor=gram_factor(K.copy()))
+    assert system.factor.shape[1] < 40
+    want = np.linalg.solve(K + 0.3 * np.eye(80), b)
+    np.testing.assert_allclose(system.solve(0.3, b), want, rtol=1e-10)
+    np.testing.assert_allclose(system.solve(0.3, b[:, 0]), want[:, 0], rtol=1e-10)
+    np.testing.assert_allclose(
+        system.smoother(0.3), np.linalg.solve(K + 0.3 * np.eye(80), K),
+        rtol=1e-9, atol=1e-12,
+    )
+    assert system.jitter == 0.0
+    # K is singular off the factor's span, so a zero ridge goes to the
+    # jitter ladder, and the jittered weights stay finite
+    assert np.all(np.isfinite(system.solve(0.0, b)))
+    assert system.jitter == pytest.approx(1e-12 * np.trace(K) / 80, rel=1e-12)
+
+
+def test_factored_system_validation():
+    with pytest.raises(InputError):
+        RidgeSystem()
+    with pytest.raises(InputError):
+        RidgeSystem(np.eye(2), factor=np.eye(2))
+    with pytest.raises(InputError):
+        RidgeSystem(factor=np.ones(3))
+    with pytest.raises(NumericalError):
+        RidgeSystem(factor=np.array([[1.0], [np.inf]]))
+    system = RidgeSystem(factor=np.ones((3, 1)))
+    with pytest.raises(InputError):
+        system.solve(0.1, np.ones(2))
+    with pytest.raises(InputError):
+        system.loo_embedding(np.ones((2, 1)))
+
+
+def test_one_decomposition_per_tuned_system(monkeypatch):
+    # with every penalty left to leave-one-out, each dense system is
+    # eigendecomposed once (n x n) and that decomposition also does the
+    # solve: A and M for the bridge, the product Gram for the baseline.
+    # The att/cate embedding, tuned or forced, eigendecomposes only the
+    # r x r matrix L'L of its conditioning Gram's factor, and no system
+    # solves by Cholesky
+    shapes, chols = [], []
+
+    def recorded(log, fn):
+        def wrapper(a, *args, **kwargs):
+            log.append(np.shape(a))
+            return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", recorded(shapes, np.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "cho_factor",
-                        counted("cho_factor", scipy.linalg.cho_factor))
-    base = generate(SimDesign("quadratic", n=60), 3)
-    x = base.block("x")
-    data = from_arrays(base.y, base.block("d"), x, base.block("z"), base.block("w"),
-                       v=x[:, 0])
+                        recorded(chols, scipy.linalg.cho_factor))
+    data = _study_data(60, 3)
+    att = EffectRequest("att", grid_size=5, d_value=0.2)
+    cate = EffectRequest("cate", grid_size=5, v_value=0.1)
     runs = (
         ("nc", EffectRequest("ate", grid_size=5), None, 2, 0),
         ("te", EffectRequest("ate", grid_size=5), None, 1, 0),
-        ("nc", EffectRequest("att", grid_size=5, d_value=0.2), None, 3, 0),
-        ("nc", EffectRequest("cate", grid_size=5, v_value=0.1), None, 3, 0),
-        # a forced lam1 is never tuned, so its system solves by Cholesky
-        ("nc", EffectRequest("att", grid_size=5, d_value=0.2),
-         TuningPlan("forced", lam1=0.01), 2, 1),
+        ("nc", att, None, 2, 1),
+        ("nc", cate, None, 2, 1),
+        ("nc", att, TuningPlan("forced", lam1=0.01), 2, 1),
+        ("nc", cate, TuningPlan("forced", lam2=0.01), 2, 1),
     )
-    for estimator, request, plan, eighs, chols in runs:
-        calls.update(eigh=0, cho_factor=0)
+    for estimator, request, plan, full, thin in runs:
+        shapes.clear()
+        chols.clear()
         run_end_to_end(data, request, plan, estimator=estimator)
-        assert calls == {"eigh": eighs, "cho_factor": chols}, (estimator, request.kind)
+        case = (estimator, request.kind, plan)
+        assert len(shapes) == full + thin, case
+        # step 4 runs before the bridge, so its r x r call comes first
+        assert shapes[thin:] == [(60, 60)] * full, case
+        if thin:
+            r = shapes[0][0]
+            assert shapes[0] == (r, r) and r < 60, case
+        assert chols == [], case

@@ -171,6 +171,28 @@ def test_run_experiment_worker_count_does_not_change_results():
         assert np.array_equal(serial[est].values, pooled[est].values)
 
 
+def test_blas_threads_pinned_needs_a_pool_and_threadpoolctl(monkeypatch):
+    # threadpoolctl absent (a None entry makes the import fail): a pool
+    # runs, but its workers' BLAS threads are not pinned
+    import contextlib
+    import sys
+    import types
+
+    design = SimDesign(kind="discrete", n=60)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    for workers in (1, 2):
+        reports = run_experiment(design, replicates=2, seed=33, tuning=FAST_PLAN,
+                                 workers=workers)
+        assert reports["nc"].metadata["blas_threads_pinned"] is False
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = lambda limits: contextlib.nullcontext()
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    serial = run_experiment(design, replicates=1, seed=33, tuning=FAST_PLAN, workers=1)
+    assert serial["te"].metadata["blas_threads_pinned"] is False
+    pooled = run_experiment(design, replicates=2, seed=33, tuning=FAST_PLAN, workers=2)
+    assert pooled["te"].metadata["blas_threads_pinned"] is True
+
+
 def test_run_experiment_failure_handling(monkeypatch):
     import kernelnc.simlab as simlab
 
