@@ -6,6 +6,14 @@ ridge-regresses outcomes on the projected features, which is where the
 negative control outcomes enter. One sample serves both stages, and
 both are closed-form linear solves. Every effect estimator averages
 the fitted bridge over a (covariates, control-outcome) population.
+
+The only large objects of a fit are n x n Grams. Each role Gram is
+built just before its first reader and released after its last (see
+:class:`GramSet`), the products multiply in place, and the stage-1
+smoother B is never formed: every later step reads it as B'L (n x r)
+for the factor L of K_ww, or applies it to a cross Gram through the
+stage-1 system. One fit holds at most four n x n arrays at once,
+LAPACK's own buffers aside.
 """
 
 from __future__ import annotations
@@ -19,8 +27,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateScaleError, InputError, NumericalError
-from .kernels import KernelSpec, gram
+from .kernels import _BLOCK_BYTES, KernelSpec, gram
 from .ridge import RidgeSystem, TuneReport, gram_factor
+
+ROLES = ("d", "x", "z", "w", "v")
+
 
 @contextmanager
 def _step(num: int, label: str):
@@ -34,15 +45,12 @@ def _step(num: int, label: str):
 def compute_grams(
     data: Dataset,
     specs: Mapping[str, KernelSpec],
-    roles: Sequence[str] = ("d", "x", "z", "w", "v"),
+    roles: Sequence[str] = ROLES,
 ) -> dict[str, np.ndarray]:
-    """The Gram set of one call: role -> n x n Gram over `data`.
+    """role -> n x n Gram over `data`, for each of `roles` the data has.
 
-    Covers each of `roles` that the data has; the default is every
-    role. Every later step of a call reads its training-sample Grams
-    from this dict rather than calling `gram` again, and deletes the
-    entries no later step reads. The set is never kept beyond the call
-    that built it.
+    The pipeline builds its Grams through a :class:`GramSet`, one role
+    per call, at the step that first reads it.
     """
     roles = [role for role in roles if data.has_role(role)]
     missing = set(roles).difference(specs)
@@ -52,41 +60,94 @@ def compute_grams(
     return {role: gram(b, b, specs[role]) for role, b in blocks.items()}
 
 
-def bridge_products(grams: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+class GramSet:
+    """The training-sample Grams of one call, each built at its first read.
+
+    `grams[role]` builds the role's n x n Gram through
+    :func:`compute_grams` and keeps it; `grams.pop(role)` hands it over
+    for the last time, so that the reader can multiply in its buffer and
+    the set no longer holds it. `role in grams` is true for every role
+    the data has that was not popped. The set is never kept beyond the
+    call that made it, and a popped role is not built again.
+    """
+
+    def __init__(self, data: Dataset, specs: Mapping[str, KernelSpec]):
+        self._data, self._specs = data, specs
+        self._roles = [role for role in ROLES if data.has_role(role)]
+        self._built: dict[str, np.ndarray] = {}
+
+    def __contains__(self, role: str) -> bool:
+        return role in self._roles
+
+    def __getitem__(self, role: str) -> np.ndarray:
+        if role not in self._built:
+            if role not in self._roles:
+                raise KeyError(role)
+            self._built.update(compute_grams(self._data, self._specs, (role,)))
+        return self._built[role]
+
+    def pop(self, role: str) -> np.ndarray:
+        gram_ = self[role]
+        del self._built[role]
+        self._roles.remove(role)
+        return gram_
+
+
+def bridge_products(grams) -> tuple[np.ndarray, np.ndarray]:
     """The stage-1 Gram A over (d, x, z[, v]) and the stage-2 core over (d, x[, v]).
 
     The stage-2 core is the stage-1 product with the control-exposure
-    factor dropped. Both multiply in role order, (d, x, z, v).
+    factor dropped. Both multiply in role order, (d, x, z, v), in the
+    buffers of the d and z Grams; each entry is popped from `grams`, a
+    :class:`GramSet` or a dict, and released once it is multiplied in.
+
+    z is built before x is released. The allocator then has x's freed
+    buffer, exactly n x n, for the stage-1 eigenvectors, which places A
+    above them: when the stage-1 system releases A, its memory rejoins
+    the top of the heap and the stage-2 eigh reuses it. Released the
+    other way round, glibc keeps A's buffer as a hole that small arrays
+    split, and an n = 2000 fit peaks one n x n (30.5 MiB) higher.
     """
-    core = grams["d"] * grams["x"]
-    A = core * grams["z"]
+    core = grams.pop("d")
+    x = grams.pop("x")
+    A = grams.pop("z")
+    core *= x
+    del x
+    A *= core
     if "v" in grams:
-        A = A * grams["v"]
-        core = core * grams["v"]
+        v = grams.pop("v")
+        A *= v
+        core *= v
     return A, core
 
 
 def project_stage1(
     stage1: RidgeSystem, stage2_core: np.ndarray, w_factor: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-1 solve: weights B and the derived second-stage kernel M.
+    """Stage-1 solve: B'L and the derived second-stage kernel M.
 
-    `stage1` is the system of the stage-1 Gram A. B is its smoother
-    (A + n lam I)^{-1} A, and M multiplies the second-stage core Gram by
-    B' K_ww B = (B' L)(B' L)', where `w_factor` is the factor L of
-    K_ww = L L' (see :func:`gram_factor`); M is symmetrized to wash out
-    round-off.
+    `stage1` is the system of the stage-1 Gram A, whose weights are the
+    smoother B = A (A + n lam I)^{-1}, and `w_factor` is the factor L of
+    K_ww = L L' (see :func:`gram_factor`). B is never formed: B'L = B L
+    (n x r) is the system's smooth of L. M multiplies the second-stage
+    core by B' K_ww B = (B'L)(B'L)'; it is formed in the buffer of
+    `stage2_core`, one block of rows at a time, so that no other n x n
+    array is allocated. Entries (i, j) and (j, i) of M may differ in
+    round-off, and every solve reads only its lower triangle.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InputError(f"lam must be finite and >= 0, got {lam}")
     try:
-        B = stage1.smoother(stage1.n * lam)
+        BL = stage1.smooth(stage1.n * lam, w_factor)
     except NumericalError as err:
         raise NumericalError(f"stage 1: {err}") from err
-    BL = B.T @ w_factor
-    M = stage2_core * (BL @ BL.T)
-    M = 0.5 * (M + M.T)
-    return B, M
+    M = stage2_core
+    n = M.shape[0]
+    height = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, height):
+        rows = slice(start, start + height)
+        M[rows] *= BL[rows] @ BL.T
+    return BL, M
 
 
 def solve_coef(stage2: RidgeSystem, y: np.ndarray, xi: float) -> np.ndarray:
@@ -112,20 +173,23 @@ def solve_coef(stage2: RidgeSystem, y: np.ndarray, xi: float) -> np.ndarray:
 class BridgeModel:
     """Fitted two-stage bridge.
 
-    `stage1_weights` (n x n) holds the stage-1 ridge weights of each
-    sample point over the sample; `stage2_gram` (n x n) is the derived
-    second-stage kernel; `coef` (n,) are the bridge coefficients;
+    `stage1` is the ridge system of the stage-1 Gram A, whose smoother
+    B = A (A + n lam I)^{-1} holds the stage-1 weights of each sample
+    point over the sample; it keeps the eigenpairs of A (or A itself
+    when lam was not tuned), through which a ds request reads B.
     `w_factor` (n x r) is the pivoted-Cholesky factor L of the
-    control-outcome Gram, K_ww = L L', through which every later step
-    reads K_ww.
+    control-outcome Gram, K_ww = L L', and `projected_w` (n x r) is B'L,
+    through which every other step reads B' K_ww. `coef` (n,) are the
+    bridge coefficients. No n x n array besides the one inside `stage1`
+    is kept.
     """
 
     data: Dataset
     specs: dict[str, KernelSpec]
     lam: float
     xi: float
-    stage1_weights: np.ndarray
-    stage2_gram: np.ndarray
+    stage1: RidgeSystem
+    projected_w: np.ndarray
     coef: np.ndarray
     w_factor: np.ndarray
 
@@ -137,37 +201,45 @@ class BridgeModel:
 def tune_and_fit(
     data: Dataset,
     specs: Mapping[str, KernelSpec],
-    grams: dict[str, np.ndarray],
+    grams,
     lam: float | None = None,
     xi: float | None = None,
     grid=None,
+    w_factor: np.ndarray | None = None,
 ) -> tuple[BridgeModel, dict[str, TuneReport]]:
     """The bridge's tuning sequence lam -> project_stage1 -> xi -> solve_coef.
 
-    `grams` is the call's Gram set from :func:`compute_grams`; the
-    products consume its d and z entries, and its w entry is factored in
-    its own buffer and removed. Every penalty left as None is selected
-    by closed-form leave-one-out on `grid`.
+    `grams` is the call's :class:`GramSet` (or a dict from
+    :func:`compute_grams`). The products consume its d, x, z[, v]
+    entries; unless the caller passes the factor of K_ww as `w_factor`,
+    the w entry is popped and factored in its own buffer first. Every
+    penalty left as None is selected by closed-form leave-one-out on
+    `grid`.
+
+    The stage-1 system releases A after its eigendecomposition, M is
+    formed in the buffer of the stage-2 core, and the stage-2 system
+    releases M likewise, so at most four n x n arrays are live,
+    LAPACK's buffers aside.
 
     Returns the bridge and the report of each tuned penalty. Errors
     carry the number of the pipeline step that raised them.
     """
     reports: dict[str, TuneReport] = {}
+    if w_factor is None:
+        with _step(3, "bridge fit"):
+            w_factor = gram_factor(grams.pop("w"))
     A, core = bridge_products(grams)
-    # Only the products read d and z; dropping them bounds the call's
-    # peak memory.
-    del grams["d"], grams["z"]
-    with _step(3, "bridge fit"):
-        w_factor = gram_factor(grams.pop("w"))
     stage1 = RidgeSystem(A)
+    del A  # the system holds it until its eigendecomposition
     if lam is None:
         with _step(2, "penalty tuning"):
             reports["lam"] = stage1.loo_embedding(w_factor, grid)
         lam = reports["lam"].selected
     with _step(3, "bridge fit"):
-        B, M = project_stage1(stage1, core, w_factor, lam)
-    del A, core, stage1
+        projected_w, M = project_stage1(stage1, core, w_factor, lam)
+    del core
     stage2 = RidgeSystem(M)
+    del M
     if xi is None:
         with _step(2, "penalty tuning"):
             reports["xi"] = stage2.loo_scalar(data.y, grid)
@@ -177,7 +249,9 @@ def tune_and_fit(
     del stage2
     roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
     kept = {role: specs[role] for role in roles}
-    model = BridgeModel(data, kept, float(lam), float(xi), B, M, coef, w_factor)
+    model = BridgeModel(
+        data, kept, float(lam), float(xi), stage1, projected_w, coef, w_factor
+    )
     return model, reports
 
 
@@ -189,7 +263,7 @@ def fit_bridge(
     Solve failures carry a stage tag so callers can tell which linear
     system was at fault.
     """
-    return tune_and_fit(data, specs, compute_grams(data, specs), lam, xi)[0]
+    return tune_and_fit(data, specs, GramSet(data, specs), lam, xi)[0]
 
 
 def theoretical_embedding_penalty(n: int, smoothness: float) -> float:

@@ -4,7 +4,8 @@ Configuration lives in one YAML document; a handful of flags override
 file values (precedence: built-in defaults, then the config file or a
 manifest's embedded config, then flags). Every run writes a manifest
 holding the fully resolved configuration, so any run can be repeated
-exactly with --from-manifest.
+exactly with --from-manifest, at the BLAS build and thread count the
+manifest also records.
 
 Exit codes: 0 success, 1 runtime or numerical failure, 2 configuration
 or ingestion failure.
@@ -40,7 +41,7 @@ from .effects import (
     tuning_reports,
 )
 from .errors import ConfigError, IngestError, InputError, KernelncError
-from .simlab import DESIGN_KINDS, SimDesign, generate, run_experiment
+from .simlab import DESIGN_KINDS, SimDesign, blas_environment, generate, run_experiment
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -327,6 +328,8 @@ def _write_manifest(outdir, command, cfg, outputs, timings, results) -> Path:
         "outputs": outputs,
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "results": results,
+        # outputs are byte-identical only at the same BLAS build and threads
+        "blas": blas_environment(),
     }
     path = outdir / MANIFEST_NAME
     with open(path, "w") as fh:

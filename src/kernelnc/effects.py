@@ -7,7 +7,9 @@ treatment kernel over a grid. The dose-response estimator averages the
 training population, the distribution-shift variant averages an
 alternative sample, and the conditional variants (on a treatment level,
 or on subgroup covariates) replace the uniform average with conditional
-embedding weights.
+embedding weights. Step 5 reads the bridge only through n x r
+products, c = rowsum(B'L o K_x (weights o L)) for the factor L of K_ww,
+so no n x n feature matrix is formed.
 
 The naive baseline regresses the outcome on treatment, covariates, and
 both negative controls in a single kernel ridge and averages out
@@ -25,8 +27,8 @@ import numpy as np
 
 from .bridge import (
     BridgeModel,
+    GramSet,
     _step,
-    compute_grams,
     theoretical_embedding_penalty,
     theoretical_schedule,
     tune_and_fit,
@@ -228,38 +230,52 @@ def _curve(
     return EffectCurve(grid, kd.T @ coef, estimator, metadata)
 
 
-def _weighted_w(model: BridgeModel, aw: np.ndarray | None = None) -> np.ndarray:
-    """B' k_w(w, aw) for the stage-1 weights B and control outcomes `aw`.
-
-    Over the training sample (`aw` None, or equal to the training w) the
-    cross Gram is K_ww itself, which the model holds as its factor,
-    K_ww = L L', so the product is read as (B' L) L'.
-    """
-    B, L = model.stage1_weights, model.w_factor
-    if aw is None or np.array_equal(aw, model.data.block("w")):
-        return (B.T @ L) @ L.T
-    return B.T @ gram(model.data.block("w"), aw, model.specs["w"])
-
-
-def _population_features(model: BridgeModel, request: EffectRequest) -> np.ndarray:
-    """n x m features pairing each sample point with the m-point (x, w[, v])
-    population of a ds request, averaged by step 5 as the training ones are."""
-    specs, data = model.specs, model.data
+def _population(specs, data: Dataset, request: EffectRequest) -> dict | None:
+    """The validated (x, w, v) sample of a ds request, v None without a v
+    block; None when it is the training sample itself."""
     ax = _as_block(request.alt_x, specs["x"].dim, "alt_x")
     aw = _as_block(request.alt_w, specs["w"].dim, "alt_w")
     if ax.shape[0] != aw.shape[0]:
         raise InputError("alt_x and alt_w must have the same number of rows")
-    kx = gram(data.block("x"), ax, specs["x"])
-    if model.has_v:
+    av = None
+    if "v" in specs:
         if request.alt_v is None:
             raise InputError("model includes a 'v' block; pass alt_v")
         av = _as_block(request.alt_v, specs["v"].dim, "alt_v")
         if av.shape[0] != ax.shape[0]:
             raise InputError("alt_v must match alt_x rows")
-        kx = kx * gram(data.block("v"), av, specs["v"])
     elif request.alt_v is not None:
         raise InputError("model has no 'v' block")
-    return kx * _weighted_w(model, aw)
+    sample = {"x": ax, "w": aw, "v": av}
+    if all(np.array_equal(b, data.block(r)) for r, b in sample.items() if b is not None):
+        return None
+    return sample
+
+
+def _population_features(model: BridgeModel, sample) -> np.ndarray:
+    """n x m features pairing each sample point with the m-point (x, w[, v])
+    population of a ds request: k_x(x, ax) [o k_v(v, av)] o B k_w(w, aw),
+    with B applied as the stage-1 system's smooth."""
+    specs, data = model.specs, model.data
+    kx = gram(data.block("x"), sample["x"], specs["x"])
+    if sample["v"] is not None:
+        kx *= gram(data.block("v"), sample["v"], specs["v"])
+    kw = gram(data.block("w"), sample["w"], specs["w"])
+    kx *= model.stage1.smooth(data.n * model.lam, kw)
+    return kx
+
+
+def _read_x(grams, kind: str, weights: np.ndarray, w_factor: np.ndarray) -> np.ndarray:
+    """K_x' (weights o L), n x r: the population side of step 5.
+
+    K_x' is the x Gram, times the v Gram except for cate, and L the
+    factor of K_ww; step 5 reads the training Grams only through this
+    product, so it is formed before the bridge's products consume x.
+    """
+    kx = grams["x"]
+    if kind != "cate" and "v" in grams:
+        kx = kx * grams["v"]
+    return kx @ (weights[:, None] * w_factor)
 
 
 def _embedding(
@@ -316,22 +332,25 @@ def _embedding(
 
 
 def _nc_curve(
-    data: Dataset, specs: Mapping[str, KernelSpec], grams: dict[str, np.ndarray],
-    request: EffectRequest, grid, penalties, candidates, model: BridgeModel | None = None,
+    data: Dataset, specs: Mapping[str, KernelSpec], grams, request: EffectRequest,
+    grid, penalties, candidates, model: BridgeModel | None = None,
 ) -> EffectCurve:
     """Steps 4, 2-3 and 5 of the bridge estimator over one Gram set.
 
     The att/cate embedding runs first, as the bridge's products consume
     the treatment Gram. The bridge is then tuned and fitted, unless a
-    fitted `model` is passed. Its coefficients are reweighted by the
-    features of the averaged population: the alternative sample for
-    ds, the training sample otherwise. ate and ds average them
-    uniformly, att and cate by the embedding weights, and cate also
-    multiplies in its subgroup point's kernel column. A penalty absent
-    from `penalties` or None is tuned by leave-one-out on `candidates`.
+    fitted `model` is passed. Its coefficients are reweighted by
+    c = rowsum(B'L o K_x' (weights o L)) (see :func:`_read_x`), with
+    weights 1/n for ate and the embedding weights for att and cate;
+    cate also multiplies in its subgroup point's kernel column. A ds
+    request averages the features of its alternative sample instead
+    (see :func:`_population_features`), unless that sample is the
+    training one, which it averages exactly as ate does. A penalty
+    absent from `penalties` or None is tuned by leave-one-out on
+    `candidates`.
     """
     kind = request.kind
-    weights = extra = penalty = None
+    weights = extra = penalty = sample = None
     if kind in ("att", "cate"):
         query, name = (
             (request.d_value, "lam1") if kind == "att" else (request.v_value, "lam2")
@@ -339,17 +358,29 @@ def _nc_curve(
         weights, extra, penalty, _ = _embedding(
             data, specs, grams, kind, query, penalties.get(name), candidates
         )
+    elif kind == "ds":
+        with _step(5, "effect evaluation"):
+            sample = _population(specs, data, request)
+    if weights is None:
+        weights = np.full(data.n, 1.0 / data.n)
+    if model is not None:
+        w_factor = model.w_factor
+    else:
+        with _step(3, "bridge fit"):
+            w_factor = gram_factor(grams.pop("w"))
+    if sample is None:
+        with _step(5, "effect evaluation"):
+            reads = _read_x(grams, kind, weights, w_factor)
     if model is None:
         model, _ = tune_and_fit(
-            data, specs, grams, penalties.get("lam"), penalties.get("xi"), candidates
+            data, specs, grams, penalties.get("lam"), penalties.get("xi"), candidates,
+            w_factor,
         )
     with _step(5, "effect evaluation"):
-        if kind == "ds":
-            features = _population_features(model, request)
+        if sample is None:
+            c = np.sum(model.projected_w * reads, axis=1)
         else:
-            kx = grams["x"] * grams["v"] if kind != "cate" and "v" in grams else grams["x"]
-            features = kx * _weighted_w(model)
-        c = features.mean(axis=1) if weights is None else features @ weights
+            c = _population_features(model, sample).mean(axis=1)
         coef = model.coef * c if extra is None else model.coef * extra * c
         return _curve(data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty)
 
@@ -360,13 +391,9 @@ def _fitted_curve(model: BridgeModel, grid, request, penalties=None, candidates=
     Step 5 reads K_ww through the model's factor, so w is built only for
     the output Gram of an embedding whose penalty is tuned.
     """
-    penalties = penalties or {}
-    roles = {"ds": (), "att": ("d", "x", "v")}.get(request.kind, ("x", "v"))
-    if None in penalties.values():
-        roles += ("w",)
-    grams = compute_grams(model.data, model.specs, roles)
+    grams = GramSet(model.data, model.specs)
     return _nc_curve(
-        model.data, model.specs, grams, request, grid, penalties, candidates, model
+        model.data, model.specs, grams, request, grid, penalties or {}, candidates, model
     )
 
 
@@ -419,32 +446,31 @@ def estimate_cate(
 
 
 def _te_fit(
-    data: Dataset, grams: dict[str, np.ndarray], lam: float | None, candidates
+    data: Dataset, grams, lam: float | None, candidates
 ) -> tuple[np.ndarray, np.ndarray, float, dict[str, TuneReport]]:
     """The baseline's tuning sequence: lam, then the ridge coefficients.
 
-    Consumes the Gram set, multiplying in role order (d, x, z, w[, v]).
-    Returns the coefficients, the mean over the sample of the
-    non-treatment kernel factors, the penalty and the report of the
-    tuned one.
+    Consumes the Gram set: x o z o w[o v] multiplies in role order in
+    the x Gram's buffer, its row means are taken, and d is multiplied in
+    last, so at most two n x n arrays are live before the eigh. Returns
+    the coefficients, the mean over the sample of the non-treatment
+    kernel factors, the penalty and the report of the tuned one.
     """
-    full = grams.pop("d")
-    rest = None
-    for role in list(grams):
-        g = grams.pop(role)
-        full *= g
-        if rest is None:
-            rest = g
-        else:
-            rest *= g
+    full = grams.pop("x")
+    for role in ("z", "w", "v"):
+        if role in grams:
+            full *= grams.pop(role)
+    rest_mean = full.mean(axis=1)
+    full *= grams.pop("d")
     y = data.y
     system = RidgeSystem(full)
+    del full  # the system releases it after its eigendecomposition
     reports: dict[str, TuneReport] = {}
     if lam is None:
         reports["lam"] = system.loo_scalar(y, candidates)
         lam = reports["lam"].selected
     coef = system.solve(data.n * float(lam), y)
-    return coef, rest.mean(axis=1), float(lam), reports
+    return coef, rest_mean, float(lam), reports
 
 
 def estimate_te_baseline(
@@ -460,7 +486,7 @@ def estimate_te_baseline(
     them out over the training sample. Penalty LOOCV-tuned when None.
     """
     specs = dict(specs) if specs is not None else kernel_specs(data)
-    coef, gbar, lam, _ = _te_fit(data, compute_grams(data, specs), lam, candidates)
+    coef, gbar, lam, _ = _te_fit(data, GramSet(data, specs), lam, candidates)
     grid = _resolve_grid(EffectRequest("ate"), data) if grid is None else grid
     return _curve(data, specs, grid, coef * gbar, "te", "ate", lam, None, None)
 
@@ -492,8 +518,7 @@ def run_end_to_end(
         with _step(3, "bridge fit"):
             curve = estimate_te_baseline(data, specs, grid, penalties["lam"], tuning.grid)
     else:
-        with _step(1, "kernel selection"):
-            grams = compute_grams(data, specs)
+        grams = GramSet(data, specs)
         curve = _nc_curve(data, specs, grams, request, grid, penalties, tuning.grid)
     curve.metadata.update(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
@@ -517,7 +542,7 @@ def tuning_reports(
     if estimator not in ESTIMATORS:
         raise InputError(f"unknown estimator {estimator!r}")
     specs = kernel_specs(data, lengthscales)
-    grams = compute_grams(data, specs)
+    grams = GramSet(data, specs)
     if estimator == "te":
         return _te_fit(data, grams, None, candidates)[3]
     reports: dict[str, TuneReport] = {}

@@ -22,6 +22,12 @@ r x r matrix L'L and solves by Woodbury, n r^2 once and n r r_output per
 loss candidate in place of n^3. Its leave-one-out diagonal cancels
 digits where a point's leverage nears 1; the suite checks that loss
 against the same brute-force refits to 1e-8 over the whole shipped grid.
+
+Dense eigendecompositions, and the products around them, stay on
+numpy's LAPACK; scipy is used only for dpstrf and for the Cholesky
+route. scipy links a second OpenBLAS with its own thread pool, and a
+scipy call between numpy calls makes the two pools spin against each
+other on a small machine.
 """
 
 from __future__ import annotations
@@ -114,10 +120,11 @@ class RidgeSystem:
     K is given dense, `RidgeSystem(K)`, or by an n x r factor,
     `RidgeSystem(factor=L)` with K = L L' (see :func:`gram_factor`).
 
-    A dense system computes eigh(K) at its first leave-one-out loss and
-    caches it; every later loss, solve and smoother reads that cache. A
-    dense system that was never tuned solves by Cholesky instead: one
-    eigendecomposition costs more than the solve it would replace.
+    A dense system computes eigh(K) at its first leave-one-out loss,
+    caches it and releases K; every later loss, solve and smooth reads
+    that cache. A dense system that was never tuned solves by Cholesky
+    instead: one eigendecomposition costs more than the solve it would
+    replace. Every route reads only the lower triangle of K.
 
     A factored system eigendecomposes only the r x r matrix
     L'L = V diag(e) V', at its first loss or solve alike, and keeps
@@ -135,30 +142,32 @@ class RidgeSystem:
     kernel: np.ndarray | None = None
     factor: np.ndarray | None = None
     jitter: float = field(default=0.0, init=False)
+    n: int = field(default=0, init=False)
     _eig: tuple | None = field(default=None, init=False, repr=False)
+    _jitter_scale: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.kernel is None) == (self.factor is None):
             raise InputError("a ridge system takes either a kernel or its factor")
         if self.factor is None:
-            self.kernel = _check_square(self.kernel, "kernel")
-            return
-        L = np.asarray(self.factor, dtype=float)
-        if L.ndim != 2 or L.shape[0] == 0:
-            raise InputError(f"factor must be a non-empty n x r matrix, got {L.shape}")
-        self.factor = _check_finite(L, "factor")
-
-    @property
-    def n(self) -> int:
-        return (self.kernel if self.factor is None else self.factor).shape[0]
+            K = self.kernel = _check_square(self.kernel, "kernel")
+            self.n = K.shape[0]
+            mean_diag = float(np.trace(K)) / self.n
+        else:
+            L = np.asarray(self.factor, dtype=float)
+            if L.ndim != 2 or L.shape[0] == 0:
+                raise InputError(f"factor must be a non-empty n x r matrix, got {L.shape}")
+            self.factor = _check_finite(L, "factor")
+            self.n = L.shape[0]
+            mean_diag = float(np.sum(L * L)) / self.n
+        if mean_diag > 0.0:
+            self._jitter_scale = mean_diag
 
     def _with_jitter(self, ridge: float, attempt, method: str):
         """`attempt(ridge + jitter)` at the first jitter where it is not None."""
         if not np.isfinite(ridge) or ridge < 0.0:
             raise InputError(f"ridge must be finite and >= 0, got {ridge}")
-        K, L = self.kernel, self.factor
-        mean_diag = float(np.trace(K) if L is None else np.sum(L * L)) / self.n
-        scale = mean_diag if mean_diag > 0.0 else 1.0
+        scale = self._jitter_scale
         jitters = [0.0] + [_JITTER_UNIT * scale * 10.0**k for k in range(_MAX_RETRIES)]
         for jit in jitters:
             out = attempt(ridge + jit)
@@ -184,6 +193,7 @@ class RidgeSystem:
         if self._eig is None:
             if self.factor is None:
                 self._eig = np.linalg.eigh(self.kernel)
+                self.kernel = None  # every later read goes through (e, Q)
             else:
                 e, V = np.linalg.eigh(self.factor.T @ self.factor)
                 self._eig = (e, self.factor @ V)
@@ -201,14 +211,18 @@ class RidgeSystem:
 
         return self._with_jitter(ridge, attempt, "eigendecomposition")
 
-    def solve(self, ridge: float, b: np.ndarray) -> np.ndarray:
-        """Return (K + ridge I)^{-1} b for a vector or matrix b."""
+    def _rhs(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         rows = b.shape[0] if b.ndim in (1, 2) else -1
         if rows != self.n:
             raise InputError(f"rhs has {rows} rows, system has {self.n}")
         if not np.all(np.isfinite(b)):
             raise NumericalError("non-finite entry in right-hand side")
+        return b
+
+    def solve(self, ridge: float, b: np.ndarray) -> np.ndarray:
+        """Return (K + ridge I)^{-1} b for a vector or matrix b."""
+        b = self._rhs(b)
         if self._eig is None and self.factor is None:
             cho = self._with_jitter(ridge, self._cholesky, "Cholesky")
             return scipy.linalg.cho_solve(cho, b)
@@ -218,14 +232,29 @@ class RidgeSystem:
         Qtb = (Q.T @ b) / (t if b.ndim == 1 else t[:, None])
         return Q @ Qtb if self.factor is None else (b - Q @ Qtb) / shift
 
-    def smoother(self, ridge: float) -> np.ndarray:
-        """The smoother K (K + ridge I)^{-1}, which equals (K + ridge I)^{-1} K."""
+    def smooth(self, ridge: float, X: np.ndarray) -> np.ndarray:
+        """The smoother applied to X: K (K + ridge I)^{-1} X, which equals
+        (K + ridge I)^{-1} K X, for a vector or matrix X.
+
+        From the cached eigenpairs this is Q diag(e / t) Q' X with
+        t = e + ridge (W diag(1 / t) W' X for a factor): n^2 k for an
+        n x k matrix X, and no n x n smoother is formed. An untuned dense
+        system solves K X by Cholesky, reading K X from its lower triangle.
+        """
+        X = self._rhs(X)
         if self._eig is None and self.factor is None:
-            return self.solve(ridge, self.kernel)
+            cho = self._with_jitter(ridge, self._cholesky, "Cholesky")
+            # K' is the Fortran-ordered view of K, and its upper triangle
+            # is the lower triangle of K
+            KX = scipy.linalg.blas.dsymm(1.0, self.kernel.T, X.reshape(self.n, -1))
+            return scipy.linalg.cho_solve(cho, KX).reshape(X.shape)
         shift = self._shift(ridge)
         e, Q = self._eig
         t = e + shift
-        return (Q * (e / t if self.factor is None else 1.0 / t)) @ Q.T
+        s = e / t if self.factor is None else 1.0 / t
+        QtX = Q.T @ X
+        QtX *= s if X.ndim == 1 else s[:, None]
+        return Q @ QtX
 
     def _tune(self, g: np.ndarray, loss_kind: str, L: np.ndarray) -> TuneReport:
         """Leave-one-out losses of the output factor L (n x r) on the grid `g`.

@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 from scipy.special import expit
 
 from .data import Dataset, from_arrays
@@ -181,6 +182,35 @@ def _threadpool_limits():
     return threadpool_limits
 
 
+def blas_environment() -> dict:
+    """numpy's and scipy's BLAS builds and this process's BLAS thread count.
+
+    A result is byte-reproducible only at one BLAS build and thread
+    count: OpenBLAS splits a product across its threads, which changes
+    the order of summation once n reaches a few hundred. The count is
+    $OPENBLAS_NUM_THREADS, else $OMP_NUM_THREADS, capped at the CPUs
+    this process may run on, which is the count without either.
+    """
+    builds = {}
+    for name, module in (("numpy", np), ("scipy", scipy)):
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            builds[name] = f"{blas['name']} {blas['version']}"
+        except (TypeError, KeyError):
+            builds[name] = "unknown"
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        cpus = os.cpu_count() or 1
+    threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            threads = min(int(value), cpus)
+            break
+    return {**builds, "threads": threads}
+
+
 def _scoped_score(design, seed, replicate, estimators, tuning, limit_threads):
     limits = _threadpool_limits() if limit_threads else None
     if limits is not None:
@@ -259,9 +289,11 @@ def run_experiment(
     Fails fast by default, naming the failing replicate and seed;
     with strict=False failed replicates are skipped and reported.
     Aggregation folds values in replicate order regardless of worker
-    scheduling, so results do not depend on the worker count. The
-    metadata's `blas_threads_pinned` is true only when a worker pool ran
-    with threadpoolctl holding each worker to one BLAS thread.
+    scheduling, so results do not depend on the worker count at one
+    BLAS thread count. The metadata's `blas_threads_pinned` is true only
+    when a worker pool ran with threadpoolctl holding each worker to one
+    BLAS thread; its `blas` records the BLAS builds and the thread count
+    the replicates ran with (see :func:`blas_environment`).
     """
     if replicates < 1:
         raise InputError("need at least one replicate")
@@ -294,6 +326,10 @@ def run_experiment(
     if design.kind == "discrete":
         truth = float(true_curve(design, 1.0) - true_curve(design, 0.0))
     grid = scoring_grid(design)
+    pinned = nworkers > 1 and _threadpool_limits() is not None
+    blas = blas_environment()
+    if pinned:
+        blas["threads"] = 1
     metadata = {
         "design": design.kind,
         "n": design.n,
@@ -307,7 +343,8 @@ def run_experiment(
         "curve": "quadratic" if design.kind == "no_confounding" else design.kind,
         "failed": len(failures),
         # Without threadpoolctl each pooled worker runs BLAS on every core.
-        "blas_threads_pinned": nworkers > 1 and _threadpool_limits() is not None,
+        "blas_threads_pinned": pinned,
+        "blas": blas,
     }
     reports: dict[str, ReplicateReport] = {}
     kept = sorted(results)

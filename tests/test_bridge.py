@@ -35,15 +35,17 @@ def _indicator_specs():
 
 
 def test_identity_gram_hand_instance():
-    # n=3, lam=1/3: B = I/2, M = I/4; xi=1/12 then gives alpha = 2y
+    # n=3, lam=1/3: B = I/2, so B'L = L/2, and M = I/4; xi=1/12 then
+    # gives alpha = 2y
     data = _indicator_dataset()
     specs = _indicator_specs()
     grams = compute_grams(data, specs)
     A, core = bridge_products(grams)
     np.testing.assert_array_equal(A, np.eye(3))
 
-    B, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), 1.0 / 3.0)
-    np.testing.assert_allclose(B, np.eye(3) / 2.0, atol=1e-12)
+    L = gram_factor(grams["w"])
+    BL, M = project_stage1(RidgeSystem(A), core, L, 1.0 / 3.0)
+    np.testing.assert_allclose(BL, L / 2.0, atol=1e-12)
     np.testing.assert_allclose(M, np.eye(3) / 4.0, atol=1e-12)
 
     y = data.y
@@ -80,17 +82,29 @@ def _oracle_scales(data, roles):
     return {r: od.block_scales(data.block(r)) for r in roles}
 
 
+def _assert_stages_match(data, specs, model, fit):
+    # B through the fitted stage-1 system's smooth of the identity; M as
+    # project_stage1 forms it over the same Grams
+    n = data.n
+    B = model.stage1.smooth(n * model.lam, np.eye(n))
+    np.testing.assert_allclose(B, fit["B"], rtol=1e-9)
+    grams = compute_grams(data, specs)
+    A, core = bridge_products(grams)
+    _, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), model.lam)
+    np.testing.assert_allclose(M, fit["M"], rtol=1e-9)
+    np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
+
+
 def test_fit_matches_dense_oracle():
     rng = np.random.default_rng(67)
     data = _random_dataset(rng, 22)
-    model = fit_bridge(data, kernel_specs(data), 0.08, 0.03)
+    specs = kernel_specs(data)
+    model = fit_bridge(data, specs, 0.08, 0.03)
     fit = od.fit_dense(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
         data.y, _oracle_scales(data, ("d", "x", "z", "w")), 0.08, 0.03,
     )
-    np.testing.assert_allclose(model.stage1_weights, fit["B"], rtol=1e-9)
-    np.testing.assert_allclose(model.stage2_gram, fit["M"], rtol=1e-9)
-    np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
+    _assert_stages_match(data, specs, model, fit)
 
 
 def test_fit_with_v_block_matches_dense_oracle():
@@ -104,9 +118,7 @@ def test_fit_with_v_block_matches_dense_oracle():
         data.y, _oracle_scales(data, ("d", "x", "z", "w", "v")), 0.1, 0.05,
         v=data.block("v"),
     )
-    np.testing.assert_allclose(model.stage1_weights, fit["B"], rtol=1e-9)
-    np.testing.assert_allclose(model.stage2_gram, fit["M"], rtol=1e-9)
-    np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
+    _assert_stages_match(data, specs, model, fit)
 
 
 def test_theoretical_penalty_spot_values():

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -490,3 +493,37 @@ def test_tune_outputs(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["results"]) == {"lam", "lam1", "xi"}
     capsys.readouterr()
+
+
+def test_each_manifest_records_its_own_blas_thread_count(tmp_path):
+    # results are byte-identical only at one BLAS thread count, so two
+    # processes run with 1 and 2 OpenBLAS threads each record their own
+    import kernelnc
+
+    src = os.path.dirname(os.path.dirname(kernelnc.__file__))
+    cpus = len(os.sched_getaffinity(0))
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        cfg = _write_config(
+            tmp_path / f"{threads}.yaml",
+            {
+                "seed": 5,
+                "output_dir": str(out),
+                "tuning": dict(FORCED),
+                "simulate": {"design": "discrete", "n": 60, "replicates": 1},
+            },
+        )
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=str(threads),
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "kernelnc.cli", "simulate", "--config", cfg],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = min(threads, cpus)
+        assert manifest["blas"]["threads"] == want
+        assert manifest["results"]["metadata"]["blas"]["threads"] == want
+        assert manifest["blas"]["numpy"] and manifest["blas"]["scipy"]

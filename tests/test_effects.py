@@ -1,5 +1,7 @@
 """Effect curves from the bridge, the naive baseline, and the runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -366,3 +368,25 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
     assert {id(s) for s in systems} == {id(systems[0])}
     assert systems[0].factor.shape == (40, 2)
     assert systems[0].jitter > 0.0
+
+
+@pytest.mark.parametrize("estimator, bound", [("nc", 5.0), ("te", 3.0)])
+def test_ate_fit_holds_few_n_by_n_arrays(estimator, bound):
+    """Peak numpy memory of one ATE fit, in n x n arrays.
+
+    The bridge never forms its n x n smoother and builds each role Gram
+    just before its first reader; the baseline takes its row means
+    before it multiplies in d. numpy's eigh copies its input and takes
+    a workspace of about 2 n^2 doubles through malloc, which tracemalloc
+    does not see: about 3 n x n more sit on top of this peak.
+    """
+    n = 300
+    data = generate(SimDesign("quadratic", n=n), 1)
+    request = EffectRequest("ate", grid_size=5)
+    tracemalloc.start()
+    try:
+        run_end_to_end(data, request, estimator=estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n

@@ -57,7 +57,7 @@ def test_ridge_system_matches_dense_solve():
         np.testing.assert_allclose(system.solve(0.3, b[:, 0]), want[:, 0],
                                    rtol=1e-11)
         np.testing.assert_allclose(
-            system.smoother(0.3), np.linalg.solve(K + 0.3 * np.eye(15), K),
+            system.smooth(0.3, np.eye(15)), np.linalg.solve(K + 0.3 * np.eye(15), K),
             rtol=1e-10, atol=1e-13,
         )
 
@@ -91,15 +91,30 @@ def test_ridge_system_validation():
         with pytest.raises(InputError):
             system.solve(-0.5, np.ones(2))
         with pytest.raises(InputError):
-            system.smoother(np.inf)
+            system.smooth(np.inf, np.eye(2))
         with pytest.raises(InputError):
             system.solve(0.1, np.ones(3))
 
 
+def test_smooth_matches_the_dense_smoother():
+    # K (K + rho I)^{-1} X from the cached eigh, by Cholesky before any
+    # tuning, and through a factor, against the dense solve
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(-1.0, 1.0, size=(60, 1))
+    K = gram(pts, pts, KernelSpec.gaussian([0.5]))
+    X = rng.normal(size=(60, 4))
+    want = np.linalg.solve(K + 0.3 * np.eye(60), K) @ X
+    factored = RidgeSystem(factor=gram_factor(K.copy()))
+    for system in _untuned_and_tuned(K) + (factored,):
+        np.testing.assert_allclose(system.smooth(0.3, X), want, rtol=1e-10)
+        np.testing.assert_allclose(system.smooth(0.3, X[:, 0]), want[:, 0], rtol=1e-10)
+
+
 def test_solves_and_losses_read_only_the_lower_triangle():
-    # eigh (UPLO='L') and the Cholesky solve (lower=True) read only the
-    # kernel's lower triangle: whatever lies above the diagonal changes
-    # no bit of a solve or a loss on either path
+    # eigh (UPLO='L') and the Cholesky route (lower=True, and K X read
+    # by dsymm from the lower triangle) read only the kernel's lower
+    # triangle: whatever lies above the diagonal changes no bit of a
+    # solve, a smooth or a loss on either path
     rng = np.random.default_rng(59)
     K = _random_gram(rng, 30)
     skewed = np.tril(K) + np.triu(rng.normal(size=(30, 30)), 1)
@@ -109,10 +124,11 @@ def test_solves_and_losses_read_only_the_lower_triangle():
     outputs = []
     for kernel in (K, skewed):
         system = RidgeSystem(kernel)
-        cholesky = system.solve(0.3, b)
+        cholesky = (system.solve(0.3, b), system.smooth(0.3, b))
         scalar = system.loo_scalar(y).losses
         embedding = system.loo_embedding(factor).losses
-        outputs.append((cholesky, scalar, embedding, system.solve(0.3, b)))
+        eigh = (system.solve(0.3, b), system.smooth(0.3, b))
+        outputs.append(cholesky + (scalar, embedding) + eigh)
     for got, want in zip(outputs[1], outputs[0]):
         np.testing.assert_array_equal(got, want)
 
@@ -361,7 +377,7 @@ def test_factored_system_solves_as_the_dense_one():
     np.testing.assert_allclose(system.solve(0.3, b), want, rtol=1e-10)
     np.testing.assert_allclose(system.solve(0.3, b[:, 0]), want[:, 0], rtol=1e-10)
     np.testing.assert_allclose(
-        system.smoother(0.3), np.linalg.solve(K + 0.3 * np.eye(80), K),
+        system.smooth(0.3, np.eye(80)), np.linalg.solve(K + 0.3 * np.eye(80), K),
         rtol=1e-9, atol=1e-12,
     )
     assert system.jitter == 0.0
