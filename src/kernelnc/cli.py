@@ -135,6 +135,15 @@ def _load_manifest_config(path: Path) -> dict:
         raise ConfigError(f"malformed manifest {path}: {err}") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise ConfigError(f"manifest {path} has no embedded config")
+    recorded, current = doc.get("blas"), blas_environment()
+    if recorded != current:
+        # a replay is byte-identical only at the recorded BLAS build and threads
+        print(
+            f"warning: manifest {path} records BLAS {json.dumps(recorded, sort_keys=True)}, "
+            f"this run has {json.dumps(current, sort_keys=True)}; "
+            "outputs may differ in the last digits",
+            file=sys.stderr,
+        )
     return doc["config"]
 
 

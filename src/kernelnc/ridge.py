@@ -18,10 +18,14 @@ what the dense form did.
 
 A system can also be built from the n x r factor of its own kernel, as
 the conditional embeddings build theirs: it eigendecomposes only the
-r x r matrix L'L and solves by Woodbury, n r^2 once and n r r_output per
-loss candidate in place of n^3. Its leave-one-out diagonal cancels
-digits where a point's leverage nears 1; the suite checks that loss
-against the same brute-force refits to 1e-8 over the whole shipped grid.
+r x r matrix L'L and solves by Woodbury, n r^2 once in place of n^3.
+Its loss splits the output factor once into its part in the kernel's
+span and the rest (n r r_output), after which each candidate costs
+n r^2, whatever the output's rank. The split is formed from the
+factor itself, not from its Gram: every Gram-only form tried cancels
+digits at high-leverage points. Where a point's leverage nears 1, the
+suite checks this loss against the same brute-force refits to 1e-8
+over the whole shipped grid, as it does at duplicated points.
 
 Dense eigendecompositions, and the products around them, stay on
 numpy's LAPACK; scipy is used only for dpstrf and for the Cholesky
@@ -38,6 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
+from .kernels import _BLOCK_BYTES
 
 #: Default tuning grid: 20 log-spaced candidates spanning [1e-8, 1e2].
 DEFAULT_GRID = np.logspace(-8.0, 2.0, 20)
@@ -130,7 +135,9 @@ class RidgeSystem:
     L'L = V diag(e) V', at its first loss or solve alike, and keeps
     W = L V, so that K = W W' and W'W = diag(e). Every solve is then
     (K + ridge I)^{-1} b = (b - W diag(1/(e + ridge)) W' b) / ridge,
-    which needs ridge > 0: K is singular off the span of W.
+    which needs ridge > 0: K is singular off the span of W. Its
+    leave-one-out losses cost n r r_output once and n r^2 per
+    candidate (see :meth:`_factored_losses`).
 
     When K + ridge I is numerically singular (the Cholesky factorization
     fails, a round-off negative eigenvalue leaves e + ridge <= 0, or a
@@ -257,41 +264,89 @@ class RidgeSystem:
         return Q @ QtX
 
     def _tune(self, g: np.ndarray, loss_kind: str, L: np.ndarray) -> TuneReport:
-        """Leave-one-out losses of the output factor L (n x r) on the grid `g`.
+        """Leave-one-out losses of the output factor L (n x r_out) on the grid `g`.
 
         The loss n^{-1} tr(S H L L' H), with H = I - K (K + n lambda I)^{-1},
-        h = diag(H) and S = diag(h)^{-2}, is mean(rowsum((H L)^2) / h^2),
-        with C = Q' L formed once:
+        h = diag(H) and S = diag(h)^{-2}, is mean(rowsum((H L)^2) / h^2).
+        A dense system evaluates it in n^2 r_out per candidate
+        (:meth:`_dense_losses`); a factored one in n r r_out once and then
+        n r^2 per candidate, whatever r_out is (:meth:`_factored_losses`).
+        L is only read.
+        """
+        losses = (self._dense_losses if self.factor is None else self._factored_losses)(g, L)
+        return TuneReport(g, losses, float(g[int(np.argmin(losses))]), loss_kind)
 
-        - dense: H = Q diag(s) Q', so H L = Q (s C) and h = (Q o Q) s.
-          The loss is invariant to the scale of s, so s is taken relative
-          to its largest entry, (e_min + n lambda) / (e + n lambda): equal
-          eigenvalues then give exactly equal entries.
-        - factored: H = I - W diag(s) W' with s = 1 / (e + n lambda), so
-          H L = L - W (s C) and h = 1 - (W o W) s.
-
-        Every h is formed first, so that Q o Q is released before the
-        losses allocate their own temporaries.
+    def _dense_losses(self, g: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """H = Q diag(s) Q', so H L = Q (s C) with C = Q' L formed once and
+        h = (Q o Q) s: n^2 r_out per candidate. The loss is invariant to
+        the scale of s, so s is taken relative to its largest entry,
+        (e_min + n lambda) / (e + n lambda): equal eigenvalues then give
+        exactly equal entries. Every h is formed first, so that Q o Q is
+        released before the losses allocate their own temporaries.
         """
         e, Q = self._eigh()
-        factored = self.factor is not None
         C = Q.T @ L
         Q2 = Q**2
         sh = []
         for lam in g:
             t = e + self._shift(self.n * lam)
-            s = 1.0 / t if factored else t[0] / t
-            sh.append((s, 1.0 - Q2 @ s if factored else Q2 @ s))
+            s = t[0] / t
+            sh.append((s, Q2 @ s))
         del Q2
         losses = np.empty(g.shape)
         for k, (s, h) in enumerate(sh):
             HL = Q @ (s[:, None] * C)
-            if factored:
-                np.subtract(L, HL, out=HL)
             HL *= HL
             losses[k] = np.mean(np.sum(HL, axis=1) / (h * h))
-            del HL  # with r = n, one n x n less while the next HL is formed
-        return TuneReport(g, losses, float(g[int(np.argmin(losses))]), loss_kind)
+            del HL  # with r_out = n, one n x n less while the next HL is formed
+        return losses
+
+    def _factored_losses(self, g: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """H = I - W diag(1/t) W' with t = e + n lambda, so h = 1 - (W o W)/t.
+
+        W is split as U diag(nu)^{1/2}, nu the squared column norms of W
+        (e up to round-off, and never negative), so U has unit columns.
+        L splits once into L_perp = L - U C_u with C_u = U' L, and then
+        H L = L_perp + U diag(a) C_u with a = 1 - nu/t, written
+        (n lambda + (e - nu)) / t so that no digits cancel at small
+        lambda. With t0 = rowsum(L_perp^2), R = L_perp C_u' and
+        G = C_u C_u', all formed once (n r r_out),
+
+            rowsum((H L)^2) = t0 + 2 rowsum(U_a o R) + rowsum((U_a G) o U_a)
+
+        for U_a = U diag(a): n r^2 per candidate, whatever r_out is.
+        The difference L_perp is formed before it is squared, as the
+        dense form squares H L itself: rowsum(L^2) - rowsum((U C_u)^2)
+        would cancel where a row of L lies almost in the span of U. It is
+        formed one block of rows at a time and never held whole, so L is
+        only read and no second n x n array exists.
+        """
+        e, W = self._eigh()
+        W2 = W * W
+        nu = np.sum(W2, axis=0)
+        U = W / np.sqrt(nu)
+        Cu = U.T @ L
+        t0 = np.empty(self.n)
+        R = np.empty(U.shape)
+        height = max(1, _BLOCK_BYTES // (8 * max(1, L.shape[1])))
+        for start in range(0, self.n, height):
+            rows = slice(start, start + height)
+            perp = U[rows] @ Cu
+            np.subtract(L[rows], perp, out=perp)
+            R[rows] = perp @ Cu.T
+            perp *= perp
+            t0[rows] = np.sum(perp, axis=1)
+        G = Cu @ Cu.T
+        drift = e - nu
+        losses = np.empty(g.shape)
+        for k, lam in enumerate(g):
+            shift = self._shift(self.n * lam)
+            t = e + shift
+            h = 1.0 - W2 @ (1.0 / t)
+            Ua = U * ((shift + drift) / t)
+            hl2 = t0 + 2.0 * np.sum(Ua * R, axis=1) + np.sum((Ua @ G) * Ua, axis=1)
+            losses[k] = np.mean(hl2 / (h * h))
+        return losses
 
     def loo_scalar(self, y: np.ndarray, grid=None) -> TuneReport:
         """Exact leave-one-out loss for scalar kernel ridge regression.

@@ -527,3 +527,48 @@ def test_each_manifest_records_its_own_blas_thread_count(tmp_path):
         assert manifest["blas"]["threads"] == want
         assert manifest["results"]["metadata"]["blas"]["threads"] == want
         assert manifest["blas"]["numpy"] and manifest["blas"]["scipy"]
+
+
+def test_replay_reports_a_blas_thread_count_the_manifest_did_not_record(tmp_path):
+    # a manifest written at 1 OpenBLAS thread and replayed at 2 names both
+    # environments on stderr; a replay at the recorded count prints nothing
+    import kernelnc
+
+    src = os.path.dirname(os.path.dirname(kernelnc.__file__))
+    cpus = len(os.sched_getaffinity(0))
+    first = tmp_path / "first"
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {
+            "seed": 2,
+            "output_dir": str(first),
+            "data": {"simulate": {"design": "quadratic", "n": 50}},
+            "estimate": {"grid": [0.25, 0.75]},
+            "tuning": dict(FORCED),
+        },
+    )
+    manifest = first / "manifest.json"
+
+    def run(threads, *args):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=str(threads),
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "kernelnc.cli", "estimate", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    assert run(1, "--config", cfg).returncode == EXIT_OK
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        done = run(threads, "--from-manifest", str(manifest), "--output-dir", str(out))
+        assert done.returncode == EXIT_OK
+        assert (out / "curve.csv").read_bytes() == (first / "curve.csv").read_bytes()
+        if min(threads, cpus) == 1:
+            assert done.stderr == ""
+        else:
+            [warning] = done.stderr.splitlines()
+            assert warning.startswith("warning:")
+            assert '"threads": 1' in warning and f'"threads": {min(threads, cpus)}' in warning

@@ -390,3 +390,26 @@ def test_ate_fit_holds_few_n_by_n_arrays(estimator, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * n * n
+
+
+@pytest.mark.parametrize("kind, query", [("att", {"d_value": 0.5}), ("cate", {"v_value": 0.0})])
+def test_tuned_embedding_fit_holds_few_n_by_n_arrays(kind, query):
+    """Peak numpy memory of one att/cate fit with a tuned embedding penalty.
+
+    The embedding's loss splits its full-rank output factor against the
+    conditioning factor one block of rows at a time, so it adds no n x n
+    array to what the bridge already holds.
+    """
+    n = 300
+    base = generate(SimDesign("quadratic", n=n), 1)
+    x = base.block("x")
+    data = from_arrays(base.y, base.block("d"), x, base.block("z"), base.block("w"),
+                       v=x[:, 0])
+    request = EffectRequest(kind, grid_size=5, **query)
+    tracemalloc.start()
+    try:
+        run_end_to_end(data, request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * n * n

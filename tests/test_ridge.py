@@ -333,11 +333,23 @@ def _study_data(n, seed):
 
 def _conditioning_case(case):
     """(conditioning Gram, output Gram) of one att/cate embedding."""
-    if case == "full_rank":
+    if case in ("full_rank", "duplicated"):
         K_in = _random_gram(np.random.default_rng(61), 120, p=4)
-        return K_in, _random_gram(np.random.default_rng(67), 120, p=3)
+        K_out = _random_gram(np.random.default_rng(67), 120, p=3)
+        if case == "duplicated":
+            # the last three observations repeat the first three: r = n - 3
+            keep = np.r_[0:117, 0:3]
+            K_in, K_out = (K[np.ix_(keep, keep)] for K in (K_in, K_out))
+        return K_in, K_out
     data = _study_data(200, 1) if case != "discrete_d" else generate(
         SimDesign("discrete", n=120), 3)
+    if case == "outlier_d":
+        # one treatment far outside the rest: its leverage nears 1 as lambda
+        # falls, so h nears 0 there
+        d = data.block("d").copy()
+        d[0] = d.max() + 5.0 * d.std()
+        data = from_arrays(data.y, d, data.block("x"), data.block("z"), data.block("w"),
+                           v=data.block("v"))
     grams = compute_grams(data, kernel_specs(data))
     outputs = grams["x"] * grams["w"]
     if case == "cate_v":
@@ -349,6 +361,7 @@ def _conditioning_case(case):
 
 @pytest.mark.parametrize("case, rank", [
     ("att_d", "deficient"), ("cate_v", "deficient"), ("discrete_d", 2), ("full_rank", 120),
+    ("outlier_d", "deficient"), ("duplicated", 117),
 ])
 def test_factored_embedding_loss_exact_over_the_default_grid(case, rank):
     # step 4 builds its system from the pivoted-Cholesky factor of the
