@@ -30,7 +30,6 @@ from .effects import (
     estimate_te_baseline,
     kernel_specs,
     run_end_to_end,
-    tuning_reports,
 )
 from .errors import (
     ConfigError,
@@ -97,6 +96,5 @@ __all__ = [
     "theoretical_embedding_penalty",
     "theoretical_schedule",
     "true_curve",
-    "tuning_reports",
     "write_dataset_csv",
 ]

@@ -18,7 +18,6 @@ LAPACK's own buffers aside.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -275,16 +274,11 @@ def theoretical_embedding_penalty(n: int, smoothness: float) -> float:
     return float(n) ** (-1.0 / (smoothness + 1.0))
 
 
-def theoretical_schedule(
-    n: int, m: int, c0: float, c: float, reuse: bool = False
-) -> tuple[float, float]:
-    """Rate-optimal (lam, xi) from the sample sizes and smoothness.
+def theoretical_schedule(n: int, c0: float, c: float) -> tuple[float, float]:
+    """Rate-optimal (lam, xi) for one sample of size n serving both stages.
 
     `c0` is the stage-1 smoothness, `c` the stage-2 smoothness, both in
-    (1, 2]. With sample reuse (m == n) the pair collapses to
-    lam = n^{-1/(c0+1)}, xi = n^{-(c0-1)/((c0+1)(c+3))}; otherwise the
-    xi exponent switches regime at a = (c+3)/(c+1), where
-    a = (c0-1) log n / ((c0+1) log m).
+    (1, 2]: lam = n^{-1/(c0+1)}, xi = n^{-(c0-1)/((c0+1)(c+3))}.
     """
     for val, name in ((c0, "c0"), (c, "c")):
         if not 1.0 < val <= 2.0:
@@ -292,16 +286,5 @@ def theoretical_schedule(
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
     lam = float(n) ** (-1.0 / (c0 + 1.0))
-    if reuse:
-        if m != n:
-            raise InputError("sample reuse requires m == n")
-        xi = float(n) ** (-(c0 - 1.0) / ((c0 + 1.0) * (c + 3.0)))
-        return lam, xi
-    if m < 2:
-        raise InputError(f"need m >= 2, got {m}")
-    a = (c0 - 1.0) * math.log(n) / ((c0 + 1.0) * math.log(m))
-    if a <= (c + 3.0) / (c + 1.0):
-        xi = float(m) ** (-a / (c + 3.0))
-    else:
-        xi = float(m) ** (-1.0 / (c + 1.0))
+    xi = float(n) ** (-(c0 - 1.0) / ((c0 + 1.0) * (c + 3.0)))
     return lam, xi

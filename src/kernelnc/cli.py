@@ -38,7 +38,6 @@ from .effects import (
     EffectRequest,
     TuningPlan,
     run_end_to_end,
-    tuning_reports,
 )
 from .errors import ConfigError, IngestError, InputError, KernelncError
 from .simlab import DESIGN_KINDS, SimDesign, blas_environment, generate, run_experiment
@@ -470,10 +469,15 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_tune(cfg: dict) -> int:
-    est_name = cfg["estimate"]["estimator"]
-    _require(est_name in ESTIMATORS, f"unknown estimator {est_name!r}")
-    lengthscales = _lengthscales(cfg)
+    """Export the penalty searches that `estimate` runs on the same config.
+
+    One pass of the config's estimate with every penalty left to
+    leave-one-out on the tuning grid; tune.csv and the manifest are
+    built from that pass's metadata["tuning"], and no curve is written.
+    """
     grid = _build_tuning(cfg).grid
+    request = _build_request(cfg)
+    lengthscales = _lengthscales(cfg)
     outdir = _prepare_outdir(cfg)
 
     timings: dict[str, float] = {}
@@ -482,22 +486,22 @@ def cmd_tune(cfg: dict) -> int:
     timings["load_data"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reports = tuning_reports(data, est_name, lengthscales, grid)
+    curve = run_end_to_end(
+        data, request, TuningPlan(grid=grid), cfg["estimate"]["estimator"], lengthscales
+    )
     timings["tune"] = time.perf_counter() - t0
 
+    searches = curve.metadata["tuning"]
     rows = []
-    for name in sorted(reports):
-        report = reports[name]
-        for cand, loss in zip(report.grid, report.losses):
-            rows.append(
-                (name, float(cand), float(loss), int(cand == report.selected))
-            )
+    for name, search in searches.items():
+        for cand, loss in zip(search["candidates"], search["losses"]):
+            rows.append((name, cand, loss, int(cand == search["selected"])))
     tune_path = outdir / "tune.csv"
     write_table_csv(tune_path, ["hyperparameter", "candidate", "loss", "selected"], rows)
-    results = {name: reports[name].selected for name in sorted(reports)}
+    results = {name: search["selected"] for name, search in searches.items()}
     _write_manifest(outdir, "tune", cfg, [tune_path.name], timings, results)
-    for name in sorted(reports):
-        print(f"{name}: selected {format_float(reports[name].selected)}")
+    for name, selected in results.items():
+        print(f"{name}: selected {format_float(selected)}")
     print(f"wrote {tune_path}")
     return EXIT_OK
 

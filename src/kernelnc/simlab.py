@@ -30,8 +30,6 @@ from .errors import ConfigError, InputError, KernelncError, NumericalError
 
 DESIGN_KINDS = ("quadratic", "sigmoid", "peaked", "no_confounding", "discrete")
 
-WORKERS_ENV = "KERNELNC_WORKERS"
-
 # Curve-MSE scoring grid for continuous designs: the treatment support,
 # meaning the truncated logistic link range widened by two standard
 # deviations of the additive confounder shift 0.25 * u_w (sd 0.25*sqrt(2)).
@@ -260,18 +258,15 @@ def _aggregate(values: np.ndarray, truth: float | None) -> tuple[float, float, f
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: `workers`, else $KERNELNC_WORKERS, else 1; at least 1."""
-    name, value = "workers", workers
+    """Worker count: `workers`, else 1; at least 1."""
     if workers is None:
-        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
-        if not value:
-            return 1
+        return 1
     try:
-        count = int(value)
-        if count != float(value):
-            raise ValueError(value)
+        count = int(workers)
+        if count != float(workers):
+            raise ValueError(workers)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        raise ConfigError(f"workers must be an integer, got {workers!r}") from None
     return max(1, count)
 
 

@@ -275,7 +275,7 @@ def test_criterion_7_invariant_suite(capsys):
     )
 
     lam_spot = theoretical_embedding_penalty(10000, 2.0)
-    lam_sched, xi_sched = theoretical_schedule(10000, 10000, 2.0, 2.0, reuse=True)
+    lam_sched, xi_sched = theoretical_schedule(10000, 2.0, 2.0)
     spots = (
         abs(lam_spot - 0.0464159) < 1e-6
         and lam_sched == lam_spot

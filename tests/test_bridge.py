@@ -125,20 +125,9 @@ def test_theoretical_penalty_spot_values():
     assert theoretical_embedding_penalty(10000, 2.0) == pytest.approx(
         0.046415888336127795, rel=1e-12
     )
-    lam, xi = theoretical_schedule(10000, 10000, 2.0, 2.0, reuse=True)
+    lam, xi = theoretical_schedule(10000, 2.0, 2.0)
     assert lam == pytest.approx(0.046415888336127795, rel=1e-12)
     assert xi == pytest.approx(0.5411695265464637, rel=1e-12)
-
-
-def test_theoretical_schedule_regimes():
-    # a = (c0-1) ln n / ((c0+1) ln m) = 1 here, under the 5/3 boundary:
-    # xi = m^{-a/(c+3)} = 10^{-1/5}
-    lam, xi = theoretical_schedule(1000, 10, 2.0, 2.0)
-    assert lam == pytest.approx(0.1, rel=1e-12)
-    assert xi == pytest.approx(0.6309573444801932, rel=1e-12)
-    # past n = m^5 the exponent saturates at 1/(c+1)
-    _, xi_sat = theoretical_schedule(10**8, 10, 2.0, 2.0)
-    assert xi_sat == pytest.approx(0.4641588833612779, rel=1e-12)
 
 
 def test_theoretical_schedule_validation():
@@ -147,6 +136,4 @@ def test_theoretical_schedule_validation():
     with pytest.raises(InputError):
         theoretical_embedding_penalty(10000, 2.5)
     with pytest.raises(InputError):
-        theoretical_schedule(100, 50, 2.0, 2.0, reuse=True)
-    with pytest.raises(InputError):
-        theoretical_schedule(1, 50, 2.0, 2.0)
+        theoretical_schedule(1, 2.0, 2.0)

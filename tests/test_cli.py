@@ -165,21 +165,27 @@ def test_smoothness_outside_its_range_is_a_config_error(tmp_path, capsys, tuning
     "tuning, message",
     [({"mode": "bogus"}, "unknown tuning mode 'bogus'"),
      ({"mode": "forced", "lam": "abc"}, "tuning.lam"),
-     ({"c0": 7}, "smoothness c0 must lie in (1, 2]")],
+     ({"c0": 7}, "smoothness c0 must lie in (1, 2]"),
+     ({"grid": 0.1}, "tuning grid must be a non-empty 1-D array"),
+     ({"grid": []}, "tuning grid must be a non-empty 1-D array"),
+     ({"grid": [0.1, -1]}, "tuning grid candidates must be finite and positive"),
+     ({"grid": [[0.1, 1.0]]}, "tuning grid must be a non-empty 1-D array"),
+     ({"grid": [0.1, 0.1, 1.0]}, "tuning grid candidates must be distinct")],
 )
 def test_tune_rejects_the_tuning_section_that_estimate_rejects(
     tmp_path, capsys, tuning, message
 ):
-    # tune reads only the grid from the plan, but checks the whole
-    # section before it writes anything
+    # tune applies only the grid from the plan, but both commands check
+    # the whole section as configuration before they load any data
     out = tmp_path / "out"
     cfg = _write_config(
         tmp_path / "c.yaml",
         {"output_dir": str(out), "data": {"simulate": {"n": 40}}, "tuning": tuning},
     )
-    assert main(["tune", "--config", cfg]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    for command in ("estimate", "tune"):
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 def test_lengthscale_on_a_categorical_column_is_a_runtime_error(tmp_path, capsys):
@@ -223,11 +229,12 @@ def test_non_finite_config_value_is_a_config_error(
     assert f"configuration error: {key} must be finite" in capsys.readouterr().err
 
 
-def test_bad_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KERNELNC_WORKERS", "abc")
-    argv = ["simulate", "--replicates", "1", "--output-dir", str(tmp_path)]
+def test_bad_worker_count_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.yaml", {"workers": "abc"})
+    argv = ["simulate", "--config", cfg, "--replicates", "1",
+            "--output-dir", str(tmp_path)]
     assert main(argv) == EXIT_CONFIG
-    assert "KERNELNC_WORKERS must be an integer" in capsys.readouterr().err
+    assert "workers must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -485,13 +492,42 @@ def test_tune_outputs(tmp_path, capsys):
     assert main(["tune", "--config", cfg]) == EXIT_OK
     rows = _read_csv(out / "tune.csv")
     assert rows[0] == ["hyperparameter", "candidate", "loss", "selected"]
+    # an ate estimate tunes the bridge's two penalties and no embedding
     names = sorted({r[0] for r in rows[1:]})
-    assert names == ["lam", "lam1", "xi"]
+    assert names == ["lam", "xi"]
     for name in names:
         picked = [r for r in rows[1:] if r[0] == name and r[3] == "1"]
         assert len(picked) == 1
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["results"]) == {"lam", "lam1", "xi"}
+    assert set(manifest["results"]) == {"lam", "xi"}
+    assert not (out / "curve.csv").exists()
+    capsys.readouterr()
+
+
+def test_tune_reports_the_selections_of_estimate(tmp_path, capsys):
+    # tune reads the searches of the estimate's own pass, so an att config
+    # reports lam, lam1 and xi with exactly the values estimate selects
+    body = {
+        "seed": 3,
+        "data": {"simulate": {"design": "quadratic", "n": 40}},
+        "estimate": {"effect": "att", "d_value": 0.5, "grid": [0.2, 0.8]},
+        "tuning": {"grid": [0.001, 0.01, 0.1]},
+    }
+    for command in ("estimate", "tune"):
+        out = {"output_dir": str(tmp_path / command)}
+        cfg = _write_config(tmp_path / f"{command}.yaml", {**out, **body})
+        assert main([command, "--config", cfg]) == EXIT_OK
+    estimated = json.loads((tmp_path / "estimate" / "manifest.json").read_text())
+    tuned = json.loads((tmp_path / "tune" / "manifest.json").read_text())
+    assert tuned["results"] == {
+        "lam": estimated["results"]["lambda"],
+        "lam1": estimated["results"]["extra_penalty"],
+        "xi": estimated["results"]["xi"],
+    }
+    rows = _read_csv(tmp_path / "tune" / "tune.csv")[1:]
+    picked = {r[0]: float(r[1]) for r in rows if r[3] == "1"}
+    assert picked == tuned["results"]
+    assert "tuning" not in _read_csv(tmp_path / "estimate" / "curve.csv")[0]
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 """Effect curves from the bridge, the naive baseline, and the runner."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,10 +21,10 @@ from kernelnc.effects import (
     estimate_te_baseline,
     kernel_specs,
     run_end_to_end,
-    tuning_reports,
 )
 from kernelnc.errors import InputError
 from kernelnc.kernels import KernelSpec
+from kernelnc.ridge import DEFAULT_GRID
 from kernelnc.simlab import SimDesign, generate
 
 import oracle_dense as od
@@ -266,7 +267,7 @@ def test_tuning_plan_resolves_every_penalty():
     forced = TuningPlan(mode="forced", lam=0.1, lam2=0.2).penalties(n)
     assert forced == {"lam": 0.1, "xi": None, "lam1": None, "lam2": 0.2}
     theory = TuningPlan(mode="theoretical", c=1.5, c1=1.5).penalties(n)
-    assert (theory["lam"], theory["xi"]) == theoretical_schedule(n, n, 2.0, 1.5, True)
+    assert (theory["lam"], theory["xi"]) == theoretical_schedule(n, 2.0, 1.5)
     assert (theory["lam1"], theory["lam2"]) == (n ** (-1 / 2.5), n ** (-1 / 3))
 
 
@@ -307,29 +308,46 @@ def test_step_tagging_names_the_failing_stage():
         run_end_to_end(data, EffectRequest("ate", grid=GRID))
 
 
-def test_tuning_reports_cover_every_penalty(fitted_v):
-    data, _, _ = fitted_v
+@pytest.mark.parametrize(
+    "estimator, kind, forced, names",
+    [("nc", "att", {}, {"lam", "lam1", "xi"}),
+     ("nc", "cate", {}, {"lam", "lam2", "xi"}),
+     ("te", "ate", {}, {"lam"}),
+     ("nc", "att", {"lam1": 0.07}, {"lam", "xi"}),
+     ("nc", "att", {"lam": 0.05, "xi": 0.02, "lam1": 0.07}, set()),
+     ("te", "ate", {"lam": 0.05}, set())],
+    ids=["att", "cate", "te", "att-lam1-forced", "att-all-forced", "te-forced"],
+)
+def test_metadata_records_the_search_of_each_tuned_penalty(
+    fitted_v, estimator, kind, forced, names
+):
+    # the pass records what it tuned, and only that, as plain floats
+    data = fitted_v[0]
     cands = np.array([1e-3, 1e-1])
-    reports = tuning_reports(data, candidates=cands)
-    assert set(reports) == {"lam", "xi", "lam1", "lam2"}
-    for rep in reports.values():
-        np.testing.assert_array_equal(rep.grid, cands)
-        assert rep.selected in cands
-    te_reports = tuning_reports(data, estimator="te", candidates=cands)
-    assert set(te_reports) == {"lam"}
+    request = EffectRequest(kind, grid=GRID, d_value=0.3, v_value=0.1)
+    plan = TuningPlan(mode="forced", grid=cands, **forced)
+    meta = run_end_to_end(data, request, plan, estimator).metadata
+    assert set(meta["tuning"]) == names
+    selected = {"lam": meta["lam"], "xi": meta["xi"],
+                "lam1": meta["extra_penalty"], "lam2": meta["extra_penalty"]}
+    for name, search in meta["tuning"].items():
+        assert search["candidates"] == cands.tolist()
+        assert len(search["losses"]) == cands.size
+        assert search["selected"] == selected[name]
+        values = [*search["candidates"], *search["losses"], search["selected"]]
+        assert all(type(v) is float for v in values)
+    assert json.loads(json.dumps(meta["tuning"])) == meta["tuning"]
 
 
-def test_tuning_reports_select_what_the_runner_records(fitted_v):
-    data, _, _ = fitted_v
-    selected = {name: rep.selected for name, rep in tuning_reports(data).items()}
-    for kind, extra, request in (
-        ("att", "lam1", EffectRequest("att", grid=GRID, d_value=0.3)),
-        ("cate", "lam2", EffectRequest("cate", grid=GRID, v_value=0.1)),
-    ):
-        meta = run_end_to_end(data, request).metadata
-        assert (meta["lam"], meta["xi"], meta["extra_penalty"]) == (
-            selected["lam"], selected["xi"], selected[extra]
-        ), kind
+def test_metadata_search_runs_on_the_default_grid(fitted):
+    meta = run_end_to_end(fitted[0], EffectRequest("ate", grid=GRID)).metadata
+    assert set(meta["tuning"]) == {"lam", "xi"}
+    for name in ("lam", "xi"):
+        search = meta["tuning"][name]
+        assert search["candidates"] == DEFAULT_GRID.tolist()
+        assert search["selected"] == meta[name]
+        best = int(np.argmin(search["losses"]))
+        assert search["candidates"][best] == search["selected"]
 
 
 @pytest.mark.parametrize("kind, query", [("att", 0.2), ("cate", 0.1)])

@@ -222,18 +222,12 @@ def test_run_experiment_validation():
         run_experiment(SimDesign(), replicates=1, seed=1, estimators=("ols",))
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("KERNELNC_WORKERS", raising=False)
+def test_resolve_workers():
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 4
-    monkeypatch.setenv("KERNELNC_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
+    assert resolve_workers(0) == 1
     with pytest.raises(ConfigError, match="workers must be an integer"):
         resolve_workers("two")
     with pytest.raises(ConfigError, match="workers must be an integer, got 2.7"):
         resolve_workers(2.7)
-    monkeypatch.setenv("KERNELNC_WORKERS", "abc")
-    with pytest.raises(ConfigError, match="KERNELNC_WORKERS must be an integer"):
-        resolve_workers(None)
 
