@@ -11,7 +11,6 @@ kernel ridge baseline on designs with known counterfactual curves.
 from .bridge import (
     BridgeModel,
     bridge_products,
-    compute_grams,
     fit_bridge,
     project_stage1,
     solve_coef,
@@ -73,7 +72,6 @@ __all__ = [
     "TuneReport",
     "TuningPlan",
     "bridge_products",
-    "compute_grams",
     "estimate_ate",
     "estimate_att",
     "estimate_cate",

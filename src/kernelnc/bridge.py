@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -34,45 +34,51 @@ ROLES = ("d", "x", "z", "w", "v")
 
 @contextmanager
 def _step(num: int, label: str):
-    """Tag package errors with the pipeline step that raised them."""
+    """Tag package errors with the pipeline step that raised them; an
+    error that an inner step already tagged passes through unchanged."""
     try:
         yield
     except (InputError, NumericalError, DegenerateScaleError) as err:
+        if str(err).startswith("step "):
+            raise
         raise type(err)(f"step {num} ({label}): {err}") from err
 
 
-def compute_grams(
-    data: Dataset,
-    specs: Mapping[str, KernelSpec],
-    roles: Sequence[str] = ROLES,
-) -> dict[str, np.ndarray]:
-    """role -> n x n Gram over `data`, for each of `roles` the data has.
+def _search(
+    reports: dict[str, TuneReport],
+    name: str,
+    penalty: float | None,
+    loss: Callable[[], TuneReport],
+) -> float:
+    """`penalty` as a float, or, when it is None, the selection of the
+    leave-one-out search `loss()`, whose report is kept as reports[name].
 
-    The pipeline builds its Grams through a :class:`GramSet`, one role
-    per call, at the step that first reads it.
+    Every penalty search of a pass runs here, as step 2.
     """
-    roles = [role for role in roles if data.has_role(role)]
-    missing = set(roles).difference(specs)
-    if missing:
-        raise InputError(f"kernel specs missing for roles {sorted(missing)}")
-    blocks = {role: data.block(role) for role in roles}
-    return {role: gram(b, b, specs[role]) for role, b in blocks.items()}
+    if penalty is None:
+        with _step(2, "penalty tuning"):
+            reports[name] = loss()
+        penalty = reports[name].selected
+    return float(penalty)
 
 
 class GramSet:
     """The training-sample Grams of one call, each built at its first read.
 
-    `grams[role]` builds the role's n x n Gram through
-    :func:`compute_grams` and keeps it; `grams.pop(role)` hands it over
-    for the last time, so that the reader can multiply in its buffer and
-    the set no longer holds it. `role in grams` is true for every role
-    the data has that was not popped. The set is never kept beyond the
-    call that made it, and a popped role is not built again.
+    `grams[role]` builds the role's n x n Gram and keeps it;
+    `grams.pop(role)` hands it over for the last time, so that the
+    reader can multiply in its buffer and the set no longer holds it.
+    `role in grams` is true for every role the data has that was not
+    popped. The set is never kept beyond the call that made it, and a
+    popped role is not built again.
     """
 
     def __init__(self, data: Dataset, specs: Mapping[str, KernelSpec]):
         self._data, self._specs = data, specs
         self._roles = [role for role in ROLES if data.has_role(role)]
+        missing = set(self._roles).difference(specs)
+        if missing:
+            raise InputError(f"kernel specs missing for roles {sorted(missing)}")
         self._built: dict[str, np.ndarray] = {}
 
     def __contains__(self, role: str) -> bool:
@@ -82,7 +88,8 @@ class GramSet:
         if role not in self._built:
             if role not in self._roles:
                 raise KeyError(role)
-            self._built.update(compute_grams(self._data, self._specs, (role,)))
+            block = self._data.block(role)
+            self._built[role] = gram(block, block, self._specs[role])
         return self._built[role]
 
     def pop(self, role: str) -> np.ndarray:
@@ -92,13 +99,13 @@ class GramSet:
         return gram_
 
 
-def bridge_products(grams) -> tuple[np.ndarray, np.ndarray]:
+def bridge_products(grams: GramSet) -> tuple[np.ndarray, np.ndarray]:
     """The stage-1 Gram A over (d, x, z[, v]) and the stage-2 core over (d, x[, v]).
 
     The stage-2 core is the stage-1 product with the control-exposure
     factor dropped. Both multiply in role order, (d, x, z, v), in the
-    buffers of the d and z Grams; each entry is popped from `grams`, a
-    :class:`GramSet` or a dict, and released once it is multiplied in.
+    buffers of the d and z Grams; each entry is popped from `grams` and
+    released once it is multiplied in.
 
     z is built before x is released. The allocator then has x's freed
     buffer, exactly n x n, for the stage-1 eigenvectors, which places A
@@ -200,18 +207,16 @@ class BridgeModel:
 def tune_and_fit(
     data: Dataset,
     specs: Mapping[str, KernelSpec],
-    grams,
+    grams: GramSet,
+    w_factor: np.ndarray,
     lam: float | None = None,
     xi: float | None = None,
     grid=None,
-    w_factor: np.ndarray | None = None,
 ) -> tuple[BridgeModel, dict[str, TuneReport]]:
     """The bridge's tuning sequence lam -> project_stage1 -> xi -> solve_coef.
 
-    `grams` is the call's :class:`GramSet` (or a dict from
-    :func:`compute_grams`). The products consume its d, x, z[, v]
-    entries; unless the caller passes the factor of K_ww as `w_factor`,
-    the w entry is popped and factored in its own buffer first. Every
+    The products consume the d, x, z[, v] entries of `grams`, and
+    `w_factor` is the factor of K_ww (see :func:`gram_factor`). Every
     penalty left as None is selected by closed-form leave-one-out on
     `grid`.
 
@@ -224,33 +229,22 @@ def tune_and_fit(
     carry the number of the pipeline step that raised them.
     """
     reports: dict[str, TuneReport] = {}
-    if w_factor is None:
-        with _step(3, "bridge fit"):
-            w_factor = gram_factor(grams.pop("w"))
     A, core = bridge_products(grams)
     stage1 = RidgeSystem(A)
     del A  # the system holds it until its eigendecomposition
-    if lam is None:
-        with _step(2, "penalty tuning"):
-            reports["lam"] = stage1.loo_embedding(w_factor, grid)
-        lam = reports["lam"].selected
+    lam = _search(reports, "lam", lam, lambda: stage1.loo_embedding(w_factor, grid))
     with _step(3, "bridge fit"):
         projected_w, M = project_stage1(stage1, core, w_factor, lam)
     del core
     stage2 = RidgeSystem(M)
     del M
-    if xi is None:
-        with _step(2, "penalty tuning"):
-            reports["xi"] = stage2.loo_scalar(data.y, grid)
-        xi = reports["xi"].selected
+    xi = _search(reports, "xi", xi, lambda: stage2.loo_scalar(data.y, grid))
     with _step(3, "bridge fit"):
         coef = solve_coef(stage2, data.y, xi)
     del stage2
     roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
     kept = {role: specs[role] for role in roles}
-    model = BridgeModel(
-        data, kept, float(lam), float(xi), stage1, projected_w, coef, w_factor
-    )
+    model = BridgeModel(data, kept, lam, xi, stage1, projected_w, coef, w_factor)
     return model, reports
 
 
@@ -262,7 +256,10 @@ def fit_bridge(
     Solve failures carry a stage tag so callers can tell which linear
     system was at fault.
     """
-    return tune_and_fit(data, specs, GramSet(data, specs), lam, xi)[0]
+    grams = GramSet(data, specs)
+    with _step(3, "bridge fit"):
+        w_factor = gram_factor(grams.pop("w"))
+    return tune_and_fit(data, specs, grams, w_factor, lam, xi)[0]
 
 
 def theoretical_embedding_penalty(n: int, smoothness: float) -> float:

@@ -159,7 +159,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["seed"] = args.seed
     if args.output_dir is not None:
         cfg["output_dir"] = args.output_dir
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         cfg["workers"] = args.workers
     if getattr(args, "replicates", None) is not None:
         cfg["simulate"]["replicates"] = args.replicates
@@ -526,13 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, help="master random seed")
     common.add_argument("--output-dir", help="directory for outputs and manifest")
-    common.add_argument("--workers", type=int, help="parallel worker count")
 
     p_est = sub.add_parser("estimate", parents=[common], help="fit and export a curve")
     p_est.add_argument("--data-path", help="CSV dataset path (overrides config)")
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo study")
     p_sim.add_argument("--replicates", type=int, help="replicate count override")
+    p_sim.add_argument("--workers", type=int, help="parallel worker count")
 
     p_tune = sub.add_parser("tune", parents=[common], help="export penalty-search grids")
     p_tune.add_argument("--data-path", help="CSV dataset path (overrides config)")

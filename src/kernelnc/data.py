@@ -228,10 +228,18 @@ def _continuous(cells: list[str], name: str, violations: list[str]) -> np.ndarra
     return out
 
 
-def ingest(path, schema: Schema) -> Dataset:
-    """Read a CSV under a schema, reporting every violation at once."""
-    path = Path(path)
-    header, body = _read_rows(path)
+def _read_columns(
+    path, pairs: Sequence[tuple[str, str]], categorical=frozenset(), problems=()
+) -> tuple[np.ndarray, dict[str, dict[str, int]]]:
+    """The columns that (name, role) `pairs` assign, read from a CSV file.
+
+    Returns one value column per pair, in order, and the label -> code
+    map of each `categorical` column. Every violation is reported at
+    once: a repeated header name, a name assigned twice or absent from
+    the header, the caller's own `problems` and an empty body first,
+    then every missing, non-numeric or non-finite cell.
+    """
+    header, body = _read_rows(Path(path))
     violations: list[str] = []
     seen: dict[str, int] = {}
     for i, name in enumerate(header):
@@ -239,24 +247,24 @@ def ingest(path, schema: Schema) -> Dataset:
             violations.append(f"duplicate header column {name!r}")
         seen[name] = i
     assigned: dict[str, str] = {}
-    for name, role in schema.role_of():
+    for name, role in pairs:
         if name in assigned:
             violations.append(f"column {name!r} assigned to both "
                               f"{assigned[name]!r} and {role!r}")
         assigned[name] = role
         if name not in seen:
             violations.append(f"{role!r} column {name!r} not found in header")
+    violations.extend(problems)
     if not body:
         violations.append("no data rows")
     if violations:
         raise IngestError(violations)
 
-    order = [name for name, _ in schema.role_of()]
-    values = np.empty((len(body), len(order)))
+    values = np.empty((len(body), len(pairs)))
     label_maps: dict[str, dict[str, int]] = {}
-    for j, name in enumerate(order):
+    for j, (name, _) in enumerate(pairs):
         cells = _column_cells(body, seen[name], name, violations)
-        if name in schema.categorical:
+        if name in categorical:
             labels = sorted(set(c for c in cells if c != ""))
             label_maps[name] = {lab: code for code, lab in enumerate(labels)}
             values[:, j] = [label_maps[name].get(cell, np.nan) for cell in cells]
@@ -264,10 +272,15 @@ def ingest(path, schema: Schema) -> Dataset:
             values[:, j] = _continuous(cells, name, violations)
     if violations:
         raise IngestError(violations)
+    return values, label_maps
 
+
+def ingest(path, schema: Schema) -> Dataset:
+    """Read a CSV under a schema, reporting every violation at once."""
+    pairs = schema.role_of()
+    values, label_maps = _read_columns(path, pairs, schema.categorical)
     columns = []
-    for name in order:
-        role = assigned[name]
+    for name, role in pairs:
         if name in schema.categorical:
             labels = tuple(sorted(label_maps[name], key=label_maps[name].get))
             columns.append(Column(name, role, True, labels))
@@ -311,31 +324,15 @@ def population_from_csv(path, columns: Mapping[str, Sequence[str]]) -> dict[str,
     """Read an alternative population: named x/w (and optional v) blocks.
 
     Relaxed counterpart to :func:`ingest` for distribution-shift targets,
-    which carry no outcome or treatment; cells must be finite floats,
-    as in a continuous column of :func:`ingest`.
+    which carry no outcome or treatment; the header, the assignment and
+    every cell are checked as for a continuous column of :func:`ingest`.
     """
-    path = Path(path)
-    header, body = _read_rows(path)
-    violations: list[str] = []
-    seen = {name: i for i, name in enumerate(header)}
-    wanted: list[tuple[str, str]] = []
-    for role in ("x", "w", "v"):
-        for name in columns.get(role, ()):
-            if name not in seen:
-                violations.append(f"{role!r} column {name!r} not found in header")
-            wanted.append((name, role))
-    if not columns.get("x") or not columns.get("w"):
-        violations.append("population needs at least one 'x' and one 'w' column")
-    if not body:
-        violations.append("no data rows")
-    if violations:
-        raise IngestError(violations)
-    out: dict[str, list[np.ndarray]] = {"x": [], "w": [], "v": []}
-    for name, role in wanted:
-        cells = _column_cells(body, seen[name], name, violations)
-        out[role].append(_continuous(cells, name, violations))
-    if violations:
-        raise IngestError(violations)
+    roles = [role for role in ("x", "w", "v") if columns.get(role)]
+    pairs = [(name, role) for role in roles for name in columns[role]]
+    problems = [] if {"x", "w"} <= set(roles) else [
+        "population needs at least one 'x' and one 'w' column"]
+    values, _ = _read_columns(path, pairs, problems=problems)
     return {
-        role: np.column_stack(cols) for role, cols in out.items() if cols
+        role: values[:, [j for j, (_, r) in enumerate(pairs) if r == role]]
+        for role in roles
     }

@@ -28,6 +28,7 @@ import numpy as np
 from .bridge import (
     BridgeModel,
     GramSet,
+    _search,
     _step,
     theoretical_embedding_penalty,
     theoretical_schedule,
@@ -294,7 +295,7 @@ def _read_x(grams, kind: str, weights: np.ndarray, w_factor: np.ndarray) -> np.n
 def _embedding(
     data: Dataset,
     specs: Mapping[str, KernelSpec],
-    grams: Mapping[str, np.ndarray],
+    grams: GramSet,
     kind: str,
     query,
     penalty: float | None = None,
@@ -322,14 +323,16 @@ def _embedding(
         if role not in grams:
             raise InputError(f"{kind} needs a dataset with {role!r} columns")
         system = RidgeSystem(factor=gram_factor(grams[role].copy()))
-        if penalty is None:
+
+        def loss():
             outputs = grams["x"] * grams["w"]
             if role == "d" and "v" in grams:
                 outputs *= grams["v"]
             factor = gram_factor(outputs)
             del outputs
-            reports[name] = system.loo_embedding(factor, grid)
-            penalty = reports[name].selected
+            return system.loo_embedding(factor, grid)
+
+        penalty = _search(reports, name, penalty, loss)
         if role == "d":
             point = np.asarray([[float(query)]])
         else:
@@ -337,8 +340,8 @@ def _embedding(
             if point.shape[0] != 1:
                 raise InputError("cate takes a single v point")
         kq = gram(data.block(role), point, specs[role])
-        weights = system.solve(data.n * float(penalty), kq)[:, 0]
-    return weights, (kq[:, 0] if role == "v" else None), float(penalty), reports
+        weights = system.solve(data.n * penalty, kq)[:, 0]
+    return weights, (kq[:, 0] if role == "v" else None), penalty, reports
 
 
 def _nc_curve(
@@ -384,8 +387,8 @@ def _nc_curve(
             reads = _read_x(grams, kind, weights, w_factor)
     if model is None:
         model, bridge_reports = tune_and_fit(
-            data, specs, grams, penalties.get("lam"), penalties.get("xi"), candidates,
-            w_factor,
+            data, specs, grams, w_factor, penalties.get("lam"), penalties.get("xi"),
+            candidates,
         )
         reports.update(bridge_reports)
     with _step(5, "effect evaluation"):
@@ -480,11 +483,9 @@ def _te_fit(
     system = RidgeSystem(full)
     del full  # the system releases it after its eigendecomposition
     reports: dict[str, TuneReport] = {}
-    if lam is None:
-        reports["lam"] = system.loo_scalar(y, candidates)
-        lam = reports["lam"].selected
-    coef = system.solve(data.n * float(lam), y)
-    return coef, rest_mean, float(lam), reports
+    lam = _search(reports, "lam", lam, lambda: system.loo_scalar(y, candidates))
+    coef = system.solve(data.n * lam, y)
+    return coef, rest_mean, lam, reports
 
 
 def estimate_te_baseline(
@@ -516,7 +517,8 @@ def run_end_to_end(
 
     Steps are numbered in errors: (1) kernel selection, (2) penalty
     tuning, (3) bridge fit, (4) embedding weights, (5) effect
-    evaluation. The same data serves both bridge stages.
+    evaluation. Every penalty search is step 2, whichever step reads
+    its penalty. The same data serves both bridge stages.
     """
     tuning = tuning if tuning is not None else TuningPlan()
     if estimator not in ESTIMATORS:

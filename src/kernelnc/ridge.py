@@ -190,10 +190,12 @@ class RidgeSystem:
         )
 
     def _cholesky(self, shift: float) -> tuple | None:
-        shifted = self.kernel.copy()
+        # dpotrf factors a Fortran-ordered copy in place; a view of K.T
+        # would save the copy but make it read the upper triangle
+        shifted = np.array(self.kernel, order="F")
         shifted.flat[:: self.n + 1] += shift
         try:
-            return scipy.linalg.cho_factor(shifted, lower=True)
+            return scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError:
             return None
 

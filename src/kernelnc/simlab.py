@@ -209,20 +209,18 @@ def blas_environment() -> dict:
     return {**builds, "threads": threads}
 
 
-def _scoped_score(design, seed, replicate, estimators, tuning, limit_threads):
-    limits = _threadpool_limits() if limit_threads else None
+def _pin_blas() -> None:
+    """Pool initializer: worker processes share the CPUs, so each one
+    runs BLAS on one thread and the pool does not oversubscribe it."""
+    limits = _threadpool_limits()
     if limits is not None:
-        # Worker processes share the CPUs; keep each one single
-        # threaded so the pool does not oversubscribe BLAS.
-        with limits(limits=1):
-            return score_replicate(design, seed, replicate, estimators, tuning)
-    return score_replicate(design, seed, replicate, estimators, tuning)
+        limits(limits=1)
 
 
 def _worker(args) -> tuple[int, dict[str, float] | None, str | None]:
-    design, seed, replicate, estimators, tuning, limit_threads = args
+    design, seed, replicate, estimators, tuning = args
     try:
-        return replicate, _scoped_score(design, seed, replicate, estimators, tuning, limit_threads), None
+        return replicate, score_replicate(design, seed, replicate, estimators, tuning), None
     except KernelncError as err:
         return replicate, None, str(err)
 
@@ -296,14 +294,11 @@ def run_experiment(
         if est not in ESTIMATORS:
             raise InputError(f"unknown estimator {est!r}")
     nworkers = resolve_workers(workers)
-    jobs = [
-        (design, seed, rep, tuple(estimators), tuning, nworkers > 1)
-        for rep in range(replicates)
-    ]
+    jobs = [(design, seed, rep, tuple(estimators), tuning) for rep in range(replicates)]
     results: dict[int, dict[str, float]] = {}
     failures: list[tuple[int, str]] = []
     if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(max_workers=nworkers, initializer=_pin_blas) as pool:
             outcomes = list(pool.map(_worker, jobs))
     else:
         outcomes = [_worker(job) for job in jobs]

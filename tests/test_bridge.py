@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kernelnc.bridge import (
+    GramSet,
     bridge_products,
-    compute_grams,
     fit_bridge,
     project_stage1,
     solve_coef,
@@ -39,7 +39,7 @@ def test_identity_gram_hand_instance():
     # gives alpha = 2y
     data = _indicator_dataset()
     specs = _indicator_specs()
-    grams = compute_grams(data, specs)
+    grams = GramSet(data, specs)
     A, core = bridge_products(grams)
     np.testing.assert_array_equal(A, np.eye(3))
 
@@ -59,11 +59,13 @@ def test_identity_gram_hand_instance():
 def test_tune_and_fit_keeps_only_the_factor_of_k_ww():
     data = _random_dataset(np.random.default_rng(59), 30)
     specs = kernel_specs(data)
-    grams = compute_grams(data, specs)
+    grams = GramSet(data, specs)
     K_ww = grams["w"].copy()
-    model, _ = tune_and_fit(data, specs, grams, 0.1, 0.05)
-    assert "w" not in grams
+    w_factor = gram_factor(grams.pop("w"))
+    model, _ = tune_and_fit(data, specs, grams, w_factor, 0.1, 0.05)
+    assert not any(role in grams for role in ("d", "x", "z", "w"))
     L = model.w_factor
+    assert L is w_factor
     np.testing.assert_allclose(L @ L.T, K_ww, rtol=0.0, atol=1e-13)
 
 
@@ -88,7 +90,7 @@ def _assert_stages_match(data, specs, model, fit):
     n = data.n
     B = model.stage1.smooth(n * model.lam, np.eye(n))
     np.testing.assert_allclose(B, fit["B"], rtol=1e-9)
-    grams = compute_grams(data, specs)
+    grams = GramSet(data, specs)
     A, core = bridge_products(grams)
     _, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), model.lam)
     np.testing.assert_allclose(M, fit["M"], rtol=1e-9)

@@ -457,6 +457,15 @@ def test_flag_precedence_over_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["estimate", "tune"])
+def test_workers_flag_is_simulate_only(command, capsys):
+    # only simulate runs a worker pool; elsewhere the flag is unknown
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--workers", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_manifest_rerun_is_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "one"
     cfg = _write_config(

@@ -153,6 +153,12 @@ def test_population_from_csv(tmp_path):
         population_from_csv(path, {"w": ("w",)})
     with pytest.raises(IngestError, match="not found"):
         population_from_csv(path, {"x": ("x9",), "w": ("w",)})
+    # the header and assignment checks of ingest
+    with pytest.raises(IngestError, match="assigned to both 'x' and 'w'"):
+        population_from_csv(path, {"x": ("w",), "w": ("w",)})
+    path.write_text("a,a,w\n0.1,0.2,0.3\n")
+    with pytest.raises(IngestError, match="duplicate header column 'a'"):
+        population_from_csv(path, {"x": ("a",), "w": ("w",)})
 
 
 def test_population_from_csv_collects_every_bad_cell(tmp_path):

@@ -22,7 +22,7 @@ from kernelnc.effects import (
     kernel_specs,
     run_end_to_end,
 )
-from kernelnc.errors import InputError
+from kernelnc.errors import InputError, NumericalError
 from kernelnc.kernels import KernelSpec
 from kernelnc.ridge import DEFAULT_GRID
 from kernelnc.simlab import SimDesign, generate
@@ -297,6 +297,35 @@ def test_run_end_to_end_theoretical_mode(fitted):
         assert curve.metadata["lam"] == data.n ** (-1.0 / 3.0), estimator
 
 
+@pytest.mark.parametrize(
+    "estimator, kind, forced, searched",
+    [("te", "ate", {}, ("scalar_loocv", False)),
+     ("nc", "ate", {}, ("embedding_loocv", False)),
+     ("nc", "ate", {"lam": 0.05}, ("scalar_loocv", False)),
+     ("nc", "att", {}, ("embedding_loocv", True)),
+     ("nc", "cate", {}, ("embedding_loocv", True))],
+    ids=["te-lam", "nc-lam", "nc-xi", "att-lam1", "cate-lam2"],
+)
+def test_every_penalty_search_fails_as_step_2(
+    monkeypatch, fitted_v, estimator, kind, forced, searched
+):
+    # a failed search carries the penalty-tuning tag, and no tag of the
+    # step that reads its penalty
+    calls = []
+
+    def failing(self, g, loss_kind, L):
+        calls.append((loss_kind, self.factor is not None))
+        raise NumericalError("loss failed")
+
+    monkeypatch.setattr(effects.RidgeSystem, "_tune", failing)
+    request = EffectRequest(kind, grid=GRID, d_value=0.3, v_value=0.1)
+    plan = TuningPlan(mode="forced", **forced)
+    with pytest.raises(NumericalError) as err:
+        run_end_to_end(fitted_v[0], request, plan, estimator)
+    assert str(err.value) == "step 2 (penalty tuning): loss failed"
+    assert calls == [searched]
+
+
 def test_step_tagging_names_the_failing_stage():
     rng = np.random.default_rng(89)
     n = 12
@@ -357,12 +386,12 @@ def test_embedding_leaves_the_gram_set_unchanged(fitted_v, kind, query, penalty)
     # works in place, and the bridge's products read K_dd and K_vv after it
     data = fitted_v[0]
     specs = kernel_specs(data)
-    grams = bridge.compute_grams(data, specs)
-    before = {role: g.copy() for role, g in grams.items()}
+    grams = bridge.GramSet(data, specs)
+    before = {role: grams[role].copy() for role in bridge.ROLES}
     weights, _, _, _ = effects._embedding(data, specs, grams, kind, query, penalty)
     assert np.all(np.isfinite(weights))
-    assert grams.keys() == before.keys()
     for role, g in before.items():
+        assert role in grams, role
         np.testing.assert_array_equal(grams[role], g, err_msg=role)
 
 
@@ -380,7 +409,7 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
     monkeypatch.setattr(effects.RidgeSystem, "_with_jitter", recorded)
     data = generate(SimDesign("discrete", n=40), 5)
     specs = kernel_specs(data)
-    grams = bridge.compute_grams(data, specs)
+    grams = bridge.GramSet(data, specs)
     weights, _, penalty, _ = effects._embedding(data, specs, grams, "att", 1.0, 0.0)
     assert penalty == 0.0 and np.all(np.isfinite(weights))
     assert {id(s) for s in systems} == {id(systems[0])}
@@ -388,22 +417,29 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
     assert systems[0].jitter > 0.0
 
 
-@pytest.mark.parametrize("estimator, bound", [("nc", 5.0), ("te", 3.0)])
-def test_ate_fit_holds_few_n_by_n_arrays(estimator, bound):
+@pytest.mark.parametrize(
+    "estimator, plan, bound",
+    [("nc", None, 5.0), ("te", None, 3.0),
+     ("nc", TuningPlan("forced", lam=0.05, xi=0.02), 4.0),
+     ("te", TuningPlan("forced", lam=0.05), 2.8)],
+    ids=["nc-5.0", "te-3.0", "nc-forced-4.0", "te-forced-2.8"],
+)
+def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
     """Peak numpy memory of one ATE fit, in n x n arrays.
 
     The bridge never forms its n x n smoother and builds each role Gram
     just before its first reader; the baseline takes its row means
     before it multiplies in d. numpy's eigh copies its input and takes
     a workspace of about 2 n^2 doubles through malloc, which tracemalloc
-    does not see: about 3 n x n more sit on top of this peak.
+    does not see: about 3 n x n more sit on top of this peak. A forced
+    fit solves by Cholesky, which factors its one shifted copy in place.
     """
     n = 300
     data = generate(SimDesign("quadratic", n=n), 1)
     request = EffectRequest("ate", grid_size=5)
     tracemalloc.start()
     try:
-        run_end_to_end(data, request, estimator=estimator)
+        run_end_to_end(data, request, plan, estimator=estimator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kernelnc.bridge import bridge_products, compute_grams, project_stage1
+from kernelnc.bridge import GramSet, bridge_products, project_stage1
 from kernelnc.data import from_arrays
 from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from kernelnc.errors import InputError, NumericalError
@@ -225,7 +225,7 @@ def test_loocv_exact_over_the_default_grid():
     # the whole shipped grid, down to 1e-8, on a quadratic-design stage-1
     # Gram A with output Gram K_ww and the stage-2 kernel M with outcomes y
     data = generate(SimDesign("quadratic", n=40), 1)
-    grams = compute_grams(data, kernel_specs(data))
+    grams = GramSet(data, kernel_specs(data))
     A, core = bridge_products(grams)
     emb = RidgeSystem(A).loo_embedding(gram_factor(np.array(grams["w"])))
     np.testing.assert_allclose(
@@ -244,7 +244,7 @@ def test_scalar_loss_exact_on_the_baselines_near_interpolating_gram():
     # its loss is smallest at the grid floor; the closed form must still
     # match brute-force refits there
     data = generate(SimDesign("no_confounding", n=60), 271828)
-    grams = compute_grams(data, kernel_specs(data))
+    grams = GramSet(data, kernel_specs(data))
     K = grams["d"] * grams["x"] * grams["z"] * grams["w"]
     report = RidgeSystem(K).loo_scalar(data.y)
     np.testing.assert_allclose(
@@ -258,7 +258,7 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     # the loss read through its n x r factor matches brute-force refits
     # on the dense Gram over the whole shipped grid
     data = generate(SimDesign("quadratic", n=200), 2)
-    grams = compute_grams(data, kernel_specs(data))
+    grams = GramSet(data, kernel_specs(data))
     A, _ = bridge_products(grams)
     K_ww = grams["w"].copy()
     factor = gram_factor(grams.pop("w"))
@@ -350,7 +350,7 @@ def _conditioning_case(case):
         d[0] = d.max() + 5.0 * d.std()
         data = from_arrays(data.y, d, data.block("x"), data.block("z"), data.block("w"),
                            v=data.block("v"))
-    grams = compute_grams(data, kernel_specs(data))
+    grams = GramSet(data, kernel_specs(data))
     outputs = grams["x"] * grams["w"]
     if case == "cate_v":
         return grams["v"], outputs
