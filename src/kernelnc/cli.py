@@ -101,9 +101,10 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown configuration key {where!r}")
-        # An empty default mapping (kernels.lengthscales) takes any keys.
-        if base[key] and isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(base[key], value, where)
+        if isinstance(base[key], dict):
+            _require(isinstance(value, dict), f"{where} must be a mapping, got {value!r}")
+            # An empty default mapping (kernels.lengthscales) takes any keys.
+            out[key] = _deep_merge(base[key], value, where) if base[key] else value
         else:
             out[key] = value
     return out
@@ -263,7 +264,9 @@ def load_dataset(cfg: dict) -> Dataset:
     if data_cfg["path"] is not None:
         return ingest(data_cfg["path"], _build_schema(data_cfg))
     if data_cfg["simulate"] is not None:
-        sim = dict(data_cfg["simulate"])
+        sim = data_cfg["simulate"]
+        _require(isinstance(sim, dict), f"data.simulate must be a mapping, got {sim!r}")
+        sim = dict(sim)
         replicate = _number(sim.pop("replicate", 0), "data.simulate.replicate", int)
         unknown = set(sim).difference(_SIM_KEYS)
         _require(not unknown, f"unknown data.simulate keys {sorted(unknown)}")
@@ -313,10 +316,8 @@ def _build_request(cfg: dict) -> EffectRequest:
 
 
 def _lengthscales(cfg: dict) -> dict[str, float]:
-    raw = cfg["kernels"]["lengthscales"]
-    _require(isinstance(raw, dict), "kernels.lengthscales must be a mapping")
     out = {}
-    for name, value in raw.items():
+    for name, value in cfg["kernels"]["lengthscales"].items():
         value = _number(value, f"kernels.lengthscales.{name}")
         _require(value > 0, f"lengthscale for {name!r} must be > 0")
         out[str(name)] = value
@@ -406,7 +407,10 @@ def cmd_simulate(cfg: dict) -> int:
     tuning = _build_tuning(cfg)
     sim = cfg["simulate"]
     design = _build_design(sim)
-    estimators = list(sim["estimators"])
+    estimators = sim["estimators"]
+    _require(
+        isinstance(estimators, list), f"simulate.estimators must be a list, got {estimators!r}"
+    )
     for est in estimators:
         _require(est in ESTIMATORS, f"unknown estimator {est!r}")
     replicates = _number(sim["replicates"], "simulate.replicates", int)

@@ -322,7 +322,7 @@ def _embedding(
     with _step(4, "embedding weights"):
         if role not in grams:
             raise InputError(f"{kind} needs a dataset with {role!r} columns")
-        system = RidgeSystem(factor=gram_factor(grams[role].copy()))
+        system = RidgeSystem(factor=gram_factor(grams[role]))
 
         def loss():
             outputs = grams["x"] * grams["w"]

@@ -27,11 +27,12 @@ digits at high-leverage points. Where a point's leverage nears 1, the
 suite checks this loss against the same brute-force refits to 1e-8
 over the whole shipped grid, as it does at duplicated points.
 
-Dense eigendecompositions, and the products around them, stay on
-numpy's LAPACK; scipy is used only for dpstrf and for the Cholesky
-route. scipy links a second OpenBLAS with its own thread pool, and a
-scipy call between numpy calls makes the two pools spin against each
-other on a small machine.
+Every tuned pass runs on numpy's LAPACK alone: the eigendecompositions,
+the pivoted-Cholesky factors and the products around them. scipy serves
+only the Cholesky route of a dense system that was never tuned (a
+forced or theoretical penalty). scipy links a second OpenBLAS with its
+own thread pool, and a scipy call between numpy calls makes the two
+pools spin against each other on a small machine.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ DEFAULT_GRID = np.logspace(-8.0, 2.0, 20)
 
 _JITTER_UNIT = 1e-12  # first retry adds 1e-12 * mean(diag), then 10x per retry
 _MAX_RETRIES = 3
+_PANEL = 64  # columns per panel of gram_factor's pivoted loop
 
 
 def _check_square(K: np.ndarray, name: str) -> np.ndarray:
@@ -90,23 +92,66 @@ class TuneReport:
 def gram_factor(K: np.ndarray) -> np.ndarray:
     """Pivoted-Cholesky factor L (n x r) of a PSD Gram, K = L L' to round-off.
 
-    LAPACK's dpstrf stops at its default tolerance, n eps max(diag K),
-    so r is the numerical rank of K. The factorization runs in the
-    buffer of K and overwrites it: the caller passes a Gram it no longer
-    reads, and only the n x r factor outlives the call.
+    Each step pivots on the largest remaining diagonal, and the loop stops
+    where LAPACK's dpstrf stops by default: once that diagonal is at most
+    n eps max(diag K), with LAPACK's eps = 2^-53, so r is the numerical
+    rank of K. Three routes, all on numpy's LAPACK:
+
+    - a panel of 64 columns is filled left-looking, each column K's row p
+      less the panel so far: a Gram of rank r below 64 costs n r^2 and
+      no n x n allocation;
+    - a Gram that fills the first panel is factored by dense Cholesky,
+      kept when its smallest pivot squared clears the same tolerance
+      (r = n);
+    - otherwise (singular but of high rank, as with duplicated points)
+      the pivoted loop goes on, panel by panel, on a copy of K that is
+      updated in place by each finished panel's product, one block of
+      rows at a time.
+
+    K is only read, and must be exactly symmetric, as a Gram is: the
+    loop reads its rows.
     """
     K = _check_square(K, "K")
     n = K.shape[0]
-    # K is symmetric, so K.T is the same matrix in Fortran order, which
-    # dpstrf factors in place instead of copying.
-    c, piv, r, info = scipy.linalg.lapack.dpstrf(K.T, lower=1, overwrite_a=1)
-    if info < 0:
-        raise NumericalError(f"dpstrf rejected argument {-info}")
-    L = c[:, :r]
-    L[~np.tri(n, r, dtype=bool)] = 0.0  # dpstrf leaves the input above the diagonal
-    factor = np.empty((n, r))
-    factor[piv - 1] = L  # P' K P = L L', so K = (P L)(P L)'
-    return factor
+    diag = K.diagonal().copy()
+    tol = n * np.finfo(float).epsneg * max(float(diag.max()), 0.0)
+    pivoted = np.zeros(n, dtype=bool)
+    done = []  # finished panels, whose rows are factor columns
+    while True:
+        P = np.zeros((min(_PANEL, n - _PANEL * len(done)), n))
+        squares = np.zeros(n)  # each row's sum of squares in this panel
+        for j in range(P.shape[0]):
+            # the remaining diagonal, summed as dpstrf sums it
+            d = diag - squares
+            d[pivoted] = -np.inf
+            p = int(np.argmax(d))
+            if not d[p] > tol:
+                return np.concatenate(done + [P[:j]]).T.copy()
+            col = K[p] - P[:j, p] @ P[:j]
+            col[pivoted] = 0.0
+            pivot = np.sqrt(d[p])
+            col *= 1.0 / pivot
+            col[p] = pivot
+            P[j] = col
+            squares += col * col
+            pivoted[p] = True
+        done.append(P)
+        if pivoted.all():
+            return np.concatenate(done).T.copy()
+        if len(done) == 1:
+            try:
+                L = np.linalg.cholesky(K)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if L.diagonal().min() ** 2 > tol:
+                    return L
+            K = K.copy()
+        height = max(1, _BLOCK_BYTES // (8 * n))
+        for start in range(0, n, height):
+            rows = slice(start, start + height)
+            K[rows] -= P[:, rows].T @ P
+        diag = K.diagonal().copy()
 
 
 def _prepare_grid(grid) -> np.ndarray:
@@ -290,28 +335,34 @@ class RidgeSystem:
 
     def _dense_losses(self, g: np.ndarray, L: np.ndarray) -> np.ndarray:
         """H = Q diag(s) Q', so H L = Q (s C) with C = Q' L formed once and
-        h = (Q o Q) s: n^2 r_out per candidate. The loss is invariant to
-        the scale of s, so s is taken relative to its largest entry,
-        (e_min + n lambda) / (e + n lambda): equal eigenvalues then give
-        exactly equal entries. Every h is formed first, so that Q o Q is
-        released before the losses allocate their own temporaries.
+        h = (Q o Q) s. The loss is invariant to the scale of s, so s is
+        taken relative to its largest entry, (e_min + n lambda) /
+        (e + n lambda): equal eigenvalues then give exactly equal entries.
+
+        The whole grid is scored in few products: the candidates' s form
+        the columns of an n x k matrix S, every h is (Q o Q) S, and Q o Q
+        is released before H L is formed as Q [s_1 C ... s_m C] for groups
+        of m candidates, m r_out <= n, so that neither the stacked operand
+        nor the product exceeds one n x n. That is n^2 r_out per candidate,
+        as one product per candidate costs, in fewer and wider calls.
         """
         e, Q = self._eigh()
         C = Q.T @ L
+        T = e[:, None] + np.array([self._shift(self.n * lam) for lam in g])
+        S = T[0] / T
         Q2 = Q**2
-        sh = []
-        for lam in g:
-            t = e + self._shift(self.n * lam)
-            s = t[0] / t
-            sh.append((s, Q2 @ s))
+        h = Q2 @ S
         del Q2
-        losses = np.empty(g.shape)
-        for k, (s, h) in enumerate(sh):
-            HL = Q @ (s[:, None] * C)
+        r = C.shape[1]
+        group = max(1, self.n // r)
+        hl2 = np.empty(S.shape)
+        for start in range(0, g.size, group):
+            block = slice(start, start + group)
+            HL = Q @ (S[:, block, None] * C[:, None, :]).reshape(self.n, -1)
             HL *= HL
-            losses[k] = np.mean(np.sum(HL, axis=1) / (h * h))
+            hl2[:, block] = np.sum(HL.reshape(self.n, -1, r), axis=2)
             del HL  # with r_out = n, one n x n less while the next HL is formed
-        return losses
+        return np.mean(hl2 / (h * h), axis=0)
 
     def _factored_losses(self, g: np.ndarray, L: np.ndarray) -> np.ndarray:
         """H = I - W diag(1/t) W' with t = e + n lambda, so h = 1 - (W o W)/t.

@@ -97,6 +97,31 @@ def test_non_numeric_config_value_is_a_config_error(
 
 
 @pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("estimate", {"tuning": 5}, "tuning must be a mapping"),
+        ("tune", {"tuning": [0.1]}, "tuning must be a mapping"),
+        ("estimate", {"estimate": [1, 2]}, "estimate must be a mapping"),
+        ("estimate", {"data": {"roles": "y"}}, "data.roles must be a mapping"),
+        ("estimate", {"kernels": {"lengthscales": 3}}, "kernels.lengthscales must be a mapping"),
+        ("estimate", {"data": {"simulate": 7}}, "data.simulate must be a mapping"),
+        ("simulate", {"simulate": {"n": 40, "estimators": "nc"}},
+         "simulate.estimators must be a list"),
+    ],
+)
+def test_misshapen_config_section_is_a_config_error(
+    tmp_path, capsys, command, body, message
+):
+    # a section of the wrong type names its key instead of failing with
+    # a traceback, and a string is not iterated as a list of estimators
+    body = {"output_dir": str(tmp_path / "out"), **body}
+    body.setdefault("data", {"simulate": {"n": 40}})
+    cfg = _write_config(tmp_path / "c.yaml", body)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, body, key",
     [
         ("simulate", {"simulate": {"n": 60.9}}, "simulate.n"),

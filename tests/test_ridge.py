@@ -1,5 +1,7 @@
 """Ridge solves and the closed-form leave-one-out tuners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -221,6 +223,28 @@ def test_loocv_embedding_matches_brute_force():
         )
 
 
+def test_dense_losses_split_the_grid_into_several_products():
+    # a dense system scores its grid through Q [s_1 C ... s_m C], m
+    # candidates per product with m r_out <= n: an output factor of
+    # r_out = 20 at n = 48 splits the 20 candidates into ten products of
+    # two, a full-rank one into twenty of one, and the scalar loss takes
+    # them all in one. Each loss matches brute-force refits
+    rng = np.random.default_rng(79)
+    n = 48
+    K_in = _random_gram(rng, n, p=3)
+    for L in (rng.normal(size=(n, 20)), gram_factor(_random_gram(rng, n, p=6))):
+        assert n // L.shape[1] < DEFAULT_GRID.size
+        report = RidgeSystem(K_in).loo_embedding(L)
+        want = loo_embedding_losses(K_in, L @ L.T, DEFAULT_GRID)
+        np.testing.assert_allclose(report.losses, want, rtol=1e-8)
+        assert report.selected == DEFAULT_GRID[np.argmin(want)]
+    y = rng.normal(size=n)
+    report = RidgeSystem(K_in).loo_scalar(y)
+    want = loo_scalar_losses(K_in, y, DEFAULT_GRID)
+    np.testing.assert_allclose(report.losses, want, rtol=1e-8)
+    assert report.selected == DEFAULT_GRID[np.argmin(want)]
+
+
 def test_loocv_exact_over_the_default_grid():
     # the whole shipped grid, down to 1e-8, on a quadratic-design stage-1
     # Gram A with output Gram K_ww and the stage-2 kernel M with outcomes y
@@ -269,27 +293,49 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     assert report.selected == DEFAULT_GRID[np.argmin(want)]
 
 
-def test_gram_factor_reconstructs_in_place(monkeypatch):
+def test_gram_factor_reconstructs_on_each_route(monkeypatch):
+    # a Gram of rank below the 64-column panel is factored through no
+    # n x n allocation; a full-rank Gram with n > 64 takes the dense
+    # Cholesky, and a singular one of high rank (duplicated points) the
+    # pivoted loop continued past the first panel. No route writes to
+    # the Gram
+    choleskys = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        choleskys.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
     w = np.random.default_rng(53).uniform(-1.0, 1.0, size=(300, 1))
     K = gram(w, w, KernelSpec.gaussian([0.5]))
     want = K.copy()
-    shared = []
-    dpstrf = scipy.linalg.lapack.dpstrf
-
-    def spy(a, **kwargs):
-        out = dpstrf(a, **kwargs)
-        shared.append(np.shares_memory(out[0], K))
-        return out
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", spy)
-    L = gram_factor(K)
-    # dpstrf wrote into the Gram's own buffer: no second n x n array
-    assert shared == [True]
+    tracemalloc.start()
+    try:
+        L = gram_factor(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K.nbytes / 2
+    np.testing.assert_array_equal(K, want)
     assert L.shape[0] == 300 and L.shape[1] < 40
     np.testing.assert_allclose(L @ L.T, want, rtol=0.0, atol=1e-12)
     identity = gram_factor(np.eye(5))
     assert identity.shape == (5, 5)
     np.testing.assert_array_equal(identity @ identity.T, np.eye(5))
+    assert choleskys == []
+
+    full = _random_gram(np.random.default_rng(61), 120, p=4)
+    keep = np.r_[0:117, 0:3]  # the last three points repeat the first three
+    for K, rank in ((full, 120), (full[np.ix_(keep, keep)], 117)):
+        choleskys.clear()
+        want = K.copy()
+        L = gram_factor(K)
+        np.testing.assert_array_equal(K, want)
+        assert L.shape == (120, rank)
+        assert choleskys == [(120, 120)]
+        np.testing.assert_allclose(L @ L.T, K, rtol=0.0, atol=1e-12)
+    assert gram_factor(np.zeros((4, 4))).shape == (4, 0)
 
 
 def test_loocv_uses_default_grid():
@@ -457,3 +503,24 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
             r = shapes[0][0]
             assert shapes[0] == (r, r) and r < 60, case
         assert chols == [], case
+
+
+def test_tuned_passes_call_no_scipy_routine(monkeypatch):
+    # scipy links its own OpenBLAS, whose thread pool spins against
+    # numpy's: a tuned pass factors, decomposes and solves on numpy's
+    # LAPACK alone. At n = 150 the full-rank att output Gram x o w o v
+    # fills the first 64-column panel and takes the dense Cholesky
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuned pass called scipy")
+
+    for owner, name in ((scipy.linalg.lapack, "dpstrf"), (scipy.linalg, "cho_factor"),
+                        (scipy.linalg, "cho_solve"), (scipy.linalg.blas, "dsymm")):
+        monkeypatch.setattr(owner, name, refuse)
+    data = _study_data(150, 5)
+    alt = {"alt_x": data.block("x")[:9] + 0.3, "alt_w": data.block("w")[:9],
+           "alt_v": data.block("v")[:9] - 0.2}
+    for kind in ("ate", "att", "cate", "ds"):
+        request = EffectRequest(kind, grid_size=5, d_value=0.2, v_value=0.1, **alt)
+        assert np.all(np.isfinite(run_end_to_end(data, request).values)), kind
+    te = run_end_to_end(data, EffectRequest("ate", grid_size=5), estimator="te")
+    assert np.all(np.isfinite(te.values))
