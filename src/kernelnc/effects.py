@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.percentile imports it at its first call, not in a fit
 
 from .bridge import (
     BridgeModel,

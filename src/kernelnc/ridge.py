@@ -27,12 +27,8 @@ digits at high-leverage points. Where a point's leverage nears 1, the
 suite checks this loss against the same brute-force refits to 1e-8
 over the whole shipped grid, as it does at duplicated points.
 
-Every tuned pass runs on numpy's LAPACK alone: the eigendecompositions,
-the pivoted-Cholesky factors and the products around them. scipy serves
-only the Cholesky route of a dense system that was never tuned (a
-forced or theoretical penalty). scipy links a second OpenBLAS with its
-own thread pool, and a scipy call between numpy calls makes the two
-pools spin against each other on a small machine.
+A dense system that was never tuned (a forced or theoretical penalty)
+solves by Cholesky instead. Every route runs on numpy's LAPACK alone.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError
 from .kernels import _BLOCK_BYTES
@@ -50,7 +45,7 @@ DEFAULT_GRID = np.logspace(-8.0, 2.0, 20)
 
 _JITTER_UNIT = 1e-12  # first retry adds 1e-12 * mean(diag), then 10x per retry
 _MAX_RETRIES = 3
-_PANEL = 64  # columns per panel of gram_factor's pivoted loop
+_PANEL = 64  # columns per panel of gram_factor's loop, rows per block of a substitution
 
 
 def _check_square(K: np.ndarray, name: str) -> np.ndarray:
@@ -234,15 +229,31 @@ class RidgeSystem:
             f"attempted jitters {[f'{j:g}' for j in jitters]}"
         )
 
-    def _cholesky(self, shift: float) -> tuple | None:
-        # dpotrf factors a Fortran-ordered copy in place; a view of K.T
-        # would save the copy but make it read the upper triangle
-        shifted = np.array(self.kernel, order="F")
-        shifted.flat[:: self.n + 1] += shift
-        try:
-            return scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)
-        except scipy.linalg.LinAlgError:
-            return None
+    def _cho_solve(self, ridge: float, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """((K + shift I)^{-1} b, shift), shift = ridge + jitter, by Cholesky
+        K + shift I = U'U: K is shifted in place and its diagonal restored
+        bitwise, and K' upper (K lower) is numpy's fastest order. U' and U
+        are substituted _PANEL rows at a time, each diagonal block by LU."""
+        K = self.kernel if self.kernel.flags.writeable else self.kernel.copy()
+        diag = K.diagonal().copy()
+
+        def attempt(shift):
+            K.flat[:: self.n + 1] = diag + shift
+            try:
+                return np.linalg.cholesky(K.T, upper=True), shift
+            except np.linalg.LinAlgError:
+                return None
+            finally:
+                K.flat[:: self.n + 1] = diag
+
+        U, shift = self._with_jitter(ridge, attempt, "Cholesky")
+        x = b.copy()
+        blocks = [slice(s, s + _PANEL) for s in range(0, self.n, _PANEL)]
+        for k in blocks:
+            x[k] = np.linalg.solve(U[k, k].T, x[k] - U[: k.start, k].T @ x[: k.start])
+        for k in reversed(blocks):
+            x[k] = np.linalg.solve(U[k, k], x[k] - U[k, k.stop :] @ x[k.stop :])
+        return x, shift
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(e, Q) with K = Q diag(e) Q' and e ascending: Q orthonormal
@@ -288,8 +299,7 @@ class RidgeSystem:
         """
         b = self._rhs(b)
         if self._eig is None and self.factor is None:
-            cho = self._with_jitter(ridge, self._cholesky, "Cholesky")
-            return scipy.linalg.cho_solve(cho, b)
+            return self._cho_solve(ridge, b)[0]
         shift = self._shift(ridge)
         e, Q = self._eig
         t = e + shift
@@ -297,21 +307,17 @@ class RidgeSystem:
         return Q @ Qtb if self.factor is None else (b - Q @ Qtb) / shift
 
     def smooth(self, ridge: float, X: np.ndarray) -> np.ndarray:
-        """The smoother applied to X: K (K + ridge I)^{-1} X, which equals
-        (K + ridge I)^{-1} K X, for a vector or matrix X.
+        """The smoother applied to X, K (K + ridge I)^{-1} X, for a vector or matrix X.
 
         From the cached eigenpairs this is Q diag(e / t) Q' X with
         t = e + ridge (W diag(1 / t) W' X for a factor): n^2 k for an
         n x k matrix X, and no n x n smoother is formed. An untuned dense
-        system solves K X by Cholesky, reading K X from its lower triangle.
+        system computes it as X - ridge (K + ridge I)^{-1} X by Cholesky.
         """
         X = self._rhs(X)
         if self._eig is None and self.factor is None:
-            cho = self._with_jitter(ridge, self._cholesky, "Cholesky")
-            # K' is the Fortran-ordered view of K, and its upper triangle
-            # is the lower triangle of K
-            KX = scipy.linalg.blas.dsymm(1.0, self.kernel.T, X.reshape(self.n, -1))
-            return scipy.linalg.cho_solve(cho, KX).reshape(X.shape)
+            x, shift = self._cho_solve(ridge, X)
+            return X - shift * x
         shift = self._shift(ridge)
         e, Q = self._eig
         t = e + shift

@@ -15,13 +15,12 @@ another block's values.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
-from scipy.special import expit
 
 from .data import Dataset, from_arrays
 from .bridge import _step
@@ -71,7 +70,10 @@ def _decay(k: int) -> np.ndarray:
 
 
 def _link(t: np.ndarray) -> np.ndarray:
-    return 0.1 + 0.8 * expit(t)
+    # the logistic by C's exp, as every dataset was drawn (numpy's differs in
+    # the last bit); e^-t capped below overflow leaves 0.1 + 0.8 p unchanged
+    p = [1.0 / (1.0 + math.exp(min(-v, 700.0))) for v in np.ravel(t)]
+    return 0.1 + 0.8 * np.reshape(p, np.shape(t))
 
 
 def _x_factor(p: int) -> np.ndarray:
@@ -181,7 +183,7 @@ def _threadpool_limits():
 
 
 def blas_environment() -> dict:
-    """numpy's and scipy's BLAS builds and this process's BLAS thread count.
+    """numpy's BLAS build and this process's BLAS thread count.
 
     A result is byte-reproducible only at one BLAS build and thread
     count: OpenBLAS splits a product across its threads, which changes
@@ -189,13 +191,11 @@ def blas_environment() -> dict:
     $OPENBLAS_NUM_THREADS, else $OMP_NUM_THREADS, capped at the CPUs
     this process may run on, which is the count without either.
     """
-    builds = {}
-    for name, module in (("numpy", np), ("scipy", scipy)):
-        try:
-            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-            builds[name] = f"{blas['name']} {blas['version']}"
-        except (TypeError, KeyError):
-            builds[name] = "unknown"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        build = "unknown"
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity interface on this platform
@@ -206,7 +206,7 @@ def blas_environment() -> dict:
         if value.isdigit() and int(value) > 0:
             threads = min(int(value), cpus)
             break
-    return {**builds, "threads": threads}
+    return {"numpy": build, "threads": threads}
 
 
 def _pin_blas() -> None:
@@ -285,7 +285,7 @@ def run_experiment(
     scheduling, so results do not depend on the worker count at one
     BLAS thread count. The metadata's `blas_threads_pinned` is true only
     when a worker pool ran with threadpoolctl holding each worker to one
-    BLAS thread; its `blas` records the BLAS builds and the thread count
+    BLAS thread; its `blas` records numpy's BLAS build and the thread count
     the replicates ran with (see :func:`blas_environment`).
     """
     if replicates < 1:

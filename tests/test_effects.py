@@ -432,7 +432,8 @@ def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
     before it multiplies in d. numpy's eigh copies its input and takes
     a workspace of about 2 n^2 doubles through malloc, which tracemalloc
     does not see: about 3 n x n more sit on top of this peak. A forced
-    fit solves by Cholesky, which factors its one shifted copy in place.
+    fit solves by Cholesky: it shifts the kernel's diagonal in place, so
+    the factor is the one n x n the solve adds.
     """
     n = 300
     data = generate(SimDesign("quadratic", n=n), 1)

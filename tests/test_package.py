@@ -1,8 +1,11 @@
 """The public export list of the package, and what importing it loads."""
 
+import json
 import os
 import subprocess
 import sys
+
+import yaml
 
 import kernelnc
 
@@ -20,15 +23,49 @@ def test_star_import_binds_every_exported_name():
     assert set(kernelnc.__all__) <= set(namespace)
 
 
-def test_import_leaves_out_scipy_spatial_and_sparse():
-    # importing both costs about a tenth of a second of every fresh process
+def _env():
     src = os.path.dirname(os.path.dirname(kernelnc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_import_loads_no_scipy_module():
+    # the runtime needs numpy alone: scipy costs about 0.3 s of every
+    # fresh process and loads a second BLAS with its own thread pool
     code = (
         "import sys, kernelnc; "
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    # a forced estimate (the Cholesky route, three substitution blocks),
+    # a tuned att estimate (its full-rank output Gram at n = 150 takes
+    # gram_factor's dense Cholesky) and a two-replicate simulation
+    estimate = {"data": {"simulate": {"n": 150}}, "estimate": {"grid_size": 5}}
+    runs = {
+        "estimate": {**estimate, "tuning": {"mode": "forced", "lam": 0.05, "xi": 0.02}},
+        "estimate_att": {**estimate, "estimate": {"effect": "att", "d_value": 0.5,
+                                                  "grid_size": 5}},
+        "simulate": {"simulate": {"n": 60, "replicates": 2}, "workers": 1},
+    }
+    argvs = []
+    for name, body in runs.items():
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(yaml.safe_dump({**body, "output_dir": str(tmp_path / name)}))
+        argvs.append([name.split("_")[0], "--config", str(cfg)])
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy raises ImportError\n"
+        "from kernelnc.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, 0, 0], out.stderr

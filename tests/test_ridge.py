@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from kernelnc.bridge import GramSet, bridge_products, project_stage1
 from kernelnc.data import from_arrays
@@ -112,11 +111,35 @@ def test_smooth_matches_the_dense_smoother():
         np.testing.assert_allclose(system.smooth(0.3, X[:, 0]), want[:, 0], rtol=1e-10)
 
 
+def test_untuned_solves_leave_the_kernel_unchanged():
+    # the Cholesky route shifts the kernel's diagonal in place and
+    # restores it, also when the factorization fails and a jitter is
+    # retried; a read-only kernel is shifted in a copy. n = 150 spans
+    # three blocks of the substitution
+    rng = np.random.default_rng(61)
+    K = _random_gram(rng, 150)
+    b = rng.normal(size=(150, 3))
+    want = np.linalg.solve(K + 0.3 * np.eye(150), b)
+    for base, ridge in ((K, 0.3), (np.zeros((150, 150)), 0.0)):
+        for writeable in (True, False):
+            kernel = base.copy()
+            kernel.setflags(write=writeable)
+            before = kernel.copy()
+            system = RidgeSystem(kernel)
+            x, smoothed = system.solve(ridge, b), system.smooth(ridge, b)
+            np.testing.assert_array_equal(kernel, before)
+            if ridge:
+                np.testing.assert_allclose(x, want, rtol=1e-10)
+                np.testing.assert_allclose(smoothed, K @ want, rtol=1e-10)
+            else:
+                assert system.jitter > 0.0
+                np.testing.assert_allclose(smoothed, 0.0, atol=1e-12)
+
+
 def test_solves_and_losses_read_only_the_lower_triangle():
-    # eigh (UPLO='L') and the Cholesky route (lower=True, and K X read
-    # by dsymm from the lower triangle) read only the kernel's lower
-    # triangle: whatever lies above the diagonal changes no bit of a
-    # solve, a smooth or a loss on either path
+    # eigh (UPLO='L') and the Cholesky route (the upper triangle of K')
+    # read only the kernel's lower triangle: whatever lies above the
+    # diagonal changes no bit of a solve, a smooth or a loss on either path
     rng = np.random.default_rng(59)
     K = _random_gram(rng, 30)
     skewed = np.tril(K) + np.triu(rng.normal(size=(30, 30)), 1)
@@ -468,7 +491,8 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
     # solve: A and M for the bridge, the product Gram for the baseline.
     # The att/cate embedding, tuned or forced, eigendecomposes only the
     # r x r matrix L'L of its conditioning Gram's factor, and no system
-    # solves by Cholesky
+    # solves by Cholesky. A forced penalty factors its system by
+    # Cholesky and never takes the n x n eigh
     shapes, chols = [], []
 
     def recorded(log, fn):
@@ -478,20 +502,22 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", recorded(shapes, np.linalg.eigh))
-    monkeypatch.setattr(scipy.linalg, "cho_factor",
-                        recorded(chols, scipy.linalg.cho_factor))
+    monkeypatch.setattr(np.linalg, "cholesky", recorded(chols, np.linalg.cholesky))
     data = _study_data(60, 3)
     att = EffectRequest("att", grid_size=5, d_value=0.2)
     cate = EffectRequest("cate", grid_size=5, v_value=0.1)
+    ate = EffectRequest("ate", grid_size=5)
     runs = (
-        ("nc", EffectRequest("ate", grid_size=5), None, 2, 0),
-        ("te", EffectRequest("ate", grid_size=5), None, 1, 0),
-        ("nc", att, None, 2, 1),
-        ("nc", cate, None, 2, 1),
-        ("nc", att, TuningPlan("forced", lam1=0.01), 2, 1),
-        ("nc", cate, TuningPlan("forced", lam2=0.01), 2, 1),
+        ("nc", ate, None, 2, 0, 0),
+        ("te", ate, None, 1, 0, 0),
+        ("nc", att, None, 2, 1, 0),
+        ("nc", cate, None, 2, 1, 0),
+        ("nc", att, TuningPlan("forced", lam1=0.01), 2, 1, 0),
+        ("nc", cate, TuningPlan("forced", lam2=0.01), 2, 1, 0),
+        ("nc", ate, TuningPlan("forced", lam=0.01, xi=0.01), 0, 0, 2),
+        ("te", ate, TuningPlan("forced", lam=0.01), 0, 0, 1),
     )
-    for estimator, request, plan, full, thin in runs:
+    for estimator, request, plan, full, thin, forced in runs:
         shapes.clear()
         chols.clear()
         run_end_to_end(data, request, plan, estimator=estimator)
@@ -502,25 +528,4 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
         if thin:
             r = shapes[0][0]
             assert shapes[0] == (r, r) and r < 60, case
-        assert chols == [], case
-
-
-def test_tuned_passes_call_no_scipy_routine(monkeypatch):
-    # scipy links its own OpenBLAS, whose thread pool spins against
-    # numpy's: a tuned pass factors, decomposes and solves on numpy's
-    # LAPACK alone. At n = 150 the full-rank att output Gram x o w o v
-    # fills the first 64-column panel and takes the dense Cholesky
-    def refuse(*args, **kwargs):
-        raise AssertionError("a tuned pass called scipy")
-
-    for owner, name in ((scipy.linalg.lapack, "dpstrf"), (scipy.linalg, "cho_factor"),
-                        (scipy.linalg, "cho_solve"), (scipy.linalg.blas, "dsymm")):
-        monkeypatch.setattr(owner, name, refuse)
-    data = _study_data(150, 5)
-    alt = {"alt_x": data.block("x")[:9] + 0.3, "alt_w": data.block("w")[:9],
-           "alt_v": data.block("v")[:9] - 0.2}
-    for kind in ("ate", "att", "cate", "ds"):
-        request = EffectRequest(kind, grid_size=5, d_value=0.2, v_value=0.1, **alt)
-        assert np.all(np.isfinite(run_end_to_end(data, request).values)), kind
-    te = run_end_to_end(data, EffectRequest("ate", grid_size=5), estimator="te")
-    assert np.all(np.isfinite(te.values))
+        assert chols == [(60, 60)] * forced, case

@@ -51,6 +51,19 @@ def test_link_and_coefficient_decay():
     np.testing.assert_allclose(_decay(3), [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
 
 
+def test_link_is_bitwise_the_scipy_logistic():
+    # every simulated dataset was drawn with 0.1 + 0.8 expit(t); numpy's
+    # vectorized exp differs from C's in the last bit on a share of draws,
+    # and C's exp overflows to inf where math.exp raises
+    from scipy.special import expit
+
+    t = 5.0 * np.random.default_rng(3).normal(size=1_000_000)
+    tails = np.array([40.0, 709.78, 745.0, 760.0])
+    t = np.concatenate([t, tails, -tails, [0.0, -0.0]])
+    np.testing.assert_array_equal(_link(t), 0.1 + 0.8 * expit(t))
+    assert _link(t[:6].reshape(2, 3)).shape == (2, 3)
+
+
 def test_x_factor_reproduces_tridiagonal_covariance():
     L = _x_factor(4)
     sigma = np.eye(4) + 0.5 * (np.eye(4, k=1) + np.eye(4, k=-1))
