@@ -415,6 +415,8 @@ def cmd_simulate(cfg: dict) -> int:
         _require(est in ESTIMATORS, f"unknown estimator {est!r}")
     replicates = _number(sim["replicates"], "simulate.replicates", int)
     _require(replicates >= 1, "simulate.replicates must be >= 1")
+    workers = 1 if cfg["workers"] is None else _number(cfg["workers"], "workers", int)
+    _require(workers >= 1, f"workers must be >= 1, got {workers}")
     outdir = _prepare_outdir(cfg)
 
     t0 = time.perf_counter()
@@ -424,7 +426,7 @@ def cmd_simulate(cfg: dict) -> int:
         _number(cfg["seed"], "seed", int),
         estimators,
         tuning,
-        workers=cfg["workers"],
+        workers=workers,
         strict=bool(sim["strict"]),
     )
     timings = {"experiment": time.perf_counter() - t0}

@@ -53,9 +53,10 @@ class EffectRequest:
 
     `grid` overrides the default treatment grid (100 points between the
     1st and 99th percentile of observed treatment, or the category
-    codes when treatment is categorical). `alt_*` carry the target
-    population for kind "ds", `d_value` the conditioning treatment for
-    "att", `v_value` the subgroup point for "cate".
+    codes when treatment is categorical); it must be non-empty, finite
+    and at most 1-D, and a scalar is a one-point grid. `alt_*` carry
+    the target population for kind "ds", `d_value` the conditioning
+    treatment for "att", `v_value` the subgroup point for "cate".
     """
 
     kind: str = "ate"
@@ -72,6 +73,10 @@ class EffectRequest:
             raise InputError(f"unknown effect kind {self.kind!r}")
         if self.grid is None and self.grid_size < 2:
             raise InputError("grid_size must be at least 2")
+        if self.grid is not None:
+            grid = np.asarray(self.grid, dtype=float)
+            if grid.ndim > 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+                raise InputError("explicit grid must be non-empty, finite and at most 1-D")
         if self.kind == "ds" and (self.alt_x is None or self.alt_w is None):
             raise InputError("kind 'ds' needs alt_x and alt_w")
         if self.kind == "att" and self.d_value is None:
@@ -216,10 +221,7 @@ def default_grid(d_values, size: int = 100, categorical: bool = False) -> np.nda
 
 def _resolve_grid(request: EffectRequest, data: Dataset) -> np.ndarray:
     if request.grid is not None:
-        g = np.asarray(request.grid, dtype=float).ravel()
-        if g.size == 0 or not np.all(np.isfinite(g)):
-            raise InputError("explicit grid must be non-empty and finite")
-        return g
+        return np.asarray(request.grid, dtype=float).ravel()
     categorical = data.categorical_flags("d")[0]
     return default_grid(data.block("d")[:, 0], request.grid_size, categorical)
 

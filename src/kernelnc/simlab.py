@@ -16,8 +16,10 @@ another block's values.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from .data import Dataset, from_arrays
 from .bridge import _step
 from .effects import ESTIMATORS, EffectRequest, TuningPlan, kernel_specs, run_end_to_end
-from .errors import ConfigError, InputError, KernelncError, NumericalError
+from .errors import InputError, KernelncError, NumericalError
 
 DESIGN_KINDS = ("quadratic", "sigmoid", "peaked", "no_confounding", "discrete")
 
@@ -38,6 +40,9 @@ MSE_GRID_HI = 0.9 + MSE_GRID_SHIFT
 MSE_GRID_POINTS = 100
 
 _STREAMS = {"shared": 0, "z": 1, "w": 2, "x": 3, "treatment": 4}
+
+# OpenBLAS takes its thread count from the first of these that is set.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -173,15 +178,6 @@ def score_replicate(
     return out
 
 
-def _threadpool_limits():
-    """threadpoolctl's `threadpool_limits`, or None where it is not installed."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits
-
-
 def blas_environment() -> dict:
     """numpy's BLAS build and this process's BLAS thread count.
 
@@ -201,7 +197,7 @@ def blas_environment() -> dict:
     except AttributeError:  # no affinity interface on this platform
         cpus = os.cpu_count() or 1
     threads = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in _BLAS_THREAD_VARS:
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
             threads = min(int(value), cpus)
@@ -209,12 +205,20 @@ def blas_environment() -> dict:
     return {"numpy": build, "threads": threads}
 
 
-def _pin_blas() -> None:
-    """Pool initializer: worker processes share the CPUs, so each one
-    runs BLAS on one thread and the pool does not oversubscribe it."""
-    limits = _threadpool_limits()
-    if limits is not None:
-        limits(limits=1)
+@contextmanager
+def _one_blas_thread():
+    """Hold the BLAS thread variables at 1 for the block: a spawned worker
+    reads them when it imports numpy, before any pool initializer runs."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _worker(args) -> tuple[int, dict[str, float] | None, str | None]:
@@ -255,52 +259,46 @@ def _aggregate(values: np.ndarray, truth: float | None) -> tuple[float, float, f
     return mean, sd, mse
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Worker count: `workers`, else 1; at least 1."""
-    if workers is None:
-        return 1
-    try:
-        count = int(workers)
-        if count != float(workers):
-            raise ValueError(workers)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"workers must be an integer, got {workers!r}") from None
-    return max(1, count)
-
-
 def run_experiment(
     design: SimDesign,
     replicates: int,
     seed: int,
     estimators=ESTIMATORS,
     tuning: TuningPlan | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     strict: bool = True,
 ) -> dict[str, ReplicateReport]:
     """Score every estimator over independent replicates.
 
     Fails fast by default, naming the failing replicate and seed;
     with strict=False failed replicates are skipped and reported.
-    Aggregation folds values in replicate order regardless of worker
-    scheduling, so results do not depend on the worker count at one
-    BLAS thread count. The metadata's `blas_threads_pinned` is true only
-    when a worker pool ran with threadpoolctl holding each worker to one
-    BLAS thread; its `blas` records numpy's BLAS build and the thread count
-    the replicates ran with (see :func:`blas_environment`).
+    One worker scores the replicates in this process. More workers
+    run in a pool of spawned processes, each at one BLAS thread, so
+    a script that calls this with workers > 1 needs an
+    ``if __name__ == "__main__":`` guard. Aggregation folds values in
+    replicate order regardless of worker scheduling, so the worker
+    count changes no number when this process also runs BLAS at one
+    thread. The metadata's `blas` records numpy's BLAS build and the
+    thread count the replicates ran with (see :func:`blas_environment`).
     """
     if replicates < 1:
         raise InputError("need at least one replicate")
+    if workers < 1:
+        raise InputError(f"need at least one worker, got {workers}")
     for est in estimators:
         if est not in ESTIMATORS:
             raise InputError(f"unknown estimator {est!r}")
-    nworkers = resolve_workers(workers)
     jobs = [(design, seed, rep, tuple(estimators), tuning) for rep in range(replicates)]
     results: dict[int, dict[str, float]] = {}
     failures: list[tuple[int, str]] = []
-    if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers, initializer=_pin_blas) as pool:
-            outcomes = list(pool.map(_worker, jobs))
+    if workers > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread():
+            blas = blas_environment()
+            with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+                outcomes = list(pool.map(_worker, jobs))
     else:
+        blas = blas_environment()
         outcomes = [_worker(job) for job in jobs]
     for rep, scores, err in outcomes:
         if err is not None:
@@ -316,10 +314,6 @@ def run_experiment(
     if design.kind == "discrete":
         truth = float(true_curve(design, 1.0) - true_curve(design, 0.0))
     grid = scoring_grid(design)
-    pinned = nworkers > 1 and _threadpool_limits() is not None
-    blas = blas_environment()
-    if pinned:
-        blas["threads"] = 1
     metadata = {
         "design": design.kind,
         "n": design.n,
@@ -332,8 +326,6 @@ def run_experiment(
         "scoring_grid": f"{grid.size} points on [{grid[0]:g}, {grid[-1]:g}]",
         "curve": "quadratic" if design.kind == "no_confounding" else design.kind,
         "failed": len(failures),
-        # Without threadpoolctl each pooled worker runs BLAS on every core.
-        "blas_threads_pinned": pinned,
         "blas": blas,
     }
     reports: dict[str, ReplicateReport] = {}

@@ -213,6 +213,23 @@ def test_tune_rejects_the_tuning_section_that_estimate_rejects(
         assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("grid", [[], [[0.1, 0.2], [0.3, 0.4]]])
+def test_bad_estimate_grid_is_a_config_error(tmp_path, capsys, grid):
+    # checked with the request, before any data is loaded; a nested grid
+    # is not flattened into a longer curve
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {"output_dir": str(out), "data": {"simulate": {"n": 40}},
+         "estimate": {"grid": grid}},
+    )
+    for command in ("estimate", "tune"):
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: explicit grid must be non-empty, finite and at most 1-D" in err
+        assert not (out / "manifest.json").exists()
+
+
 def test_lengthscale_on_a_categorical_column_is_a_runtime_error(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "c.yaml",
@@ -255,11 +272,18 @@ def test_non_finite_config_value_is_a_config_error(
 
 
 def test_bad_worker_count_is_a_config_error(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "c.yaml", {"workers": "abc"})
-    argv = ["simulate", "--config", cfg, "--replicates", "1",
-            "--output-dir", str(tmp_path)]
-    assert main(argv) == EXIT_CONFIG
-    assert "workers must be an integer, got 'abc'" in capsys.readouterr().err
+    # a count below 1 is refused like simulate.replicates, never read as 1
+    for workers, message in [
+        ("abc", "workers must be numeric, got 'abc'"),
+        (2.7, "workers must be an integer, got 2.7"),
+        (0, "workers must be >= 1, got 0"),
+        (-3, "workers must be >= 1, got -3"),
+    ]:
+        cfg = _write_config(tmp_path / "c.yaml", {"workers": workers})
+        argv = ["simulate", "--config", cfg, "--replicates", "1",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -454,7 +478,7 @@ def test_simulate_outputs_match_inprocess_run(tmp_path, capsys):
     assert manifest["results"]["nc"]["mean"] == reports["nc"].mean
     assert manifest["results"]["metadata"]["design"] == "discrete"
     # run metadata reaches the manifest only, never the CSVs
-    assert manifest["results"]["metadata"]["blas_threads_pinned"] in (False, True)
+    assert "blas" in manifest["results"]["metadata"]
     for name in ("replicates.csv", "aggregate.csv"):
         assert "blas" not in (out / name).read_text()
 
@@ -597,6 +621,34 @@ def test_each_manifest_records_its_own_blas_thread_count(tmp_path):
         assert manifest["blas"]["threads"] == want
         assert manifest["results"]["metadata"]["blas"]["threads"] == want
         assert manifest["blas"]["numpy"] and set(manifest["blas"]) == {"numpy", "threads"}
+
+
+def test_pooled_workers_write_the_bytes_of_a_one_thread_serial_run(tmp_path):
+    # at n=500 OpenBLAS splits products across its threads, so a worker
+    # that inherited two threads would sum in another order; each pooled
+    # worker runs at one, whatever the parent runs at
+    import kernelnc
+
+    src = os.path.dirname(os.path.dirname(kernelnc.__file__))
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {"seed": 1, "simulate": {"design": "quadratic", "n": 500, "replicates": 4}},
+    )
+    for workers, threads in ((1, 1), (2, 2)):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=str(threads),
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "kernelnc.cli", "simulate", "--config", cfg,
+             "--workers", str(workers), "--output-dir", str(tmp_path / str(workers))],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+    serial, pooled = (tmp_path / "1", tmp_path / "2")
+    assert (pooled / "replicates.csv").read_bytes() == (serial / "replicates.csv").read_bytes()
+    manifest = json.loads((pooled / "manifest.json").read_text())
+    assert manifest["results"]["metadata"]["blas"]["threads"] == 1
 
 
 def test_replay_reports_a_blas_thread_count_the_manifest_did_not_record(tmp_path):

@@ -191,6 +191,10 @@ def test_request_validation():
     with pytest.raises(InputError):
         EffectRequest("cate")
     EffectRequest("att", d_value=1.0)
+    for grid in ([], [0.2, np.nan], [[0.1, 0.2], [0.3, 0.4]]):
+        with pytest.raises(InputError, match="explicit grid must be non-empty"):
+            EffectRequest("ate", grid=grid)
+    EffectRequest("ate", grid=0.5)  # a scalar is a one-point grid
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 """Simulation designs: reproducibility, stream isolation, moments, scoring."""
 
+import multiprocessing
+import os
+import pickle
+
 import numpy as np
 import pytest
 
 from kernelnc.effects import TuningPlan
-from kernelnc.errors import ConfigError, InputError, NumericalError
+from kernelnc.errors import InputError, NumericalError
 from kernelnc.simlab import (
     MSE_GRID_HI,
     MSE_GRID_LO,
@@ -13,7 +17,6 @@ from kernelnc.simlab import (
     _link,
     _x_factor,
     generate,
-    resolve_workers,
     run_experiment,
     score_replicate,
     scoring_grid,
@@ -184,26 +187,25 @@ def test_run_experiment_worker_count_does_not_change_results():
         assert np.array_equal(serial[est].values, pooled[est].values)
 
 
-def test_blas_threads_pinned_needs_a_pool_and_threadpoolctl(monkeypatch):
-    # threadpoolctl absent (a None entry makes the import fail): a pool
-    # runs, but its workers' BLAS threads are not pinned
-    import contextlib
-    import sys
-    import types
-
+def test_pooled_run_records_one_blas_thread(monkeypatch):
+    # every pooled worker runs BLAS at one thread, whatever this process
+    # runs at; once the pool is gone, by return or by raise, no worker is
+    # left and the variables are restored, an unset one included
     design = SimDesign(kind="discrete", n=60)
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    for workers in (1, 2):
-        reports = run_experiment(design, replicates=2, seed=33, tuning=FAST_PLAN,
-                                 workers=workers)
-        assert reports["nc"].metadata["blas_threads_pinned"] is False
-    fake = types.ModuleType("threadpoolctl")
-    fake.threadpool_limits = lambda limits: contextlib.nullcontext()
-    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-    serial = run_experiment(design, replicates=1, seed=33, tuning=FAST_PLAN, workers=1)
-    assert serial["te"].metadata["blas_threads_pinned"] is False
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     pooled = run_experiment(design, replicates=2, seed=33, tuning=FAST_PLAN, workers=2)
-    assert pooled["te"].metadata["blas_threads_pinned"] is True
+    assert pooled["te"].metadata["blas"]["threads"] == 1
+
+    class Unpicklable(TuningPlan):  # a local class cannot reach a worker
+        pass
+
+    with pytest.raises((AttributeError, pickle.PicklingError), match="local object"):
+        run_experiment(design, replicates=2, seed=33, workers=2,
+                       tuning=Unpicklable(mode="forced", lam=0.01, xi=0.01))
+    assert multiprocessing.active_children() == []
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 def test_run_experiment_failure_handling(monkeypatch):
@@ -233,14 +235,5 @@ def test_run_experiment_validation():
         run_experiment(SimDesign(), replicates=0, seed=1)
     with pytest.raises(InputError):
         run_experiment(SimDesign(), replicates=1, seed=1, estimators=("ols",))
-
-
-def test_resolve_workers():
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    assert resolve_workers(0) == 1
-    with pytest.raises(ConfigError, match="workers must be an integer"):
-        resolve_workers("two")
-    with pytest.raises(ConfigError, match="workers must be an integer, got 2.7"):
-        resolve_workers(2.7)
-
+    with pytest.raises(InputError, match="at least one worker"):
+        run_experiment(SimDesign(), replicates=1, seed=1, workers=0)
