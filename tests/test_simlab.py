@@ -208,6 +208,21 @@ def test_pooled_run_records_one_blas_thread(monkeypatch):
     assert "OMP_NUM_THREADS" not in os.environ
 
 
+def test_resolve_workers():
+    # the default is one worker in this process; a count below 1 is
+    # refused, never read as 1
+    design = SimDesign(kind="discrete", n=60)
+    default = run_experiment(design, replicates=1, seed=33, tuning=FAST_PLAN)
+    serial = run_experiment(design, replicates=1, seed=33, tuning=FAST_PLAN,
+                            workers=1)
+    assert np.array_equal(default["te"].values, serial["te"].values)
+    assert default["te"].metadata["blas"] == serial["te"].metadata["blas"]
+    for workers in (0, -3):
+        with pytest.raises(InputError, match=f"at least one worker, got {workers}"):
+            run_experiment(design, replicates=1, seed=33, tuning=FAST_PLAN,
+                           workers=workers)
+
+
 def test_run_experiment_failure_handling(monkeypatch):
     import kernelnc.simlab as simlab
 
