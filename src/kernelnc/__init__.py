@@ -11,7 +11,6 @@ kernel ridge baseline on designs with known counterfactual curves.
 from .bridge import (
     BridgeModel,
     bridge_products,
-    fit_bridge,
     project_stage1,
     solve_coef,
     theoretical_embedding_penalty,
@@ -22,11 +21,6 @@ from .effects import (
     EffectCurve,
     EffectRequest,
     TuningPlan,
-    estimate_ate,
-    estimate_att,
-    estimate_cate,
-    estimate_ds,
-    estimate_te_baseline,
     kernel_specs,
     run_end_to_end,
 )
@@ -72,12 +66,6 @@ __all__ = [
     "TuneReport",
     "TuningPlan",
     "bridge_products",
-    "estimate_ate",
-    "estimate_att",
-    "estimate_cate",
-    "estimate_ds",
-    "estimate_te_baseline",
-    "fit_bridge",
     "from_arrays",
     "generate",
     "gram",

@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateScaleError, InputError, NumericalError
 from .kernels import _BLOCK_BYTES, KernelSpec, gram
-from .ridge import RidgeSystem, TuneReport, gram_factor
+from .ridge import RidgeSystem, TuneReport
 
 ROLES = ("d", "x", "z", "w", "v")
 
@@ -177,36 +177,27 @@ def solve_coef(stage2: RidgeSystem, y: np.ndarray, xi: float) -> np.ndarray:
 
 @dataclass
 class BridgeModel:
-    """Fitted two-stage bridge.
+    """Fitted two-stage bridge, as the effect evaluation reads it.
 
     `stage1` is the ridge system of the stage-1 Gram A, whose smoother
     B = A (A + n lam I)^{-1} holds the stage-1 weights of each sample
     point over the sample; it keeps the eigenpairs of A (or A itself
     when lam was not tuned), through which a ds request reads B.
-    `w_factor` (n x r) is the pivoted-Cholesky factor L of the
-    control-outcome Gram, K_ww = L L', and `projected_w` (n x r) is B'L,
-    through which every other step reads B' K_ww. `coef` (n,) are the
-    bridge coefficients. No n x n array besides the one inside `stage1`
-    is kept.
+    `projected_w` (n x r) is B'L for the pivoted-Cholesky factor L of
+    the control-outcome Gram, K_ww = L L', through which every other
+    effect reads B' K_ww. `coef` (n,) are the bridge coefficients. No
+    n x n array besides the one inside `stage1` is kept.
     """
 
-    data: Dataset
-    specs: dict[str, KernelSpec]
     lam: float
     xi: float
     stage1: RidgeSystem
     projected_w: np.ndarray
     coef: np.ndarray
-    w_factor: np.ndarray
-
-    @property
-    def has_v(self) -> bool:
-        return "v" in self.specs
 
 
 def tune_and_fit(
     data: Dataset,
-    specs: Mapping[str, KernelSpec],
     grams: GramSet,
     w_factor: np.ndarray,
     lam: float | None = None,
@@ -241,25 +232,7 @@ def tune_and_fit(
     xi = _search(reports, "xi", xi, lambda: stage2.loo_scalar(data.y, grid))
     with _step(3, "bridge fit"):
         coef = solve_coef(stage2, data.y, xi)
-    del stage2
-    roles = ("d", "x", "z", "w") + (("v",) if data.has_role("v") else ())
-    kept = {role: specs[role] for role in roles}
-    model = BridgeModel(data, kept, lam, xi, stage1, projected_w, coef, w_factor)
-    return model, reports
-
-
-def fit_bridge(
-    data: Dataset, specs: Mapping[str, KernelSpec], lam: float, xi: float
-) -> BridgeModel:
-    """Fit the bridge on one sample that serves both stages.
-
-    Solve failures carry a stage tag so callers can tell which linear
-    system was at fault.
-    """
-    grams = GramSet(data, specs)
-    with _step(3, "bridge fit"):
-        w_factor = gram_factor(grams.pop("w"))
-    return tune_and_fit(data, specs, grams, w_factor, lam, xi)[0]
+    return BridgeModel(lam, xi, stage1, projected_w, coef), reports
 
 
 def theoretical_embedding_penalty(n: int, smoothness: float) -> float:

@@ -40,7 +40,14 @@ from .effects import (
     run_end_to_end,
 )
 from .errors import ConfigError, IngestError, InputError, KernelncError
-from .simlab import DESIGN_KINDS, SimDesign, blas_environment, generate, run_experiment
+from .simlab import (
+    DESIGN_KINDS,
+    SimDesign,
+    _one_blas_thread,
+    blas_environment,
+    generate,
+    run_experiment,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -125,7 +132,7 @@ def _load_yaml(path: Path) -> dict:
     return doc
 
 
-def _load_manifest_config(path: Path) -> dict:
+def _load_manifest(path: Path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -135,16 +142,7 @@ def _load_manifest_config(path: Path) -> dict:
         raise ConfigError(f"malformed manifest {path}: {err}") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise ConfigError(f"manifest {path} has no embedded config")
-    recorded, current = doc.get("blas"), blas_environment()
-    if recorded != current:
-        # a replay is byte-identical only at the recorded BLAS build and threads
-        print(
-            f"warning: manifest {path} records BLAS {json.dumps(recorded, sort_keys=True)}, "
-            f"this run has {json.dumps(current, sort_keys=True)}; "
-            "outputs may differ in the last digits",
-            file=sys.stderr,
-        )
-    return doc["config"]
+    return doc
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -154,8 +152,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = json.loads(json.dumps(_DEFAULTS))
     if args.config:
         cfg = _deep_merge(cfg, _load_yaml(Path(args.config)))
-    if args.from_manifest:
-        cfg = _deep_merge(cfg, _load_manifest_config(Path(args.from_manifest)))
+    manifest = _load_manifest(Path(args.from_manifest)) if args.from_manifest else None
+    if manifest is not None:
+        cfg = _deep_merge(cfg, manifest["config"])
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.output_dir is not None:
@@ -166,6 +165,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["simulate"]["replicates"] = args.replicates
     if getattr(args, "data_path", None) is not None:
         cfg["data"]["path"] = args.data_path
+    if manifest is not None:
+        recorded, current = manifest.get("blas"), _run_blas(args.command, cfg)
+        if recorded != current:
+            # a replay is byte-identical only at the recorded BLAS build and threads
+            print(
+                f"warning: manifest {args.from_manifest} records BLAS "
+                f"{json.dumps(recorded, sort_keys=True)}, this run has "
+                f"{json.dumps(current, sort_keys=True)}; "
+                "outputs may differ in the last digits",
+                file=sys.stderr,
+            )
     return cfg
 
 
@@ -190,6 +200,26 @@ def _number(value, key: str, kind=float):
     except OverflowError:
         pass
     raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def _count(value, key: str, least: int) -> int:
+    """An integer config value of at least `least`, or a ConfigError naming its key."""
+    count = _number(value, key, int)
+    _require(count >= least, f"{key} must be >= {least}, got {count}")
+    return count
+
+
+def _workers(cfg: dict) -> int:
+    return 1 if cfg["workers"] is None else _count(cfg["workers"], "workers", 1)
+
+
+def _run_blas(command: str, cfg: dict) -> dict:
+    """The BLAS record a run's outputs are computed under: a pooled
+    simulate scores its replicates at one thread (see run_experiment)."""
+    if command == "simulate" and _workers(cfg) > 1:
+        with _one_blas_thread():
+            return blas_environment()
+    return blas_environment()
 
 
 def _float_array(value) -> np.ndarray:
@@ -267,11 +297,11 @@ def load_dataset(cfg: dict) -> Dataset:
         sim = data_cfg["simulate"]
         _require(isinstance(sim, dict), f"data.simulate must be a mapping, got {sim!r}")
         sim = dict(sim)
-        replicate = _number(sim.pop("replicate", 0), "data.simulate.replicate", int)
+        replicate = _count(sim.pop("replicate", 0), "data.simulate.replicate", 0)
         unknown = set(sim).difference(_SIM_KEYS)
         _require(not unknown, f"unknown data.simulate keys {sorted(unknown)}")
         merged = {**cfg["simulate"], **sim}
-        seed = _number(cfg["seed"], "seed", int)
+        seed = _count(cfg["seed"], "seed", 0)
         return generate(_build_design(merged), seed, replicate)
     raise ConfigError("set data.path (CSV) or data.simulate (synthetic draw)")
 
@@ -338,7 +368,7 @@ def _write_manifest(outdir, command, cfg, outputs, timings, results) -> Path:
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "results": results,
         # outputs are byte-identical only at the same BLAS build and threads
-        "blas": blas_environment(),
+        "blas": _run_blas(command, cfg),
     }
     path = outdir / MANIFEST_NAME
     with open(path, "w") as fh:
@@ -413,21 +443,22 @@ def cmd_simulate(cfg: dict) -> int:
     )
     for est in estimators:
         _require(est in ESTIMATORS, f"unknown estimator {est!r}")
-    replicates = _number(sim["replicates"], "simulate.replicates", int)
-    _require(replicates >= 1, "simulate.replicates must be >= 1")
-    workers = 1 if cfg["workers"] is None else _number(cfg["workers"], "workers", int)
-    _require(workers >= 1, f"workers must be >= 1, got {workers}")
+    _require(
+        0 < len(estimators) == len(set(estimators)),
+        f"simulate.estimators must name one or more estimators, each once, got {estimators!r}",
+    )
+    _require(
+        isinstance(sim["strict"], bool),
+        f"simulate.strict must be true or false, got {sim['strict']!r}",
+    )
+    replicates = _count(sim["replicates"], "simulate.replicates", 1)
+    seed = _count(cfg["seed"], "seed", 0)
+    workers = _workers(cfg)
     outdir = _prepare_outdir(cfg)
 
     t0 = time.perf_counter()
     reports = run_experiment(
-        design,
-        replicates,
-        _number(cfg["seed"], "seed", int),
-        estimators,
-        tuning,
-        workers=workers,
-        strict=bool(sim["strict"]),
+        design, replicates, seed, estimators, tuning, workers=workers, strict=sim["strict"]
     )
     timings = {"experiment": time.perf_counter() - t0}
 

@@ -269,11 +269,10 @@ def _population(specs, data: Dataset, request: EffectRequest) -> dict | None:
     return sample
 
 
-def _population_features(model: BridgeModel, sample) -> np.ndarray:
+def _population_features(data: Dataset, specs, model: BridgeModel, sample) -> np.ndarray:
     """n x m features pairing each sample point with the m-point (x, w[, v])
     population of a ds request: k_x(x, ax) [o k_v(v, av)] o B k_w(w, aw),
     with B applied as the stage-1 system's smooth."""
-    specs, data = model.specs, model.data
     kx = gram(data.block("x"), sample["x"], specs["x"])
     if sample["v"] is not None:
         kx *= gram(data.block("v"), sample["v"], specs["v"])
@@ -349,21 +348,21 @@ def _embedding(
 
 def _nc_curve(
     data: Dataset, specs: Mapping[str, KernelSpec], grams, request: EffectRequest,
-    grid, penalties, candidates, model: BridgeModel | None = None,
+    grid, penalties, candidates,
 ) -> EffectCurve:
     """Steps 4, 2-3 and 5 of the bridge estimator over one Gram set.
 
     The att/cate embedding runs first, as the bridge's products consume
-    the treatment Gram. The bridge is then tuned and fitted, unless a
-    fitted `model` is passed. Its coefficients are reweighted by
+    the treatment Gram. The bridge is then tuned and fitted, and its
+    coefficients are reweighted by
     c = rowsum(B'L o K_x' (weights o L)) (see :func:`_read_x`), with
     weights 1/n for ate and the embedding weights for att and cate;
     cate also multiplies in its subgroup point's kernel column. A ds
     request averages the features of its alternative sample instead
     (see :func:`_population_features`), unless that sample is the
-    training one, which it averages exactly as ate does. A penalty
-    absent from `penalties` or None is tuned by leave-one-out on
-    `candidates`, and its search is recorded on metadata["tuning"].
+    training one, which it averages exactly as ate does. A penalty that
+    is None in `penalties` is tuned by leave-one-out on `candidates`,
+    and its search is recorded on metadata["tuning"].
     """
     kind = request.kind
     weights = extra = penalty = sample = None
@@ -373,96 +372,31 @@ def _nc_curve(
             (request.d_value, "lam1") if kind == "att" else (request.v_value, "lam2")
         )
         weights, extra, penalty, reports = _embedding(
-            data, specs, grams, kind, query, penalties.get(name), candidates
+            data, specs, grams, kind, query, penalties[name], candidates
         )
     elif kind == "ds":
         with _step(5, "effect evaluation"):
             sample = _population(specs, data, request)
     if weights is None:
         weights = np.full(data.n, 1.0 / data.n)
-    if model is not None:
-        w_factor = model.w_factor
-    else:
-        with _step(3, "bridge fit"):
-            w_factor = gram_factor(grams.pop("w"))
+    with _step(3, "bridge fit"):
+        w_factor = gram_factor(grams.pop("w"))
     if sample is None:
         with _step(5, "effect evaluation"):
             reads = _read_x(grams, kind, weights, w_factor)
-    if model is None:
-        model, bridge_reports = tune_and_fit(
-            data, specs, grams, w_factor, penalties.get("lam"), penalties.get("xi"),
-            candidates,
-        )
-        reports.update(bridge_reports)
+    model, bridge_reports = tune_and_fit(
+        data, grams, w_factor, penalties["lam"], penalties["xi"], candidates
+    )
+    reports.update(bridge_reports)
     with _step(5, "effect evaluation"):
         if sample is None:
             c = np.sum(model.projected_w * reads, axis=1)
         else:
-            c = _population_features(model, sample).mean(axis=1)
+            c = _population_features(data, specs, model, sample).mean(axis=1)
         coef = model.coef * c if extra is None else model.coef * extra * c
         return _curve(
             data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty, reports
         )
-
-
-def _fitted_curve(model: BridgeModel, grid, request, penalties=None, candidates=None):
-    """Steps 4 and 5 for a fitted bridge, on only the Grams they read.
-
-    Step 5 reads K_ww through the model's factor, so w is built only for
-    the output Gram of an embedding whose penalty is tuned.
-    """
-    grams = GramSet(model.data, model.specs)
-    return _nc_curve(
-        model.data, model.specs, grams, request, grid, penalties or {}, candidates, model
-    )
-
-
-def estimate_ate(model: BridgeModel, grid) -> EffectCurve:
-    """Dose-response curve averaged over the training population.
-
-    Equal bit for bit to :func:`estimate_ds` over the training sample.
-    """
-    return _fitted_curve(model, grid, EffectRequest("ate"))
-
-
-def estimate_ds(
-    model: BridgeModel, grid, alt_x, alt_w, alt_v=None
-) -> EffectCurve:
-    """Dose-response under an alternative covariate/control population.
-
-    Averages the bridge over the supplied (x, w[, v]) sample instead of
-    the training one; with the training sample passed back in, this is
-    exactly the in-population dose-response estimator.
-    """
-    request = EffectRequest("ds", alt_x=alt_x, alt_w=alt_w, alt_v=alt_v)
-    return _fitted_curve(model, grid, request)
-
-
-def estimate_att(
-    model: BridgeModel, grid, d_value: float, lam1: float | None = None, candidates=None
-) -> EffectCurve:
-    """Dose-response among units whose observed treatment is `d_value`.
-
-    The covariate/control average is reweighted by conditional embedding
-    weights on the treatment block with penalty `lam1` (LOOCV-tuned when
-    None). The curve sweeps counterfactual treatment levels.
-    """
-    request = EffectRequest("att", d_value=d_value)
-    return _fitted_curve(model, grid, request, {"lam1": lam1}, candidates)
-
-
-def estimate_cate(
-    model: BridgeModel, grid, v_value, lam2: float | None = None, candidates=None
-) -> EffectCurve:
-    """Dose-response conditional on subgroup covariates `v_value`.
-
-    Requires a bridge fitted with a 'v' block. The subgroup point enters
-    twice: through its own kernel factor and through conditional
-    embedding weights (penalty `lam2`, LOOCV-tuned when None) that
-    average the remaining covariates and control outcomes.
-    """
-    request = EffectRequest("cate", v_value=v_value)
-    return _fitted_curve(model, grid, request, {"lam2": lam2}, candidates)
 
 
 def _te_fit(
@@ -491,24 +425,6 @@ def _te_fit(
     return coef, rest_mean, lam, reports
 
 
-def estimate_te_baseline(
-    data: Dataset,
-    specs: Mapping[str, KernelSpec] | None = None,
-    grid=None,
-    lam: float | None = None,
-    candidates=None,
-) -> EffectCurve:
-    """Single kernel ridge of the outcome on (d, x, z, w[, v]).
-
-    Treats both negative controls as ordinary covariates, then averages
-    them out over the training sample. Penalty LOOCV-tuned when None.
-    """
-    specs = dict(specs) if specs is not None else kernel_specs(data)
-    coef, gbar, lam, reports = _te_fit(data, GramSet(data, specs), lam, candidates)
-    grid = _resolve_grid(EffectRequest("ate"), data) if grid is None else grid
-    return _curve(data, specs, grid, coef * gbar, "te", "ate", lam, None, None, reports)
-
-
 def run_end_to_end(
     data: Dataset,
     request: EffectRequest,
@@ -518,10 +434,12 @@ def run_end_to_end(
 ) -> EffectCurve:
     """Full pipeline: kernels, penalties, bridge, embedding, effect.
 
-    Steps are numbered in errors: (1) kernel selection, (2) penalty
-    tuning, (3) bridge fit, (4) embedding weights, (5) effect
-    evaluation. Every penalty search is step 2, whichever step reads
-    its penalty. The same data serves both bridge stages.
+    The one public way to an effect curve; a TuningPlan in mode
+    "forced" pins any of the penalties. Steps are numbered in errors:
+    (1) kernel selection, (2) penalty tuning, (3) bridge fit, (4)
+    embedding weights, (5) effect evaluation. Every penalty search is
+    step 2, whichever step reads its penalty. The same data serves both
+    bridge stages.
     """
     tuning = tuning if tuning is not None else TuningPlan()
     if estimator not in ESTIMATORS:
@@ -533,11 +451,14 @@ def run_end_to_end(
         specs = kernel_specs(data, lengthscales)
         grid = _resolve_grid(request, data)
     penalties = tuning.penalties(data.n)
+    grams = GramSet(data, specs)
     if estimator == "te":
         with _step(3, "bridge fit"):
-            curve = estimate_te_baseline(data, specs, grid, penalties["lam"], tuning.grid)
+            coef, gbar, lam, reports = _te_fit(data, grams, penalties["lam"], tuning.grid)
+            curve = _curve(
+                data, specs, grid, coef * gbar, "te", "ate", lam, None, None, reports
+            )
     else:
-        grams = GramSet(data, specs)
         curve = _nc_curve(data, specs, grams, request, grid, penalties, tuning.grid)
     curve.metadata.update(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)

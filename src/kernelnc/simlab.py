@@ -100,6 +100,8 @@ def true_curve(design: SimDesign, d) -> np.ndarray:
 
 def generate(design: SimDesign, seed: int, replicate: int = 0) -> Dataset:
     """Draw one dataset; same arguments always give identical bytes."""
+    if seed < 0 or replicate < 0:
+        raise InputError(f"seed and replicate must be >= 0, got {seed} and {replicate}")
     n = design.n
     confounded = design.kind != "no_confounding"
     eps = _stream(seed, replicate, "shared").standard_normal((n, 3 if confounded else 4))
@@ -285,10 +287,13 @@ def run_experiment(
         raise InputError("need at least one replicate")
     if workers < 1:
         raise InputError(f"need at least one worker, got {workers}")
+    estimators = tuple(estimators)
     for est in estimators:
         if est not in ESTIMATORS:
             raise InputError(f"unknown estimator {est!r}")
-    jobs = [(design, seed, rep, tuple(estimators), tuning) for rep in range(replicates)]
+    if not 0 < len(estimators) == len(set(estimators)):
+        raise InputError(f"need one or more estimators, each once, got {estimators}")
+    jobs = [(design, seed, rep, estimators, tuning) for rep in range(replicates)]
     results: dict[int, dict[str, float]] = {}
     failures: list[tuple[int, str]] = []
     if workers > 1:

@@ -13,20 +13,10 @@ import time
 import numpy as np
 import yaml
 
-from kernelnc.bridge import (
-    fit_bridge,
-    theoretical_embedding_penalty,
-    theoretical_schedule,
-)
+from kernelnc.bridge import theoretical_embedding_penalty, theoretical_schedule
 from kernelnc.cli import main
 from kernelnc.data import from_arrays
-from kernelnc.effects import (
-    estimate_ate,
-    estimate_att,
-    estimate_cate,
-    estimate_ds,
-    kernel_specs,
-)
+from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from kernelnc.kernels import KernelSpec, gram
 from kernelnc.ridge import RidgeSystem, gram_factor
 from kernelnc.simlab import SimDesign, run_experiment
@@ -103,7 +93,7 @@ def test_criterion_3_bridge_and_effects_match_dense_oracle(capsys):
         )
         lam, xi = rng.uniform(0.01, 0.5, size=2)
         lam1, lam2 = rng.uniform(0.01, 0.5, size=2)
-        model = fit_bridge(data, kernel_specs(data), lam, xi)
+        plan = TuningPlan("forced", lam=lam, xi=xi, lam1=lam1, lam2=lam2)
         scales = {
             r: od.block_scales(data.block(r)) for r in ("d", "x", "z", "w", "v")
         }
@@ -118,20 +108,19 @@ def test_criterion_3_bridge_and_effects_match_dense_oracle(capsys):
         alt_v = rng.normal(size=(8, 1))
         d_value = float(np.median(d_col))
         v_value = float(data.block("v")[0, 0])
+
+        def nc(kind, **query):
+            request = EffectRequest(kind, grid=grid, **query)
+            return run_end_to_end(data, request, plan).values
+
         pairs = [
-            (estimate_ate(model, grid).values, od.ate_curve(fit, grid)),
+            (nc("ate"), od.ate_curve(fit, grid)),
             (
-                estimate_ds(model, grid, alt_x, alt_w, alt_v).values,
+                nc("ds", alt_x=alt_x, alt_w=alt_w, alt_v=alt_v),
                 od.ds_curve(fit, grid, alt_x, alt_w, alt_v),
             ),
-            (
-                estimate_att(model, grid, d_value, lam1).values,
-                od.att_curve(fit, grid, d_value, lam1),
-            ),
-            (
-                estimate_cate(model, grid, v_value, lam2).values,
-                od.cate_curve(fit, grid, v_value, lam2),
-            ),
+            (nc("att", d_value=d_value), od.att_curve(fit, grid, d_value, lam1)),
+            (nc("cate", v_value=v_value), od.cate_curve(fit, grid, v_value, lam2)),
         ]
         worst = max(worst, max(_curve_gap(g, w) for g, w in pairs))
     elapsed = time.perf_counter() - t0
@@ -222,19 +211,29 @@ def test_criterion_6_discrete_v_cate_equals_subset_ate(capsys):
         rng.normal(size=n), rng.normal(size=n), v, v_categorical=True,
     )
     specs = kernel_specs(data)
+    # the subgroup refit keeps the full sample's Gaussian lengthscales
+    lengthscales = {
+        name: column.lengthscale
+        for role, spec in specs.items()
+        for name, column in zip(data.names(role), spec.columns)
+        if column.lengthscale is not None
+    }
     lam, xi = 0.1, 0.05
-    model = fit_bridge(data, specs, lam, xi)
     grid = np.linspace(-1.0, 1.0, 5)
     worst = 0.0
     for code in (0.0, 1.0, 2.0):
-        cate = estimate_cate(model, grid, v_value=code, lam2=1e-9)
+        request = EffectRequest("cate", grid=grid, v_value=code)
+        plan = TuningPlan("forced", lam=lam, xi=xi, lam2=1e-9)
+        cate = run_end_to_end(data, request, plan)
         mask = data.block("v")[:, 0] == code
         sub = data.subset(mask)
         # the subgroup refit must keep the same absolute ridge, so the
         # per-sample penalties scale by n / n_c
         scale = n / sub.n
-        sub_model = fit_bridge(sub, specs, lam * scale, xi * scale)
-        ate = estimate_ate(sub_model, grid)
+        sub_plan = TuningPlan("forced", lam=lam * scale, xi=xi * scale)
+        ate = run_end_to_end(
+            sub, EffectRequest("ate", grid=grid), sub_plan, lengthscales=lengthscales
+        )
         worst = max(worst, float(np.max(np.abs(cate.values - ate.values))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 5.0
@@ -267,11 +266,12 @@ def test_criterion_7_invariant_suite(capsys):
         rng.normal(size=20), rng.normal(size=20), rng.normal(size=(20, 2)),
         rng.normal(size=20), rng.normal(size=20),
     )
-    model = fit_bridge(data, kernel_specs(data), 0.05, 0.02)
+    plan = TuningPlan("forced", lam=0.05, xi=0.02)
     grid = np.linspace(-1.0, 1.0, 6)
+    ds = EffectRequest("ds", grid=grid, alt_x=data.block("x"), alt_w=data.block("w"))
     ds_is_ate = np.array_equal(
-        estimate_ate(model, grid).values,
-        estimate_ds(model, grid, data.block("x"), data.block("w")).values,
+        run_end_to_end(data, EffectRequest("ate", grid=grid), plan).values,
+        run_end_to_end(data, ds, plan).values,
     )
 
     lam_spot = theoretical_embedding_penalty(10000, 2.0)

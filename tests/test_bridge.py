@@ -6,7 +6,6 @@ import pytest
 from kernelnc.bridge import (
     GramSet,
     bridge_products,
-    fit_bridge,
     project_stage1,
     solve_coef,
     theoretical_embedding_penalty,
@@ -28,6 +27,11 @@ def _indicator_dataset():
     codes = np.array([0.0, 1.0, 2.0])
     y = np.array([1.0, -2.0, 4.0])
     return from_arrays(y, codes, codes, codes, codes, d_categorical=True)
+
+
+def _fit(data, specs, lam, xi):
+    grams = GramSet(data, specs)
+    return tune_and_fit(data, grams, gram_factor(grams.pop("w")), lam, xi)[0]
 
 
 def _indicator_specs():
@@ -52,7 +56,7 @@ def test_identity_gram_hand_instance():
     alpha = solve_coef(RidgeSystem(M), y, 1.0 / 12.0)
     np.testing.assert_allclose(alpha, 2.0 * y, rtol=1e-10)
 
-    model = fit_bridge(data, specs, 1.0 / 3.0, 1.0 / 12.0)
+    model = _fit(data, specs, 1.0 / 3.0, 1.0 / 12.0)
     np.testing.assert_allclose(model.coef, 2.0 * y, rtol=1e-10)
 
 
@@ -62,11 +66,9 @@ def test_tune_and_fit_keeps_only_the_factor_of_k_ww():
     grams = GramSet(data, specs)
     K_ww = grams["w"].copy()
     w_factor = gram_factor(grams.pop("w"))
-    model, _ = tune_and_fit(data, specs, grams, w_factor, 0.1, 0.05)
+    tune_and_fit(data, grams, w_factor, 0.1, 0.05)
     assert not any(role in grams for role in ("d", "x", "z", "w"))
-    L = model.w_factor
-    assert L is w_factor
-    np.testing.assert_allclose(L @ L.T, K_ww, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(w_factor @ w_factor.T, K_ww, rtol=0.0, atol=1e-13)
 
 
 def _random_dataset(rng, n, with_v=False):
@@ -101,7 +103,7 @@ def test_fit_matches_dense_oracle():
     rng = np.random.default_rng(67)
     data = _random_dataset(rng, 22)
     specs = kernel_specs(data)
-    model = fit_bridge(data, specs, 0.08, 0.03)
+    model = _fit(data, specs, 0.08, 0.03)
     fit = od.fit_dense(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
         data.y, _oracle_scales(data, ("d", "x", "z", "w")), 0.08, 0.03,
@@ -113,8 +115,7 @@ def test_fit_with_v_block_matches_dense_oracle():
     rng = np.random.default_rng(71)
     data = _random_dataset(rng, 18, with_v=True)
     specs = kernel_specs(data)
-    model = fit_bridge(data, specs, 0.1, 0.05)
-    assert model.has_v
+    model = _fit(data, specs, 0.1, 0.05)
     fit = od.fit_dense(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
         data.y, _oracle_scales(data, ("d", "x", "z", "w", "v")), 0.1, 0.05,

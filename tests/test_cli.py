@@ -107,18 +107,30 @@ def test_non_numeric_config_value_is_a_config_error(
         ("estimate", {"data": {"simulate": 7}}, "data.simulate must be a mapping"),
         ("simulate", {"simulate": {"n": 40, "estimators": "nc"}},
          "simulate.estimators must be a list"),
+        ("simulate", {"simulate": {"n": 40, "estimators": []}},
+         "simulate.estimators must name one or more estimators, each once"),
+        ("simulate", {"simulate": {"n": 40, "estimators": ["nc", "nc"]}},
+         "simulate.estimators must name one or more estimators, each once"),
+        ("simulate", {"simulate": {"n": 40, "strict": "no"}},
+         "simulate.strict must be true or false, got 'no'"),
+        ("simulate", {"seed": -1, "simulate": {"n": 40}}, "seed must be >= 0, got -1"),
+        ("estimate", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("estimate", {"data": {"simulate": {"n": 40, "replicate": -2}}},
+         "data.simulate.replicate must be >= 0, got -2"),
     ],
 )
 def test_misshapen_config_section_is_a_config_error(
     tmp_path, capsys, command, body, message
 ):
     # a section of the wrong type names its key instead of failing with
-    # a traceback, and a string is not iterated as a list of estimators
+    # a traceback, and a string is not iterated as a list of estimators;
+    # no output file is written
     body = {"output_dir": str(tmp_path / "out"), **body}
     body.setdefault("data", {"simulate": {"n": 40}})
     cfg = _write_config(tmp_path / "c.yaml", body)
     assert main([command, "--config", cfg]) == EXIT_CONFIG
     assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize(
@@ -626,7 +638,8 @@ def test_each_manifest_records_its_own_blas_thread_count(tmp_path):
 def test_pooled_workers_write_the_bytes_of_a_one_thread_serial_run(tmp_path):
     # at n=500 OpenBLAS splits products across its threads, so a worker
     # that inherited two threads would sum in another order; each pooled
-    # worker runs at one, whatever the parent runs at
+    # worker runs at one, whatever the parent runs at, and the manifest
+    # records that count, so a replay at one thread has nothing to warn of
     import kernelnc
 
     src = os.path.dirname(os.path.dirname(kernelnc.__file__))
@@ -634,21 +647,32 @@ def test_pooled_workers_write_the_bytes_of_a_one_thread_serial_run(tmp_path):
         tmp_path / "c.yaml",
         {"seed": 1, "simulate": {"design": "quadratic", "n": 500, "replicates": 4}},
     )
-    for workers, threads in ((1, 1), (2, 2)):
+
+    def run(threads, *args):
         env = dict(
             os.environ,
             OPENBLAS_NUM_THREADS=str(threads),
             PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
         )
-        subprocess.run(
-            [sys.executable, "-m", "kernelnc.cli", "simulate", "--config", cfg,
-             "--workers", str(workers), "--output-dir", str(tmp_path / str(workers))],
-            env=env, capture_output=True, check=True, timeout=300,
+        return subprocess.run(
+            [sys.executable, "-m", "kernelnc.cli", "simulate", *args],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
         )
+
+    for workers, threads in ((1, 1), (2, 2)):
+        run(threads, "--config", cfg, "--workers", str(workers),
+            "--output-dir", str(tmp_path / str(workers)))
     serial, pooled = (tmp_path / "1", tmp_path / "2")
     assert (pooled / "replicates.csv").read_bytes() == (serial / "replicates.csv").read_bytes()
     manifest = json.loads((pooled / "manifest.json").read_text())
     assert manifest["results"]["metadata"]["blas"]["threads"] == 1
+    assert manifest["blas"] == manifest["results"]["metadata"]["blas"]
+    replay = run(1, "--from-manifest", str(pooled / "manifest.json"),
+                 "--output-dir", str(tmp_path / "replay"))
+    assert replay.stderr == ""
+    assert (tmp_path / "replay" / "replicates.csv").read_bytes() == (
+        serial / "replicates.csv"
+    ).read_bytes()
 
 
 def test_replay_reports_a_blas_thread_count_the_manifest_did_not_record(tmp_path):

@@ -7,23 +7,17 @@ import numpy as np
 import pytest
 
 from kernelnc import bridge, effects, kernels
-from kernelnc.bridge import fit_bridge, theoretical_schedule
-from kernelnc.data import from_arrays
+from kernelnc.bridge import theoretical_schedule
+from kernelnc.data import Column, Dataset, from_arrays
 from kernelnc.effects import (
     ESTIMATORS,
     EffectRequest,
     TuningPlan,
     default_grid,
-    estimate_ate,
-    estimate_att,
-    estimate_cate,
-    estimate_ds,
-    estimate_te_baseline,
     kernel_specs,
     run_end_to_end,
 )
 from kernelnc.errors import InputError, NumericalError
-from kernelnc.kernels import KernelSpec
 from kernelnc.ridge import DEFAULT_GRID
 from kernelnc.simlab import SimDesign, generate
 
@@ -44,19 +38,21 @@ def _dataset(rng, n=24, with_v=False):
 
 
 @pytest.fixture(scope="module")
-def fitted():
+def sample():
     rng = np.random.default_rng(79)
-    data = _dataset(rng)
-    model = fit_bridge(data, kernel_specs(data), 0.05, 0.02)
-    return data, model, rng
+    return _dataset(rng), rng
 
 
 @pytest.fixture(scope="module")
-def fitted_v():
+def sample_v():
     rng = np.random.default_rng(83)
-    data = _dataset(rng, with_v=True)
-    model = fit_bridge(data, kernel_specs(data), 0.05, 0.02)
-    return data, model, rng
+    return _dataset(rng, with_v=True), rng
+
+
+def _nc(data, kind, lam1=None, lam2=None, **query):
+    # the bridge at lam = 0.05, xi = 0.02, as every oracle below is fitted
+    plan = TuningPlan("forced", lam=0.05, xi=0.02, lam1=lam1, lam2=lam2)
+    return run_end_to_end(data, EffectRequest(kind, grid=GRID, **query), plan)
 
 
 def _oracle_fit(data, lam, xi):
@@ -69,78 +65,77 @@ def _oracle_fit(data, lam, xi):
     )
 
 
-def test_ate_matches_dense_oracle(fitted):
-    data, model, _ = fitted
-    curve = estimate_ate(model, GRID)
+def test_ate_matches_dense_oracle(sample):
+    data, _ = sample
+    curve = _nc(data, "ate")
     want = od.ate_curve(_oracle_fit(data, 0.05, 0.02), GRID)
     np.testing.assert_allclose(curve.values, want, rtol=1e-8)
     assert curve.metadata["effect"] == "ate"
     assert curve.metadata["lam"] == 0.05
 
 
-def test_ds_over_training_population_equals_ate_bitwise(fitted):
-    data, model, _ = fitted
-    ate = estimate_ate(model, GRID)
-    ds = estimate_ds(model, GRID, data.block("x"), data.block("w"))
+def test_ds_over_training_population_equals_ate_bitwise(sample):
+    data, _ = sample
+    ate = _nc(data, "ate")
+    ds = _nc(data, "ds", alt_x=data.block("x"), alt_w=data.block("w"))
     assert np.array_equal(ate.values, ds.values)
     assert ds.metadata["effect"] == "ds"
 
 
-def test_ds_matches_dense_oracle_on_shifted_population(fitted):
-    data, model, rng = fitted
+def test_ds_matches_dense_oracle_on_shifted_population(sample):
+    data, rng = sample
     alt_x = rng.normal(loc=0.5, size=(10, 2))
     alt_w = rng.normal(loc=-0.3, size=(10, 1))
-    curve = estimate_ds(model, GRID, alt_x, alt_w)
+    curve = _nc(data, "ds", alt_x=alt_x, alt_w=alt_w)
     want = od.ds_curve(_oracle_fit(data, 0.05, 0.02), GRID, alt_x, alt_w)
     np.testing.assert_allclose(curve.values, want, rtol=1e-8)
 
 
-def test_ds_validates_population(fitted):
-    _, model, _ = fitted
+def test_ds_validates_population(sample):
+    data, _ = sample
     with pytest.raises(InputError):
-        estimate_ds(model, GRID, np.zeros((4, 2)), np.zeros((5, 1)))
+        _nc(data, "ds", alt_x=np.zeros((4, 2)), alt_w=np.zeros((5, 1)))
     with pytest.raises(InputError):
-        estimate_ds(model, GRID, np.zeros((4, 2)), np.zeros(4), alt_v=np.zeros(4))
+        _nc(data, "ds", alt_x=np.zeros((4, 2)), alt_w=np.zeros(4), alt_v=np.zeros(4))
 
 
-def test_att_matches_dense_oracle(fitted):
-    data, model, _ = fitted
-    curve = estimate_att(model, GRID, d_value=0.4, lam1=0.07)
+def test_att_matches_dense_oracle(sample):
+    data, _ = sample
+    curve = _nc(data, "att", lam1=0.07, d_value=0.4)
     want = od.att_curve(_oracle_fit(data, 0.05, 0.02), GRID, 0.4, 0.07)
     np.testing.assert_allclose(curve.values, want, rtol=1e-8)
     assert curve.metadata["extra_penalty"] == 0.07
 
 
-def test_att_tunes_lam1_when_missing(fitted):
-    _, model, _ = fitted
-    curve = estimate_att(model, GRID, d_value=0.4)
+def test_att_tunes_lam1_when_missing(sample):
+    data, _ = sample
+    curve = _nc(data, "att", d_value=0.4)
     assert curve.metadata["extra_penalty"] > 0.0
 
 
-def test_cate_matches_dense_oracle(fitted_v):
-    data, model, _ = fitted_v
-    curve = estimate_cate(model, GRID, v_value=0.2, lam2=0.04)
+def test_cate_matches_dense_oracle(sample_v):
+    data, _ = sample_v
+    curve = _nc(data, "cate", lam2=0.04, v_value=0.2)
     want = od.cate_curve(_oracle_fit(data, 0.05, 0.02), GRID, 0.2, 0.04)
     np.testing.assert_allclose(curve.values, want, rtol=1e-8)
 
 
-def test_cate_requires_v(fitted):
-    _, model, _ = fitted
+def test_cate_requires_v(sample):
+    data, _ = sample
     with pytest.raises(InputError):
-        estimate_cate(model, GRID, v_value=0.0, lam2=0.1)
+        _nc(data, "cate", lam2=0.1, v_value=0.0)
 
 
-def test_zero_outcome_gives_zero_curves(fitted_v):
-    data, _, _ = fitted_v
+def test_zero_outcome_gives_zero_curves(sample_v):
+    data, _ = sample_v
     flat = from_arrays(
         np.zeros(data.n), data.block("d"), data.block("x"), data.block("z"),
         data.block("w"), data.block("v"),
     )
-    model = fit_bridge(flat, kernel_specs(flat), 0.05, 0.02)
     for curve in (
-        estimate_ate(model, GRID),
-        estimate_att(model, GRID, 0.0, lam1=0.1),
-        estimate_cate(model, GRID, 0.0, lam2=0.1),
+        _nc(flat, "ate"),
+        _nc(flat, "att", lam1=0.1, d_value=0.0),
+        _nc(flat, "cate", lam2=0.1, v_value=0.0),
     ):
         np.testing.assert_allclose(curve.values, 0.0, atol=1e-12)
 
@@ -150,17 +145,22 @@ def test_te_baseline_hand_instance():
     # so coef = y/(1+n lam) and the averaged rest factor is 1/n
     codes = np.array([0.0, 1.0, 2.0])
     y = np.array([3.0, -6.0, 9.0])
-    data = from_arrays(y, codes, codes, codes, codes, d_categorical=True)
-    specs = {r: KernelSpec.indicator(1) for r in ("d", "x", "z", "w")}
-    curve = estimate_te_baseline(data, specs, grid=codes, lam=1.0 / 3.0)
+    labels = ("0", "1", "2")
+    columns = (Column("y", "y"),) + tuple(
+        Column(role, role, True, labels) for role in ("d", "x", "z", "w")
+    )
+    data = Dataset(columns, np.column_stack([y, codes, codes, codes, codes]))
+    request = EffectRequest("ate", grid=codes)
+    curve = run_end_to_end(data, request, TuningPlan("forced", lam=1.0 / 3.0), "te")
     np.testing.assert_allclose(curve.values, y / 6.0, rtol=1e-12)
     assert curve.estimator == "te"
     assert curve.metadata["xi"] is None
 
 
-def test_te_baseline_matches_dense_oracle(fitted):
-    data, _, _ = fitted
-    curve = estimate_te_baseline(data, kernel_specs(data), GRID, lam=0.09)
+def test_te_baseline_matches_dense_oracle(sample):
+    data, _ = sample
+    plan = TuningPlan("forced", lam=0.09)
+    curve = run_end_to_end(data, EffectRequest("ate", grid=GRID), plan, "te")
     scales = {r: od.block_scales(data.block(r)) for r in ("d", "x", "z", "w")}
     want = od.te_curve(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
@@ -210,53 +210,31 @@ def test_request_rejects_non_finite_conditioning_point(kind, field, value):
 
 
 @pytest.mark.parametrize("kind", ["ate", "ds", "att", "cate"])
-def test_run_end_to_end_matches_manual_composition(fitted_v, kind):
-    data, model, _ = fitted_v
-    alt = {"alt_x": data.block("x")[:9] + 0.3, "alt_w": data.block("w")[:9],
-           "alt_v": data.block("v")[:9] - 0.2}
-    request = EffectRequest(kind, grid=GRID, d_value=0.4, v_value=0.2, **alt)
-    plan = TuningPlan(mode="forced", lam=0.05, xi=0.02, lam1=0.07, lam2=0.04)
-    curve = run_end_to_end(data, request, plan)
-    manual = {
-        "ate": lambda: estimate_ate(model, GRID),
-        "ds": lambda: estimate_ds(model, GRID, **alt),
-        "att": lambda: estimate_att(model, GRID, 0.4, lam1=0.07),
-        "cate": lambda: estimate_cate(model, GRID, 0.2, lam2=0.04),
-    }[kind]()
-    assert np.array_equal(curve.values, manual.values)
-    assert manual.metadata.items() <= curve.metadata.items()
-    assert curve.metadata["tuning_mode"] == "forced"
-    assert len(curve.metadata["lengthscale_digest"]) == 12
-
-
 @pytest.mark.parametrize(
-    "kind, with_v, penalty, built",
-    [("ate", False, None, 1), ("att", False, 0.07, 2), ("att", False, None, 3),
-     ("cate", True, 0.04, 2), ("cate", True, None, 3)],
-    ids=["ate", "att-forced", "att-tuned", "cate-forced", "cate-tuned"],
+    "plan", [None, TuningPlan("forced", lam=0.05, xi=0.02, lam1=0.07, lam2=0.04)],
+    ids=["tuned", "forced"],
 )
-def test_public_estimators_build_only_the_grams_they_read(
-    monkeypatch, fitted, fitted_v, kind, with_v, penalty, built
-):
-    # ate reads x, att also d, cate v and x; K_ww only through the model's
-    # factor, so w is built only for a tuned embedding's output Gram, and
-    # z never after the fit
-    data, model, _ = fitted_v if with_v else fitted
-    shapes = []
+def test_one_pass_builds_each_role_gram_once(monkeypatch, sample_v, kind, plan):
+    # the embedding, the bridge and the effect evaluation read the role
+    # Grams of one GramSet, so d, x, z, w and v are each built once
+    data = sample_v[0]
+    built = []
 
     def counted(rows, cols, spec):
         out = kernels.gram(rows, cols, spec)
-        shapes.append(out.shape)
+        if out.shape == (data.n, data.n):
+            built.append(
+                next(r for r in bridge.ROLES if np.array_equal(rows, data.block(r)))
+            )
         return out
 
     monkeypatch.setattr(bridge, "gram", counted)
     monkeypatch.setattr(effects, "gram", counted)
-    {
-        "ate": lambda: estimate_ate(model, GRID),
-        "att": lambda: estimate_att(model, GRID, 0.4, lam1=penalty),
-        "cate": lambda: estimate_cate(model, GRID, 0.2, lam2=penalty),
-    }[kind]()
-    assert shapes.count((data.n, data.n)) == built
+    alt = {"alt_x": data.block("x")[:9] + 0.3, "alt_w": data.block("w")[:9],
+           "alt_v": data.block("v")[:9] - 0.2}
+    request = EffectRequest(kind, grid=GRID, d_value=0.4, v_value=0.2, **alt)
+    run_end_to_end(data, request, plan)
+    assert sorted(built) == sorted(bridge.ROLES)
 
 
 def test_tuning_plan_resolves_every_penalty():
@@ -275,16 +253,16 @@ def test_tuning_plan_resolves_every_penalty():
     assert (theory["lam1"], theory["lam2"]) == (n ** (-1 / 2.5), n ** (-1 / 3))
 
 
-def test_run_end_to_end_te_restrictions(fitted):
-    data, _, _ = fitted
+def test_run_end_to_end_te_restrictions(sample):
+    data, _ = sample
     with pytest.raises(InputError):
         run_end_to_end(data, EffectRequest("att", d_value=0.0), estimator="te")
     with pytest.raises(InputError):
         run_end_to_end(data, EffectRequest("ate"), estimator="gls")
 
 
-def test_run_end_to_end_is_deterministic(fitted):
-    data, _, _ = fitted
+def test_run_end_to_end_is_deterministic(sample):
+    data, _ = sample
     req = EffectRequest("ate", grid=GRID)
     a = run_end_to_end(data, req)
     b = run_end_to_end(data, req)
@@ -292,8 +270,8 @@ def test_run_end_to_end_is_deterministic(fitted):
     assert a.metadata == b.metadata
 
 
-def test_run_end_to_end_theoretical_mode(fitted):
-    data, _, _ = fitted
+def test_run_end_to_end_theoretical_mode(sample):
+    data, _ = sample
     plan = TuningPlan(mode="theoretical", c0=2.0, c=2.0)
     for estimator in ESTIMATORS:
         request = EffectRequest("ate", grid=GRID)
@@ -311,7 +289,7 @@ def test_run_end_to_end_theoretical_mode(fitted):
     ids=["te-lam", "nc-lam", "nc-xi", "att-lam1", "cate-lam2"],
 )
 def test_every_penalty_search_fails_as_step_2(
-    monkeypatch, fitted_v, estimator, kind, forced, searched
+    monkeypatch, sample_v, estimator, kind, forced, searched
 ):
     # a failed search carries the penalty-tuning tag, and no tag of the
     # step that reads its penalty
@@ -325,7 +303,7 @@ def test_every_penalty_search_fails_as_step_2(
     request = EffectRequest(kind, grid=GRID, d_value=0.3, v_value=0.1)
     plan = TuningPlan(mode="forced", **forced)
     with pytest.raises(NumericalError) as err:
-        run_end_to_end(fitted_v[0], request, plan, estimator)
+        run_end_to_end(sample_v[0], request, plan, estimator)
     assert str(err.value) == "step 2 (penalty tuning): loss failed"
     assert calls == [searched]
 
@@ -352,10 +330,10 @@ def test_step_tagging_names_the_failing_stage():
     ids=["att", "cate", "te", "att-lam1-forced", "att-all-forced", "te-forced"],
 )
 def test_metadata_records_the_search_of_each_tuned_penalty(
-    fitted_v, estimator, kind, forced, names
+    sample_v, estimator, kind, forced, names
 ):
     # the pass records what it tuned, and only that, as plain floats
-    data = fitted_v[0]
+    data = sample_v[0]
     cands = np.array([1e-3, 1e-1])
     request = EffectRequest(kind, grid=GRID, d_value=0.3, v_value=0.1)
     plan = TuningPlan(mode="forced", grid=cands, **forced)
@@ -372,8 +350,8 @@ def test_metadata_records_the_search_of_each_tuned_penalty(
     assert json.loads(json.dumps(meta["tuning"])) == meta["tuning"]
 
 
-def test_metadata_search_runs_on_the_default_grid(fitted):
-    meta = run_end_to_end(fitted[0], EffectRequest("ate", grid=GRID)).metadata
+def test_metadata_search_runs_on_the_default_grid(sample):
+    meta = run_end_to_end(sample[0], EffectRequest("ate", grid=GRID)).metadata
     assert set(meta["tuning"]) == {"lam", "xi"}
     for name in ("lam", "xi"):
         search = meta["tuning"][name]
@@ -385,10 +363,10 @@ def test_metadata_search_runs_on_the_default_grid(fitted):
 
 @pytest.mark.parametrize("kind, query", [("att", 0.2), ("cate", 0.1)])
 @pytest.mark.parametrize("penalty", [None, 0.01])
-def test_embedding_leaves_the_gram_set_unchanged(fitted_v, kind, query, penalty):
+def test_embedding_leaves_the_gram_set_unchanged(sample_v, kind, query, penalty):
     # step 4 factors a copy of its conditioning Gram: the factorization
     # works in place, and the bridge's products read K_dd and K_vv after it
-    data = fitted_v[0]
+    data = sample_v[0]
     specs = kernel_specs(data)
     grams = bridge.GramSet(data, specs)
     before = {role: grams[role].copy() for role in bridge.ROLES}

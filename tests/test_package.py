@@ -1,9 +1,11 @@
-"""The public export list of the package, and what importing it loads."""
+"""The public export list of the package, what importing it loads, and
+the README's Python quick start."""
 
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import yaml
 
@@ -39,6 +41,18 @@ def test_import_loads_no_scipy_module():
         [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_python_quick_start_runs():
+    # the README's first example runs as printed, so an API change that
+    # breaks it fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Quick start (Python)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_cli_runs_with_scipy_unimportable(tmp_path):

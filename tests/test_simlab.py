@@ -252,3 +252,9 @@ def test_run_experiment_validation():
         run_experiment(SimDesign(), replicates=1, seed=1, estimators=("ols",))
     with pytest.raises(InputError, match="at least one worker"):
         run_experiment(SimDesign(), replicates=1, seed=1, workers=0)
+    for estimators in ((), ("nc", "nc")):
+        with pytest.raises(InputError, match="one or more estimators, each once"):
+            run_experiment(SimDesign(), replicates=1, seed=1, estimators=estimators)
+    for seed, replicate in ((-1, 0), (1, -2)):
+        with pytest.raises(InputError, match="seed and replicate must be >= 0"):
+            generate(SimDesign(n=40), seed, replicate)
