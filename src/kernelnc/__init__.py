@@ -10,9 +10,10 @@ kernel ridge baseline on designs with known counterfactual curves.
 
 from .bridge import (
     BridgeModel,
-    bridge_products,
+    gram_product,
     project_stage1,
     solve_coef,
+    stage2_kernel,
     theoretical_embedding_penalty,
     theoretical_schedule,
 )
@@ -65,11 +66,11 @@ __all__ = [
     "SimDesign",
     "TuneReport",
     "TuningPlan",
-    "bridge_products",
     "from_arrays",
     "generate",
     "gram",
     "gram_factor",
+    "gram_product",
     "ingest",
     "kernel_specs",
     "median_heuristic",
@@ -79,6 +80,7 @@ __all__ = [
     "score_replicate",
     "solve_coef",
     "spec_from_data",
+    "stage2_kernel",
     "theoretical_embedding_penalty",
     "theoretical_schedule",
     "true_curve",

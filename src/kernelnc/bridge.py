@@ -8,12 +8,14 @@ both are closed-form linear solves. Every effect estimator averages
 the fitted bridge over a (covariates, control-outcome) population.
 
 The only large objects of a fit are n x n Grams. Each role Gram is
-built just before its first reader and released after its last (see
+built just before its reader and released after it (see
 :class:`GramSet`), the products multiply in place, and the stage-1
 smoother B is never formed: every later step reads it as B'L (n x r)
 for the factor L of K_ww, or applies it to a cross Gram through the
-stage-1 system. One fit holds at most four n x n arrays at once,
-LAPACK's own buffers aside.
+stage-1 system. While either stage's system decomposes, the n x n
+array it decomposes is the only one live, LAPACK's own buffers aside:
+the stage-2 core is built again from fresh Grams once stage 1 is done
+with, rather than held across its decomposition.
 """
 
 from __future__ import annotations
@@ -63,19 +65,21 @@ def _search(
 
 
 class GramSet:
-    """The training-sample Grams of one call, each built at its first read.
+    """The training-sample Grams of one call, each built at its read.
 
     `grams[role]` builds the role's n x n Gram and keeps it;
-    `grams.pop(role)` hands it over for the last time, so that the
-    reader can multiply in its buffer and the set no longer holds it.
-    `role in grams` is true for every role the data has that was not
-    popped. The set is never kept beyond the call that made it, and a
-    popped role is not built again.
+    `grams.pop(role)` hands it over and forgets it, so that the reader
+    can multiply in its buffer and the set no longer holds it. A role
+    read again after its pop is built again, to the same bytes: a pass
+    that reads a Gram in both stages rebuilds it rather than hold it
+    across the decomposition between them. `role in grams` is true for
+    every role the data has. The set is never kept beyond the call that
+    made it.
     """
 
     def __init__(self, data: Dataset, specs: Mapping[str, KernelSpec]):
         self._data, self._specs = data, specs
-        self._roles = [role for role in ROLES if data.has_role(role)]
+        self._roles = tuple(role for role in ROLES if data.has_role(role))
         missing = set(self._roles).difference(specs)
         if missing:
             raise InputError(f"kernel specs missing for roles {sorted(missing)}")
@@ -95,65 +99,57 @@ class GramSet:
     def pop(self, role: str) -> np.ndarray:
         gram_ = self[role]
         del self._built[role]
-        self._roles.remove(role)
         return gram_
 
 
-def bridge_products(grams: GramSet) -> tuple[np.ndarray, np.ndarray]:
-    """The stage-1 Gram A over (d, x, z[, v]) and the stage-2 core over (d, x[, v]).
+def gram_product(grams: GramSet, roles: tuple[str, ...]) -> np.ndarray:
+    """The entrywise product of the Grams of those `roles` the data has.
 
-    The stage-2 core is the stage-1 product with the control-exposure
-    factor dropped. Both multiply in role order, (d, x, z, v), in the
-    buffers of the d and z Grams; each entry is popped from `grams` and
-    released once it is multiplied in.
-
-    z is built before x is released. The allocator then has x's freed
-    buffer, exactly n x n, for the stage-1 eigenvectors, which places A
-    above them: when the stage-1 system releases A, its memory rejoins
-    the top of the heap and the stage-2 eigh reuses it. Released the
-    other way round, glibc keeps A's buffer as a hole that small arrays
-    split, and an n = 2000 fit peaks one n x n (30.5 MiB) higher.
+    The Grams multiply in the order of `roles`, in the buffer of the
+    first; each is popped from `grams` and released once it is
+    multiplied in. The stage-1 Gram A is the product over
+    ("d", "x", "z", "v"), the stage-2 core over ("d", "x", "v"), and
+    the baseline's Gram without treatment over ("x", "z", "w", "v").
     """
-    core = grams.pop("d")
-    x = grams.pop("x")
-    A = grams.pop("z")
-    core *= x
-    del x
-    A *= core
-    if "v" in grams:
-        v = grams.pop("v")
-        A *= v
-        core *= v
-    return A, core
+    product = grams.pop(roles[0])
+    for role in roles[1:]:
+        if role in grams:
+            product *= grams.pop(role)
+    return product
 
 
-def project_stage1(
-    stage1: RidgeSystem, stage2_core: np.ndarray, w_factor: np.ndarray, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-1 solve: B'L and the derived second-stage kernel M.
+def project_stage1(stage1: RidgeSystem, w_factor: np.ndarray, lam: float) -> np.ndarray:
+    """Stage-1 solve: B'L, the stage-1 weights read through K_ww.
 
     `stage1` is the system of the stage-1 Gram A, whose weights are the
     smoother B = A (A + n lam I)^{-1}, and `w_factor` is the factor L of
     K_ww = L L' (see :func:`gram_factor`). B is never formed: B'L = B L
-    (n x r) is the system's smooth of L. M multiplies the second-stage
-    core by B' K_ww B = (B'L)(B'L)'; it is formed in the buffer of
-    `stage2_core`, one block of rows at a time, so that no other n x n
-    array is allocated. Entries (i, j) and (j, i) of M may differ in
-    round-off, and every solve reads only its lower triangle.
+    (n x r) is the system's smooth of L.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InputError(f"lam must be finite and >= 0, got {lam}")
     try:
-        BL = stage1.smooth(stage1.n * lam, w_factor)
+        return stage1.smooth(stage1.n * lam, w_factor)
     except NumericalError as err:
         raise NumericalError(f"stage 1: {err}") from err
-    M = stage2_core
+
+
+def stage2_kernel(core: np.ndarray, projected_w: np.ndarray) -> np.ndarray:
+    """The second-stage kernel M = core o B' K_ww B, in the buffer of `core`.
+
+    `core` is the stage-2 core K_d o K_x [o K_v] and `projected_w` is
+    B'L (see :func:`project_stage1`), so B' K_ww B = (B'L)(B'L)'. M is
+    formed one block of rows at a time, so that no other n x n array is
+    allocated. Entries (i, j) and (j, i) of M may differ in round-off,
+    and every solve reads only its lower triangle.
+    """
+    M = core
     n = M.shape[0]
     height = max(1, _BLOCK_BYTES // (8 * n))
     for start in range(0, n, height):
         rows = slice(start, start + height)
-        M[rows] *= BL[rows] @ BL.T
-    return BL, M
+        M[rows] *= projected_w[rows] @ projected_w.T
+    return M
 
 
 def solve_coef(stage2: RidgeSystem, y: np.ndarray, xi: float) -> np.ndarray:
@@ -179,20 +175,14 @@ def solve_coef(stage2: RidgeSystem, y: np.ndarray, xi: float) -> np.ndarray:
 class BridgeModel:
     """Fitted two-stage bridge, as the effect evaluation reads it.
 
-    `stage1` is the ridge system of the stage-1 Gram A, whose smoother
-    B = A (A + n lam I)^{-1} holds the stage-1 weights of each sample
-    point over the sample; it keeps the eigenpairs of A (or A itself
-    when lam was not tuned), through which a ds request reads B.
-    `projected_w` (n x r) is B'L for the pivoted-Cholesky factor L of
-    the control-outcome Gram, K_ww = L L', through which every other
-    effect reads B' K_ww. `coef` (n,) are the bridge coefficients. No
-    n x n array besides the one inside `stage1` is kept.
+    `c` (n,) is the reweighting vector that the effect evaluation read
+    from the fitted stage 1 (see :func:`tune_and_fit`), and `coef` (n,)
+    are the bridge coefficients. The model holds no n x n array.
     """
 
     lam: float
     xi: float
-    stage1: RidgeSystem
-    projected_w: np.ndarray
+    c: np.ndarray
     coef: np.ndarray
 
 
@@ -200,39 +190,48 @@ def tune_and_fit(
     data: Dataset,
     grams: GramSet,
     w_factor: np.ndarray,
+    reweight: Callable[[RidgeSystem, float, np.ndarray], np.ndarray],
     lam: float | None = None,
     xi: float | None = None,
     grid=None,
 ) -> tuple[BridgeModel, dict[str, TuneReport]]:
-    """The bridge's tuning sequence lam -> project_stage1 -> xi -> solve_coef.
+    """The bridge's sequence lam -> project_stage1 -> reweight -> xi -> solve_coef.
 
-    The products consume the d, x, z[, v] entries of `grams`, and
-    `w_factor` is the factor of K_ww (see :func:`gram_factor`). Every
+    `w_factor` is the factor L of K_ww (see :func:`gram_factor`).
+    `reweight(stage1, lam, B'L)` returns the reweighting vector c of the
+    effect evaluation: it is called once B'L is formed, with the
+    fitted stage-1 system, whose smoother B = A (A + n lam I)^{-1} is
+    the stage-1 weights, and nothing reads stage 1 after it. Every
     penalty left as None is selected by closed-form leave-one-out on
     `grid`.
 
-    The stage-1 system releases A after its eigendecomposition, M is
-    formed in the buffer of the stage-2 core, and the stage-2 system
-    releases M likewise, so at most four n x n arrays are live,
-    LAPACK's buffers aside.
+    While a system decomposes, its input is the only n x n array live,
+    LAPACK's buffers aside. A is formed alone from the d, x, z[, v]
+    entries of `grams`, and the stage-1 system releases it after its
+    eigendecomposition. The stage-1 system is released once c is read,
+    and only then is the stage-2 core built again from fresh d, x[, v]
+    Grams and M formed in its buffer; the stage-2 system releases M
+    likewise.
 
     Returns the bridge and the report of each tuned penalty. Errors
     carry the number of the pipeline step that raised them.
     """
     reports: dict[str, TuneReport] = {}
-    A, core = bridge_products(grams)
+    A = gram_product(grams, ("d", "x", "z", "v"))
     stage1 = RidgeSystem(A)
     del A  # the system holds it until its eigendecomposition
     lam = _search(reports, "lam", lam, lambda: stage1.loo_embedding(w_factor, grid))
     with _step(3, "bridge fit"):
-        projected_w, M = project_stage1(stage1, core, w_factor, lam)
-    del core
+        projected_w = project_stage1(stage1, w_factor, lam)
+    c = reweight(stage1, lam, projected_w)
+    del stage1
+    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), projected_w)
     stage2 = RidgeSystem(M)
-    del M
+    del M  # the system holds it until its eigendecomposition
     xi = _search(reports, "xi", xi, lambda: stage2.loo_scalar(data.y, grid))
     with _step(3, "bridge fit"):
         coef = solve_coef(stage2, data.y, xi)
-    return BridgeModel(lam, xi, stage1, projected_w, coef), reports
+    return BridgeModel(lam, xi, c, coef), reports
 
 
 def theoretical_embedding_penalty(n: int, smoothness: float) -> float:

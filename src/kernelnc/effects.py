@@ -27,10 +27,10 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.percentile imports it at its first call, not in a fit
 
 from .bridge import (
-    BridgeModel,
     GramSet,
     _search,
     _step,
+    gram_product,
     theoretical_embedding_penalty,
     theoretical_schedule,
     tune_and_fit,
@@ -269,15 +269,20 @@ def _population(specs, data: Dataset, request: EffectRequest) -> dict | None:
     return sample
 
 
-def _population_features(data: Dataset, specs, model: BridgeModel, sample) -> np.ndarray:
+def _population_features(
+    data: Dataset, specs, stage1: RidgeSystem, lam: float, sample
+) -> np.ndarray:
     """n x m features pairing each sample point with the m-point (x, w[, v])
     population of a ds request: k_x(x, ax) [o k_v(v, av)] o B k_w(w, aw),
-    with B applied as the stage-1 system's smooth."""
+    with B applied as the smooth of the stage-1 system at penalty `lam`.
+    The smooth runs first, with no other n x m array live."""
+    kw = gram(data.block("w"), sample["w"], specs["w"])
+    smoothed = stage1.smooth(data.n * lam, kw)
+    del kw
     kx = gram(data.block("x"), sample["x"], specs["x"])
     if sample["v"] is not None:
         kx *= gram(data.block("v"), sample["v"], specs["v"])
-    kw = gram(data.block("w"), sample["w"], specs["w"])
-    kx *= model.stage1.smooth(data.n * model.lam, kw)
+    kx *= smoothed
     return kx
 
 
@@ -286,7 +291,7 @@ def _read_x(grams, kind: str, weights: np.ndarray, w_factor: np.ndarray) -> np.n
 
     K_x' is the x Gram, times the v Gram except for cate, and L the
     factor of K_ww; step 5 reads the training Grams only through this
-    product, so it is formed before the bridge's products consume x.
+    product, so it is formed before the stage-1 Gram consumes x.
     """
     kx = grams["x"]
     if kind != "cate" and "v" in grams:
@@ -352,15 +357,17 @@ def _nc_curve(
 ) -> EffectCurve:
     """Steps 4, 2-3 and 5 of the bridge estimator over one Gram set.
 
-    The att/cate embedding runs first, as the bridge's products consume
-    the treatment Gram. The bridge is then tuned and fitted, and its
+    The att/cate embedding runs first, as the stage-1 Gram consumes the
+    treatment Gram. The bridge is then tuned and fitted, and its
     coefficients are reweighted by
     c = rowsum(B'L o K_x' (weights o L)) (see :func:`_read_x`), with
     weights 1/n for ate and the embedding weights for att and cate;
     cate also multiplies in its subgroup point's kernel column. A ds
     request averages the features of its alternative sample instead
     (see :func:`_population_features`), unless that sample is the
-    training one, which it averages exactly as ate does. A penalty that
+    training one, which it averages exactly as ate does. c reads only
+    stage 1 and is formed before stage 2 is built (see
+    :func:`tune_and_fit`). A penalty that
     is None in `penalties` is tuned by leave-one-out on `candidates`,
     and its search is recorded on metadata["tuning"].
     """
@@ -384,16 +391,19 @@ def _nc_curve(
     if sample is None:
         with _step(5, "effect evaluation"):
             reads = _read_x(grams, kind, weights, w_factor)
+
+    def reweight(stage1: RidgeSystem, lam: float, projected_w: np.ndarray) -> np.ndarray:
+        with _step(5, "effect evaluation"):
+            if sample is None:
+                return np.sum(projected_w * reads, axis=1)
+            return _population_features(data, specs, stage1, lam, sample).mean(axis=1)
+
     model, bridge_reports = tune_and_fit(
-        data, grams, w_factor, penalties["lam"], penalties["xi"], candidates
+        data, grams, w_factor, reweight, penalties["lam"], penalties["xi"], candidates
     )
     reports.update(bridge_reports)
     with _step(5, "effect evaluation"):
-        if sample is None:
-            c = np.sum(model.projected_w * reads, axis=1)
-        else:
-            c = _population_features(data, specs, model, sample).mean(axis=1)
-        coef = model.coef * c if extra is None else model.coef * extra * c
+        coef = model.coef * model.c if extra is None else model.coef * extra * model.c
         return _curve(
             data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty, reports
         )
@@ -410,10 +420,7 @@ def _te_fit(
     the coefficients, the mean over the sample of the non-treatment
     kernel factors, the penalty and the report of the tuned one.
     """
-    full = grams.pop("x")
-    for role in ("z", "w", "v"):
-        if role in grams:
-            full *= grams.pop(role)
+    full = gram_product(grams, ("x", "z", "w", "v"))
     rest_mean = full.mean(axis=1)
     full *= grams.pop("d")
     y = data.y

@@ -285,6 +285,8 @@ def run_experiment(
     """
     if replicates < 1:
         raise InputError("need at least one replicate")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise InputError(f"need at least one worker, got {workers}")
     estimators = tuple(estimators)

@@ -5,9 +5,10 @@ import pytest
 
 from kernelnc.bridge import (
     GramSet,
-    bridge_products,
+    gram_product,
     project_stage1,
     solve_coef,
+    stage2_kernel,
     theoretical_embedding_penalty,
     theoretical_schedule,
     tune_and_fit,
@@ -30,8 +31,17 @@ def _indicator_dataset():
 
 
 def _fit(data, specs, lam, xi):
+    # the bridge, and B through the fitted stage-1 system's smooth of
+    # the identity, read where the effect evaluation reads stage 1
     grams = GramSet(data, specs)
-    return tune_and_fit(data, grams, gram_factor(grams.pop("w")), lam, xi)[0]
+    stage1_weights = []
+
+    def reweight(stage1, lam, projected_w):
+        stage1_weights.append(stage1.smooth(data.n * lam, np.eye(data.n)))
+        return np.ones(data.n)
+
+    model = tune_and_fit(data, grams, gram_factor(grams.pop("w")), reweight, lam, xi)[0]
+    return model, stage1_weights[0]
 
 
 def _indicator_specs():
@@ -44,11 +54,12 @@ def test_identity_gram_hand_instance():
     data = _indicator_dataset()
     specs = _indicator_specs()
     grams = GramSet(data, specs)
-    A, core = bridge_products(grams)
+    A = gram_product(grams, ("d", "x", "z", "v"))
     np.testing.assert_array_equal(A, np.eye(3))
 
     L = gram_factor(grams["w"])
-    BL, M = project_stage1(RidgeSystem(A), core, L, 1.0 / 3.0)
+    BL = project_stage1(RidgeSystem(A), L, 1.0 / 3.0)
+    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), BL)
     np.testing.assert_allclose(BL, L / 2.0, atol=1e-12)
     np.testing.assert_allclose(M, np.eye(3) / 4.0, atol=1e-12)
 
@@ -56,7 +67,7 @@ def test_identity_gram_hand_instance():
     alpha = solve_coef(RidgeSystem(M), y, 1.0 / 12.0)
     np.testing.assert_allclose(alpha, 2.0 * y, rtol=1e-10)
 
-    model = _fit(data, specs, 1.0 / 3.0, 1.0 / 12.0)
+    model, _ = _fit(data, specs, 1.0 / 3.0, 1.0 / 12.0)
     np.testing.assert_allclose(model.coef, 2.0 * y, rtol=1e-10)
 
 
@@ -66,9 +77,11 @@ def test_tune_and_fit_keeps_only_the_factor_of_k_ww():
     grams = GramSet(data, specs)
     K_ww = grams["w"].copy()
     w_factor = gram_factor(grams.pop("w"))
-    tune_and_fit(data, grams, w_factor, 0.1, 0.05)
-    assert not any(role in grams for role in ("d", "x", "z", "w"))
+    tune_and_fit(data, grams, w_factor, lambda *_: np.ones(data.n), 0.1, 0.05)
+    assert not grams._built
     np.testing.assert_allclose(w_factor @ w_factor.T, K_ww, rtol=0.0, atol=1e-13)
+    # a popped role is built again, to the same bytes
+    np.testing.assert_array_equal(grams["w"], K_ww)
 
 
 def _random_dataset(rng, n, with_v=False):
@@ -86,15 +99,14 @@ def _oracle_scales(data, roles):
     return {r: od.block_scales(data.block(r)) for r in roles}
 
 
-def _assert_stages_match(data, specs, model, fit):
-    # B through the fitted stage-1 system's smooth of the identity; M as
-    # project_stage1 forms it over the same Grams
-    n = data.n
-    B = model.stage1.smooth(n * model.lam, np.eye(n))
+def _assert_stages_match(data, specs, fitted, fit):
+    # B as the fit read it; M as stage2_kernel forms it over the same Grams
+    model, B = fitted
     np.testing.assert_allclose(B, fit["B"], rtol=1e-9)
     grams = GramSet(data, specs)
-    A, core = bridge_products(grams)
-    _, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), model.lam)
+    A = gram_product(grams, ("d", "x", "z", "v"))
+    BL = project_stage1(RidgeSystem(A), gram_factor(grams["w"]), model.lam)
+    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), BL)
     np.testing.assert_allclose(M, fit["M"], rtol=1e-9)
     np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
 
@@ -103,25 +115,25 @@ def test_fit_matches_dense_oracle():
     rng = np.random.default_rng(67)
     data = _random_dataset(rng, 22)
     specs = kernel_specs(data)
-    model = _fit(data, specs, 0.08, 0.03)
+    fitted = _fit(data, specs, 0.08, 0.03)
     fit = od.fit_dense(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
         data.y, _oracle_scales(data, ("d", "x", "z", "w")), 0.08, 0.03,
     )
-    _assert_stages_match(data, specs, model, fit)
+    _assert_stages_match(data, specs, fitted, fit)
 
 
 def test_fit_with_v_block_matches_dense_oracle():
     rng = np.random.default_rng(71)
     data = _random_dataset(rng, 18, with_v=True)
     specs = kernel_specs(data)
-    model = _fit(data, specs, 0.1, 0.05)
+    fitted = _fit(data, specs, 0.1, 0.05)
     fit = od.fit_dense(
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
         data.y, _oracle_scales(data, ("d", "x", "z", "w", "v")), 0.1, 0.05,
         v=data.block("v"),
     )
-    _assert_stages_match(data, specs, model, fit)
+    _assert_stages_match(data, specs, fitted, fit)
 
 
 def test_theoretical_penalty_spot_values():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelnc import bridge, effects, kernels
+from kernelnc import bridge, effects, kernels, ridge
 from kernelnc.bridge import theoretical_schedule
 from kernelnc.data import Column, Dataset, from_arrays
 from kernelnc.effects import (
@@ -216,7 +216,9 @@ def test_request_rejects_non_finite_conditioning_point(kind, field, value):
 )
 def test_one_pass_builds_each_role_gram_once(monkeypatch, sample_v, kind, plan):
     # the embedding, the bridge and the effect evaluation read the role
-    # Grams of one GramSet, so d, x, z, w and v are each built once
+    # Grams of one GramSet. z and w are built once; d, x and v once for
+    # the stage-1 Gram and once more for the stage-2 core, which is built
+    # only after stage 1 is released
     data = sample_v[0]
     built = []
 
@@ -234,7 +236,7 @@ def test_one_pass_builds_each_role_gram_once(monkeypatch, sample_v, kind, plan):
            "alt_v": data.block("v")[:9] - 0.2}
     request = EffectRequest(kind, grid=GRID, d_value=0.4, v_value=0.2, **alt)
     run_end_to_end(data, request, plan)
-    assert sorted(built) == sorted(bridge.ROLES)
+    assert sorted(built) == sorted(bridge.ROLES + ("d", "x", "v"))
 
 
 def test_tuning_plan_resolves_every_penalty():
@@ -401,17 +403,18 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
 
 @pytest.mark.parametrize(
     "estimator, plan, bound",
-    [("nc", None, 5.0), ("te", None, 3.0),
-     ("nc", TuningPlan("forced", lam=0.05, xi=0.02), 4.0),
+    [("nc", None, 3.7), ("te", None, 3.0),
+     ("nc", TuningPlan("forced", lam=0.05, xi=0.02), 3.0),
      ("te", TuningPlan("forced", lam=0.05), 2.8)],
-    ids=["nc-5.0", "te-3.0", "nc-forced-4.0", "te-forced-2.8"],
+    ids=["nc-3.7", "te-3.0", "nc-forced-3.0", "te-forced-2.8"],
 )
 def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
     """Peak numpy memory of one ATE fit, in n x n arrays.
 
-    The bridge never forms its n x n smoother and builds each role Gram
-    just before its first reader; the baseline takes its row means
-    before it multiplies in d. numpy's eigh copies its input and takes
+    The bridge never forms its n x n smoother, builds each role Gram
+    just before its reader and releases stage 1 before it builds the
+    stage-2 core; the baseline takes its row means before it multiplies
+    in d. numpy's eigh copies its input and takes
     a workspace of about 2 n^2 doubles through malloc, which tracemalloc
     does not see: about 3 n x n more sit on top of this peak. A forced
     fit solves by Cholesky: it shifts the kernel's diagonal in place, so
@@ -450,3 +453,55 @@ def test_tuned_embedding_fit_holds_few_n_by_n_arrays(kind, query):
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * 8 * n * n
+
+
+@pytest.mark.parametrize(
+    "plan", [None, TuningPlan("forced", lam=0.05, xi=0.02, lam1=0.07, lam2=0.04)],
+    ids=["tuned", "forced"],
+)
+@pytest.mark.parametrize(
+    "estimator, kind",
+    [("te", "ate"), ("nc", "ate"), ("nc", "ds"), ("nc", "att"), ("nc", "cate")],
+)
+def test_a_dense_decomposition_runs_beside_no_other_n_by_n_array(
+    monkeypatch, estimator, kind, plan
+):
+    """numpy memory live as each dense system decomposes, in n x n arrays.
+
+    The eigh of a tuned RidgeSystem and the Cholesky of an untuned one
+    find their input as the only n x n array: the bridge reads step 5's
+    vector c from stage 1 and releases stage 1 before it builds the
+    stage-2 core. A forced ds request smooths its n x 20 population
+    Gram through the stage-1 Cholesky, beside that system's input.
+    gram_factor's Cholesky of an att/cate output Gram belongs to no
+    RidgeSystem and is not recorded.
+    """
+    n = 300
+    base = generate(SimDesign("quadratic", n=n), 1)
+    x, w = base.block("x"), base.block("w")
+    data = from_arrays(base.y, base.block("d"), x, base.block("z"), w, v=x[:, 0])
+    live = []
+    eigh, cho_solve = ridge.RidgeSystem._eigh, ridge.RidgeSystem._cho_solve
+
+    def spied_eigh(self):
+        if self.factor is None and self._eig is None:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return eigh(self)
+
+    def spied_cho_solve(self, shift, b):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return cho_solve(self, shift, b)
+
+    monkeypatch.setattr(ridge.RidgeSystem, "_eigh", spied_eigh)
+    monkeypatch.setattr(ridge.RidgeSystem, "_cho_solve", spied_cho_solve)
+    request = EffectRequest(
+        kind, grid_size=5, alt_x=x[:20] + 0.3, alt_w=w[:20], alt_v=x[:20, 0],
+        d_value=0.5, v_value=0.0,
+    )
+    tracemalloc.start()
+    try:
+        run_end_to_end(data, request, plan, estimator=estimator)
+    finally:
+        tracemalloc.stop()
+    assert len(live) >= (1 if estimator == "te" else 2)
+    assert max(live) <= 1.3 * 8 * n * n

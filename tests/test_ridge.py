@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelnc.bridge import GramSet, bridge_products, project_stage1
+from kernelnc.bridge import GramSet, gram_product, project_stage1, stage2_kernel
 from kernelnc.data import from_arrays
 from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from kernelnc.errors import InputError, NumericalError
@@ -273,12 +273,13 @@ def test_loocv_exact_over_the_default_grid():
     # Gram A with output Gram K_ww and the stage-2 kernel M with outcomes y
     data = generate(SimDesign("quadratic", n=40), 1)
     grams = GramSet(data, kernel_specs(data))
-    A, core = bridge_products(grams)
+    A = gram_product(grams, ("d", "x", "z", "v"))
     emb = RidgeSystem(A).loo_embedding(gram_factor(np.array(grams["w"])))
     np.testing.assert_allclose(
         emb.losses, loo_embedding_losses(A, grams["w"], DEFAULT_GRID), rtol=1e-8
     )
-    _, M = project_stage1(RidgeSystem(A), core, gram_factor(grams["w"]), emb.selected)
+    BL = project_stage1(RidgeSystem(A), gram_factor(grams["w"]), emb.selected)
+    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), BL)
     np.testing.assert_allclose(
         RidgeSystem(M).loo_scalar(data.y).losses,
         loo_scalar_losses(M, data.y, DEFAULT_GRID),
@@ -306,7 +307,7 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     # on the dense Gram over the whole shipped grid
     data = generate(SimDesign("quadratic", n=200), 2)
     grams = GramSet(data, kernel_specs(data))
-    A, _ = bridge_products(grams)
+    A = gram_product(grams, ("d", "x", "z", "v"))
     K_ww = grams["w"].copy()
     factor = gram_factor(grams.pop("w"))
     assert factor.shape[1] < 40

@@ -255,6 +255,9 @@ def test_run_experiment_validation():
     for estimators in ((), ("nc", "nc")):
         with pytest.raises(InputError, match="one or more estimators, each once"):
             run_experiment(SimDesign(), replicates=1, seed=1, estimators=estimators)
+    for strict in (True, False):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            run_experiment(SimDesign(n=40), replicates=1, seed=-1, strict=strict)
     for seed, replicate in ((-1, 0), (1, -2)):
         with pytest.raises(InputError, match="seed and replicate must be >= 0"):
             generate(SimDesign(n=40), seed, replicate)
