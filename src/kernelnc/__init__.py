@@ -10,7 +10,6 @@ kernel ridge baseline on designs with known counterfactual curves.
 
 from .bridge import (
     BridgeModel,
-    gram_product,
     project_stage1,
     solve_coef,
     stage2_kernel,
@@ -70,7 +69,6 @@ __all__ = [
     "generate",
     "gram",
     "gram_factor",
-    "gram_product",
     "ingest",
     "kernel_specs",
     "median_heuristic",

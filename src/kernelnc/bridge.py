@@ -7,15 +7,16 @@ negative control outcomes enter. One sample serves both stages, and
 both are closed-form linear solves. Every effect estimator averages
 the fitted bridge over a (covariates, control-outcome) population.
 
-The only large objects of a fit are n x n Grams. Each role Gram is
-built just before its reader and released after it (see
-:class:`GramSet`), the products multiply in place, and the stage-1
+The only large objects of a fit are n x n Grams. The estimator reads
+the training sample only through products of role kernels, and each
+product is one Gram over the roles' columns (see :func:`product_gram`),
+built just before its reader and dropped after it. The stage-1
 smoother B is never formed: every later step reads it as B'L (n x r)
 for the factor L of K_ww, or applies it to a cross Gram through the
 stage-1 system. While either stage's system decomposes, the n x n
 array it decomposes is the only one live, LAPACK's own buffers aside:
-the stage-2 core is built again from fresh Grams once stage 1 is done
-with, rather than held across its decomposition.
+the stage-2 core is built once stage 1 is done with, rather than held
+across its decomposition.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .data import Dataset
 from .errors import DegenerateScaleError, InputError, NumericalError
 from .kernels import _BLOCK_BYTES, KernelSpec, gram
 from .ridge import RidgeSystem, TuneReport
-
-ROLES = ("d", "x", "z", "w", "v")
 
 
 @contextmanager
@@ -64,58 +63,22 @@ def _search(
     return float(penalty)
 
 
-class GramSet:
-    """The training-sample Grams of one call, each built at its read.
+def product_gram(
+    data: Dataset, specs: Mapping[str, KernelSpec], roles: tuple[str, ...]
+) -> np.ndarray:
+    """The n x n Gram, on the training sample, of the product of the role
+    kernels of those `roles` the data has.
 
-    `grams[role]` builds the role's n x n Gram and keeps it;
-    `grams.pop(role)` hands it over and forgets it, so that the reader
-    can multiply in its buffer and the set no longer holds it. A role
-    read again after its pop is built again, to the same bytes: a pass
-    that reads a Gram in both stages rebuilds it rather than hold it
-    across the decomposition between them. `role in grams` is true for
-    every role the data has. The set is never kept beyond the call that
-    made it.
+    The roles' columns and column kernels are concatenated in the order
+    of `roles` into one spec, so the product is one :func:`gram` call.
+    The stage-1 Gram A is the product over ("d", "x", "z", "v"), the
+    stage-2 core over ("d", "x", "v"), and the baseline's Gram without
+    treatment over ("x", "z", "w", "v").
     """
-
-    def __init__(self, data: Dataset, specs: Mapping[str, KernelSpec]):
-        self._data, self._specs = data, specs
-        self._roles = tuple(role for role in ROLES if data.has_role(role))
-        missing = set(self._roles).difference(specs)
-        if missing:
-            raise InputError(f"kernel specs missing for roles {sorted(missing)}")
-        self._built: dict[str, np.ndarray] = {}
-
-    def __contains__(self, role: str) -> bool:
-        return role in self._roles
-
-    def __getitem__(self, role: str) -> np.ndarray:
-        if role not in self._built:
-            if role not in self._roles:
-                raise KeyError(role)
-            block = self._data.block(role)
-            self._built[role] = gram(block, block, self._specs[role])
-        return self._built[role]
-
-    def pop(self, role: str) -> np.ndarray:
-        gram_ = self[role]
-        del self._built[role]
-        return gram_
-
-
-def gram_product(grams: GramSet, roles: tuple[str, ...]) -> np.ndarray:
-    """The entrywise product of the Grams of those `roles` the data has.
-
-    The Grams multiply in the order of `roles`, in the buffer of the
-    first; each is popped from `grams` and released once it is
-    multiplied in. The stage-1 Gram A is the product over
-    ("d", "x", "z", "v"), the stage-2 core over ("d", "x", "v"), and
-    the baseline's Gram without treatment over ("x", "z", "w", "v").
-    """
-    product = grams.pop(roles[0])
-    for role in roles[1:]:
-        if role in grams:
-            product *= grams.pop(role)
-    return product
+    present = [role for role in roles if data.has_role(role)]
+    columns = np.hstack([data.block(role) for role in present])
+    spec = KernelSpec(sum((specs[role].columns for role in present), ()))
+    return gram(columns, columns, spec)
 
 
 def project_stage1(stage1: RidgeSystem, w_factor: np.ndarray, lam: float) -> np.ndarray:
@@ -188,7 +151,7 @@ class BridgeModel:
 
 def tune_and_fit(
     data: Dataset,
-    grams: GramSet,
+    specs: Mapping[str, KernelSpec],
     w_factor: np.ndarray,
     reweight: Callable[[RidgeSystem, float, np.ndarray], np.ndarray],
     lam: float | None = None,
@@ -206,26 +169,24 @@ def tune_and_fit(
     `grid`.
 
     While a system decomposes, its input is the only n x n array live,
-    LAPACK's buffers aside. A is formed alone from the d, x, z[, v]
-    entries of `grams`, and the stage-1 system releases it after its
-    eigendecomposition. The stage-1 system is released once c is read,
-    and only then is the stage-2 core built again from fresh d, x[, v]
-    Grams and M formed in its buffer; the stage-2 system releases M
-    likewise.
+    LAPACK's buffers aside. A is built from `specs` as the product Gram
+    over d, x, z[, v] (see :func:`product_gram`), and the stage-1 system
+    releases it after its eigendecomposition. The stage-1 system is
+    released once c is read, and only then is the stage-2 core built
+    over d, x[, v] and M formed in its buffer; the stage-2 system
+    releases M likewise.
 
     Returns the bridge and the report of each tuned penalty. Errors
     carry the number of the pipeline step that raised them.
     """
     reports: dict[str, TuneReport] = {}
-    A = gram_product(grams, ("d", "x", "z", "v"))
-    stage1 = RidgeSystem(A)
-    del A  # the system holds it until its eigendecomposition
+    stage1 = RidgeSystem(product_gram(data, specs, ("d", "x", "z", "v")))
     lam = _search(reports, "lam", lam, lambda: stage1.loo_embedding(w_factor, grid))
     with _step(3, "bridge fit"):
         projected_w = project_stage1(stage1, w_factor, lam)
     c = reweight(stage1, lam, projected_w)
     del stage1
-    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), projected_w)
+    M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), projected_w)
     stage2 = RidgeSystem(M)
     del M  # the system holds it until its eigendecomposition
     xi = _search(reports, "xi", xi, lambda: stage2.loo_scalar(data.y, grid))

@@ -27,10 +27,9 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.percentile imports it at its first call, not in a fit
 
 from .bridge import (
-    GramSet,
     _search,
     _step,
-    gram_product,
+    product_gram,
     theoretical_embedding_penalty,
     theoretical_schedule,
     tune_and_fit,
@@ -83,7 +82,7 @@ class EffectRequest:
             raise InputError("kind 'att' needs d_value")
         if self.kind == "cate" and self.v_value is None:
             raise InputError("kind 'cate' needs v_value")
-        for name in ("d_value", "v_value"):
+        for name in ("d_value", "v_value", "alt_x", "alt_w", "alt_v"):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(np.asarray(value, float))):
                 raise InputError(f"{name} must be finite, got {value!r}")
@@ -286,23 +285,22 @@ def _population_features(
     return kx
 
 
-def _read_x(grams, kind: str, weights: np.ndarray, w_factor: np.ndarray) -> np.ndarray:
+def _read_x(
+    data: Dataset, specs, kind: str, weights: np.ndarray, w_factor: np.ndarray
+) -> np.ndarray:
     """K_x' (weights o L), n x r: the population side of step 5.
 
-    K_x' is the x Gram, times the v Gram except for cate, and L the
-    factor of K_ww; step 5 reads the training Grams only through this
-    product, so it is formed before the stage-1 Gram consumes x.
+    K_x' is the product Gram over x and, except for cate, v; L is the
+    factor of K_ww. Step 5 reads the training sample only through this
+    product, and K_x' is dropped once it is formed.
     """
-    kx = grams["x"]
-    if kind != "cate" and "v" in grams:
-        kx = kx * grams["v"]
-    return kx @ (weights[:, None] * w_factor)
+    roles = ("x",) if kind == "cate" else ("x", "v")
+    return product_gram(data, specs, roles) @ (weights[:, None] * w_factor)
 
 
 def _embedding(
     data: Dataset,
     specs: Mapping[str, KernelSpec],
-    grams: GramSet,
     kind: str,
     query,
     penalty: float | None = None,
@@ -313,13 +311,14 @@ def _embedding(
     One kernel ridge on the conditioning Gram: the treatment's for att
     (penalty lam1, outputs x, w[, v]), the subgroup covariates' for cate
     (penalty lam2, outputs x, w). The system is built from the
-    pivoted-Cholesky factor of a copy of that Gram, since the bridge's
-    products read the Gram itself later: a one-column treatment or
-    subgroup Gram has numerical rank r of about 20 at n = 1000, so the
-    system's eigendecomposition is r x r (see :class:`RidgeSystem`). A
-    penalty left as None is selected by closed-form leave-one-out on
-    `grid`, and the weights (K + n penalty I)^{-1} k_q of the `query`
-    point are solved from the same decomposition, tuned or forced.
+    pivoted-Cholesky factor of that Gram, which is dropped once
+    factored: a one-column treatment or subgroup Gram has numerical rank
+    r of about 20 at n = 1000, so the system's eigendecomposition is
+    r x r (see :class:`RidgeSystem`). A penalty left as None is selected
+    by closed-form leave-one-out on `grid`, against the factor of the
+    product Gram of the outputs, which is built for the search alone.
+    The weights (K + n penalty I)^{-1} k_q of the `query` point are
+    solved from the same decomposition, tuned or forced.
 
     Returns the weights, the cate's own kernel column k_q, the penalty
     and the report of a tuned one.
@@ -327,16 +326,13 @@ def _embedding(
     role, name = ("d", "lam1") if kind == "att" else ("v", "lam2")
     reports: dict[str, TuneReport] = {}
     with _step(4, "embedding weights"):
-        if role not in grams:
+        if not data.has_role(role):
             raise InputError(f"{kind} needs a dataset with {role!r} columns")
-        system = RidgeSystem(factor=gram_factor(grams[role]))
+        system = RidgeSystem(factor=gram_factor(product_gram(data, specs, (role,))))
+        outputs = ("x", "w", "v") if role == "d" else ("x", "w")
 
         def loss():
-            outputs = grams["x"] * grams["w"]
-            if role == "d" and "v" in grams:
-                outputs *= grams["v"]
-            factor = gram_factor(outputs)
-            del outputs
+            factor = gram_factor(product_gram(data, specs, outputs))
             return system.loo_embedding(factor, grid)
 
         penalty = _search(reports, name, penalty, loss)
@@ -352,14 +348,13 @@ def _embedding(
 
 
 def _nc_curve(
-    data: Dataset, specs: Mapping[str, KernelSpec], grams, request: EffectRequest,
+    data: Dataset, specs: Mapping[str, KernelSpec], request: EffectRequest,
     grid, penalties, candidates,
 ) -> EffectCurve:
-    """Steps 4, 2-3 and 5 of the bridge estimator over one Gram set.
+    """Steps 4, 2-3 and 5 of the bridge estimator.
 
-    The att/cate embedding runs first, as the stage-1 Gram consumes the
-    treatment Gram. The bridge is then tuned and fitted, and its
-    coefficients are reweighted by
+    The att/cate embedding runs first. The bridge is then tuned and
+    fitted, and its coefficients are reweighted by
     c = rowsum(B'L o K_x' (weights o L)) (see :func:`_read_x`), with
     weights 1/n for ate and the embedding weights for att and cate;
     cate also multiplies in its subgroup point's kernel column. A ds
@@ -367,9 +362,9 @@ def _nc_curve(
     (see :func:`_population_features`), unless that sample is the
     training one, which it averages exactly as ate does. c reads only
     stage 1 and is formed before stage 2 is built (see
-    :func:`tune_and_fit`). A penalty that
-    is None in `penalties` is tuned by leave-one-out on `candidates`,
-    and its search is recorded on metadata["tuning"].
+    :func:`tune_and_fit`). A penalty that is None in `penalties` is
+    tuned by leave-one-out on `candidates`, and its search is recorded
+    on metadata["tuning"].
     """
     kind = request.kind
     weights = extra = penalty = sample = None
@@ -379,7 +374,7 @@ def _nc_curve(
             (request.d_value, "lam1") if kind == "att" else (request.v_value, "lam2")
         )
         weights, extra, penalty, reports = _embedding(
-            data, specs, grams, kind, query, penalties[name], candidates
+            data, specs, kind, query, penalties[name], candidates
         )
     elif kind == "ds":
         with _step(5, "effect evaluation"):
@@ -387,10 +382,10 @@ def _nc_curve(
     if weights is None:
         weights = np.full(data.n, 1.0 / data.n)
     with _step(3, "bridge fit"):
-        w_factor = gram_factor(grams.pop("w"))
+        w_factor = gram_factor(product_gram(data, specs, ("w",)))
     if sample is None:
         with _step(5, "effect evaluation"):
-            reads = _read_x(grams, kind, weights, w_factor)
+            reads = _read_x(data, specs, kind, weights, w_factor)
 
     def reweight(stage1: RidgeSystem, lam: float, projected_w: np.ndarray) -> np.ndarray:
         with _step(5, "effect evaluation"):
@@ -399,7 +394,7 @@ def _nc_curve(
             return _population_features(data, specs, stage1, lam, sample).mean(axis=1)
 
     model, bridge_reports = tune_and_fit(
-        data, grams, w_factor, reweight, penalties["lam"], penalties["xi"], candidates
+        data, specs, w_factor, reweight, penalties["lam"], penalties["xi"], candidates
     )
     reports.update(bridge_reports)
     with _step(5, "effect evaluation"):
@@ -410,19 +405,19 @@ def _nc_curve(
 
 
 def _te_fit(
-    data: Dataset, grams, lam: float | None, candidates
+    data: Dataset, specs, lam: float | None, candidates
 ) -> tuple[np.ndarray, np.ndarray, float, dict[str, TuneReport]]:
     """The baseline's tuning sequence: lam, then the ridge coefficients.
 
-    Consumes the Gram set: x o z o w[o v] multiplies in role order in
-    the x Gram's buffer, its row means are taken, and d is multiplied in
-    last, so at most two n x n arrays are live before the eigh. Returns
-    the coefficients, the mean over the sample of the non-treatment
-    kernel factors, the penalty and the report of the tuned one.
+    The product Gram over x, z, w[, v] is built first and its row means
+    taken; the d Gram is then multiplied into its buffer, so at most two
+    n x n arrays are live before the eigh. Returns the coefficients, the
+    mean over the sample of the non-treatment kernel factors, the
+    penalty and the report of the tuned one.
     """
-    full = gram_product(grams, ("x", "z", "w", "v"))
+    full = product_gram(data, specs, ("x", "z", "w", "v"))
     rest_mean = full.mean(axis=1)
-    full *= grams.pop("d")
+    full *= product_gram(data, specs, ("d",))
     y = data.y
     system = RidgeSystem(full)
     del full  # the system releases it after its eigendecomposition
@@ -458,15 +453,14 @@ def run_end_to_end(
         specs = kernel_specs(data, lengthscales)
         grid = _resolve_grid(request, data)
     penalties = tuning.penalties(data.n)
-    grams = GramSet(data, specs)
     if estimator == "te":
         with _step(3, "bridge fit"):
-            coef, gbar, lam, reports = _te_fit(data, grams, penalties["lam"], tuning.grid)
+            coef, gbar, lam, reports = _te_fit(data, specs, penalties["lam"], tuning.grid)
             curve = _curve(
                 data, specs, grid, coef * gbar, "te", "ate", lam, None, None, reports
             )
     else:
-        curve = _nc_curve(data, specs, grams, request, grid, penalties, tuning.grid)
+        curve = _nc_curve(data, specs, request, grid, penalties, tuning.grid)
     curve.metadata.update(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
     )

@@ -84,16 +84,17 @@ def _as_matrix(samples: np.ndarray, name: str) -> np.ndarray:
 def gram(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix K[i, j] = k(rows_i, cols_j) under a product kernel.
 
-    The product over columns accumulates in declared column order, so
-    gram(S, S) is exactly symmetric: entry (i, j) and entry (j, i) see
-    the same factors because (a - b)^2 == (b - a)^2 bit for bit.
+    A product of Gaussian columns takes one exp per entry: the squared
+    scaled differences t^2, t = (a - b) * (1 / lengthscale), are summed
+    over the Gaussian columns in declared order, and K = exp(sum * -0.5)
+    times each indicator factor in declared order; with no Gaussian
+    column the product starts from ones. gram(S, S) is exactly
+    symmetric: entry (i, j) and entry (j, i) see the same terms, because
+    (a - b)^2 == (b - a)^2 bit for bit, and add them in the same order.
 
     The output is filled one block of rows at a time, about
-    _BLOCK_BYTES per block, so each factor is formed in one cache-resident
-    scratch block and no n x n temporary is allocated. A Gaussian factor
-    is exp(-0.5 t^2) with t = (a - b) / lengthscale, computed as
-    exp((t * t) * -0.5): scaling by -0.5 is exact, so this is the same
-    float as exp((-0.5 * t) * t).
+    _BLOCK_BYTES per block, so each term is formed in one cache-resident
+    scratch block and no n x n temporary is allocated.
     """
     r = _as_matrix(rows, "rows")
     c = _as_matrix(cols, "cols")
@@ -105,23 +106,32 @@ def gram(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
     nr, nc = r.shape[0], c.shape[0]
     out = np.empty((nr, nc))
     col_values = [np.ascontiguousarray(c[:, j]) for j in range(spec.dim)]
+    scales = {
+        j: 1.0 / ck.lengthscale
+        for j, ck in enumerate(spec.columns)
+        if ck.family == GAUSSIAN
+    }
     height = max(1, min(nr, _BLOCK_BYTES // (8 * nc)))
     scratch = np.empty((height, nc))
     for start in range(0, nr, height):
         block = out[start : start + height]
+        f = scratch[: block.shape[0]]
+        for k, (j, scale) in enumerate(scales.items()):
+            # the first term goes straight into the output rows
+            t = block if k == 0 else f
+            np.subtract(r[start : start + height, j, None], col_values[j], out=t)
+            t *= scale
+            np.square(t, out=t)
+            if k > 0:
+                block += t
+        if scales:
+            block *= -0.5
+            np.exp(block, out=block)
+        else:
+            block.fill(1.0)
         for j, ck in enumerate(spec.columns):
-            # the first factor goes straight into the output rows
-            f = block if j == 0 else scratch[: block.shape[0]]
-            rj = r[start : start + height, j, None]
-            if ck.family == GAUSSIAN:
-                np.subtract(rj, col_values[j], out=f)
-                f /= ck.lengthscale
-                np.square(f, out=f)
-                f *= -0.5
-                np.exp(f, out=f)
-            else:
-                np.equal(rj, col_values[j], out=f)
-            if j > 0:
+            if ck.family == INDICATOR:
+                np.equal(r[start : start + height, j, None], col_values[j], out=f)
                 block *= f
     return out
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from kernelnc import bridge, kernels
 from kernelnc.bridge import (
-    GramSet,
-    gram_product,
+    product_gram,
     project_stage1,
     solve_coef,
     stage2_kernel,
@@ -33,14 +33,14 @@ def _indicator_dataset():
 def _fit(data, specs, lam, xi):
     # the bridge, and B through the fitted stage-1 system's smooth of
     # the identity, read where the effect evaluation reads stage 1
-    grams = GramSet(data, specs)
     stage1_weights = []
 
     def reweight(stage1, lam, projected_w):
         stage1_weights.append(stage1.smooth(data.n * lam, np.eye(data.n)))
         return np.ones(data.n)
 
-    model = tune_and_fit(data, grams, gram_factor(grams.pop("w")), reweight, lam, xi)[0]
+    w_factor = gram_factor(product_gram(data, specs, ("w",)))
+    model = tune_and_fit(data, specs, w_factor, reweight, lam, xi)[0]
     return model, stage1_weights[0]
 
 
@@ -53,13 +53,12 @@ def test_identity_gram_hand_instance():
     # gives alpha = 2y
     data = _indicator_dataset()
     specs = _indicator_specs()
-    grams = GramSet(data, specs)
-    A = gram_product(grams, ("d", "x", "z", "v"))
+    A = product_gram(data, specs, ("d", "x", "z", "v"))
     np.testing.assert_array_equal(A, np.eye(3))
 
-    L = gram_factor(grams["w"])
+    L = gram_factor(product_gram(data, specs, ("w",)))
     BL = project_stage1(RidgeSystem(A), L, 1.0 / 3.0)
-    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), BL)
+    M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(BL, L / 2.0, atol=1e-12)
     np.testing.assert_allclose(M, np.eye(3) / 4.0, atol=1e-12)
 
@@ -71,17 +70,23 @@ def test_identity_gram_hand_instance():
     np.testing.assert_allclose(model.coef, 2.0 * y, rtol=1e-10)
 
 
-def test_tune_and_fit_keeps_only_the_factor_of_k_ww():
+def test_tune_and_fit_keeps_only_the_factor_of_k_ww(monkeypatch):
+    # the bridge reads K_ww only through its factor: it builds A and the
+    # stage-2 core, and no Gram with a w column
     data = _random_dataset(np.random.default_rng(59), 30)
     specs = kernel_specs(data)
-    grams = GramSet(data, specs)
-    K_ww = grams["w"].copy()
-    w_factor = gram_factor(grams.pop("w"))
-    tune_and_fit(data, grams, w_factor, lambda *_: np.ones(data.n), 0.1, 0.05)
-    assert not grams._built
+    K_ww = product_gram(data, specs, ("w",))
+    w_factor = gram_factor(K_ww)
+    built = []
+
+    def counted(rows, cols, spec):
+        built.append(rows.shape[1])
+        return kernels.gram(rows, cols, spec)
+
+    monkeypatch.setattr(bridge, "gram", counted)
+    tune_and_fit(data, specs, w_factor, lambda *_: np.ones(data.n), 0.1, 0.05)
+    assert built == [1 + 2 + 1, 1 + 2]  # d, x (2 columns), z; then d, x
     np.testing.assert_allclose(w_factor @ w_factor.T, K_ww, rtol=0.0, atol=1e-13)
-    # a popped role is built again, to the same bytes
-    np.testing.assert_array_equal(grams["w"], K_ww)
 
 
 def _random_dataset(rng, n, with_v=False):
@@ -103,10 +108,10 @@ def _assert_stages_match(data, specs, fitted, fit):
     # B as the fit read it; M as stage2_kernel forms it over the same Grams
     model, B = fitted
     np.testing.assert_allclose(B, fit["B"], rtol=1e-9)
-    grams = GramSet(data, specs)
-    A = gram_product(grams, ("d", "x", "z", "v"))
-    BL = project_stage1(RidgeSystem(A), gram_factor(grams["w"]), model.lam)
-    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), BL)
+    A = product_gram(data, specs, ("d", "x", "z", "v"))
+    L = gram_factor(product_gram(data, specs, ("w",)))
+    BL = project_stage1(RidgeSystem(A), L, model.lam)
+    M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(M, fit["M"], rtol=1e-9)
     np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
 

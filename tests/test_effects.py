@@ -200,43 +200,65 @@ def test_request_validation():
 @pytest.mark.parametrize(
     "kind, field, value",
     [("att", "d_value", np.nan), ("att", "d_value", np.inf),
-     ("cate", "v_value", np.array([np.inf])), ("cate", "v_value", [0.1, np.nan])],
+     ("cate", "v_value", np.array([np.inf])), ("cate", "v_value", [0.1, np.nan]),
+     ("ds", "alt_x", [[0.1], [np.nan]]), ("ds", "alt_w", [0.2, -np.inf]),
+     ("ds", "alt_v", np.array([np.nan, 0.3]))],
 )
 def test_request_rejects_non_finite_conditioning_point(kind, field, value):
     # a non-finite point gives a zero kernel column and so a silent
-    # all-zero curve; the request refuses it up front
+    # all-zero curve, and a non-finite ds population a NaN or meaningless
+    # one; the request refuses them up front
+    query = {"alt_x": [[0.0], [1.0]], "alt_w": [0.0, 1.0], field: value}
     with pytest.raises(InputError, match=f"{field} must be finite"):
-        EffectRequest(kind, **{field: value})
+        EffectRequest(kind, **query)
 
 
-@pytest.mark.parametrize("kind", ["ate", "ds", "att", "cate"])
+A, CORE = ("d", "x", "z", "v"), ("d", "x", "v")
+PASS_BUILDS = {
+    # the n x n Grams of one pass, as role tuples, in build order: the
+    # embedding's conditioning Gram and (tuned only) its output product,
+    # the w factor's Gram, _read_x's product (not for a ds population),
+    # the stage-1 Gram A and the stage-2 core; "te" is the baseline's ate
+    "ate": [("w",), ("x", "v"), A, CORE],
+    "ds": [("w",), A, CORE],
+    "att": [("d",), ("x", "w", "v"), ("w",), ("x", "v"), A, CORE],
+    "cate": [("v",), ("x", "w"), ("w",), ("x",), A, CORE],
+    "te": [("x", "z", "w", "v"), ("d",)],
+}
+
+
+@pytest.mark.parametrize("kind", list(PASS_BUILDS))
 @pytest.mark.parametrize(
     "plan", [None, TuningPlan("forced", lam=0.05, xi=0.02, lam1=0.07, lam2=0.04)],
     ids=["tuned", "forced"],
 )
 def test_one_pass_builds_each_role_gram_once(monkeypatch, sample_v, kind, plan):
-    # the embedding, the bridge and the effect evaluation read the role
-    # Grams of one GramSet. z and w are built once; d, x and v once for
-    # the stage-1 Gram and once more for the stage-2 core, which is built
-    # only after stage 1 is released
+    # each reader of the training sample builds the product Gram of its
+    # roles in one gram call, just before it reads it; no product is
+    # built twice in a pass, and none is kept from one reader to the next
     data = sample_v[0]
     built = []
 
     def counted(rows, cols, spec):
         out = kernels.gram(rows, cols, spec)
         if out.shape == (data.n, data.n):
-            built.append(
-                next(r for r in bridge.ROLES if np.array_equal(rows, data.block(r)))
-            )
+            roles = [next(c.role for c, v in zip(data.columns, data.values.T)
+                          if np.array_equal(col, v)) for col in rows.T]
+            built.append(tuple(dict.fromkeys(roles)))
         return out
 
     monkeypatch.setattr(bridge, "gram", counted)
     monkeypatch.setattr(effects, "gram", counted)
     alt = {"alt_x": data.block("x")[:9] + 0.3, "alt_w": data.block("w")[:9],
            "alt_v": data.block("v")[:9] - 0.2}
-    request = EffectRequest(kind, grid=GRID, d_value=0.4, v_value=0.2, **alt)
-    run_end_to_end(data, request, plan)
-    assert sorted(built) == sorted(bridge.ROLES + ("d", "x", "v"))
+    estimator = "te" if kind == "te" else "nc"
+    request = EffectRequest("ate" if kind == "te" else kind, grid=GRID, d_value=0.4,
+                            v_value=0.2, **alt)
+    run_end_to_end(data, request, plan, estimator)
+    expected = list(PASS_BUILDS[kind])
+    if plan is not None and kind in ("att", "cate"):
+        del expected[1]  # a forced embedding penalty needs no output Gram
+    assert built == expected
 
 
 def test_tuning_plan_resolves_every_penalty():
@@ -363,22 +385,6 @@ def test_metadata_search_runs_on_the_default_grid(sample):
         assert search["candidates"][best] == search["selected"]
 
 
-@pytest.mark.parametrize("kind, query", [("att", 0.2), ("cate", 0.1)])
-@pytest.mark.parametrize("penalty", [None, 0.01])
-def test_embedding_leaves_the_gram_set_unchanged(sample_v, kind, query, penalty):
-    # step 4 factors a copy of its conditioning Gram: the factorization
-    # works in place, and the bridge's products read K_dd and K_vv after it
-    data = sample_v[0]
-    specs = kernel_specs(data)
-    grams = bridge.GramSet(data, specs)
-    before = {role: grams[role].copy() for role in bridge.ROLES}
-    weights, _, _, _ = effects._embedding(data, specs, grams, kind, query, penalty)
-    assert np.all(np.isfinite(weights))
-    for role, g in before.items():
-        assert role in grams, role
-        np.testing.assert_array_equal(grams[role], g, err_msg=role)
-
-
 def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch):
     # a binary treatment's Gram has rank 2, so with lam1 = 0 the factored
     # system is singular: the solve takes the jitter ladder, records the
@@ -392,9 +398,7 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
 
     monkeypatch.setattr(effects.RidgeSystem, "_with_jitter", recorded)
     data = generate(SimDesign("discrete", n=40), 5)
-    specs = kernel_specs(data)
-    grams = bridge.GramSet(data, specs)
-    weights, _, penalty, _ = effects._embedding(data, specs, grams, "att", 1.0, 0.0)
+    weights, _, penalty, _ = effects._embedding(data, kernel_specs(data), "att", 1.0, 0.0)
     assert penalty == 0.0 and np.all(np.isfinite(weights))
     assert {id(s) for s in systems} == {id(systems[0])}
     assert systems[0].factor.shape == (40, 2)
@@ -411,10 +415,10 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
 def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
     """Peak numpy memory of one ATE fit, in n x n arrays.
 
-    The bridge never forms its n x n smoother, builds each role Gram
-    just before its reader and releases stage 1 before it builds the
-    stage-2 core; the baseline takes its row means before it multiplies
-    in d. numpy's eigh copies its input and takes
+    The bridge never forms its n x n smoother, builds each product Gram
+    in one pass just before its reader and releases stage 1 before it
+    builds the stage-2 core; the baseline takes its row means before it
+    multiplies in d. numpy's eigh copies its input and takes
     a workspace of about 2 n^2 doubles through malloc, which tracemalloc
     does not see: about 3 n x n more sit on top of this peak. A forced
     fit solves by Cholesky: it shifts the kernel's diagonal in place, so
@@ -436,9 +440,12 @@ def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
 def test_tuned_embedding_fit_holds_few_n_by_n_arrays(kind, query):
     """Peak numpy memory of one att/cate fit with a tuned embedding penalty.
 
-    The embedding's loss splits its full-rank output factor against the
-    conditioning factor one block of rows at a time, so it adds no n x n
-    array to what the bridge already holds.
+    The embedding holds no role Gram beside the one product it factors:
+    the conditioning Gram is dropped once factored, and the output
+    product x o w[o v] is built for the search and dropped once factored.
+    Its loss splits the full-rank output factor against the conditioning
+    factor one block of rows at a time. The fit so stays within nc ate's
+    bound.
     """
     n = 300
     base = generate(SimDesign("quadratic", n=n), 1)
@@ -452,7 +459,7 @@ def test_tuned_embedding_fit_holds_few_n_by_n_arrays(kind, query):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 8 * n * n
+    assert peak <= 3.7 * 8 * n * n
 
 
 @pytest.mark.parametrize(

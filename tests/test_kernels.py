@@ -119,17 +119,19 @@ def test_gram_matches_dense_loops():
 
 
 def _gram_reference(rows, cols, spec):
-    """Whole-matrix product of per-column factors, in column order."""
+    """Whole-matrix product kernel: exp of -0.5 times the sum of the
+    Gaussian columns' squared scaled differences, in column order, times
+    each indicator factor in column order."""
     r, c = np.atleast_2d(rows), np.atleast_2d(cols)
-    out = np.ones((r.shape[0], c.shape[0]))
+    total = None
     for j, ck in enumerate(spec.columns):
-        rj = r[:, j][:, None]
-        cj = c[:, j][None, :]
         if ck.family == "gaussian":
-            t = (rj - cj) / ck.lengthscale
-            out *= np.exp(-0.5 * t * t)
-        else:
-            out *= (rj == cj).astype(float)
+            t = (r[:, j][:, None] - c[:, j][None, :]) * (1.0 / ck.lengthscale)
+            total = t * t if total is None else total + t * t
+    out = np.ones((r.shape[0], c.shape[0])) if total is None else np.exp(-0.5 * total)
+    for j, ck in enumerate(spec.columns):
+        if ck.family == "indicator":
+            out *= (r[:, j][:, None] == c[:, j][None, :]).astype(float)
     return out
 
 
@@ -157,7 +159,7 @@ def test_gram_equals_whole_matrix_reference(shape):
     rng = np.random.default_rng(31)
     rows, cols = _mixed_sample(rng, shape[0]), _mixed_sample(rng, shape[1])
     assert np.array_equal(gram(rows, cols, MIXED), _gram_reference(rows, cols, MIXED))
-    # the first column's factor is written straight into the output rows
+    # an indicator column declared before the first Gaussian one
     r, c = rows[:, [1, 0]], cols[:, [1, 0]]
     expected = _gram_reference(r, c, INDICATOR_FIRST)
     assert np.array_equal(gram(r, c, INDICATOR_FIRST), expected)
@@ -194,12 +196,21 @@ def test_gram_is_psd_and_bounded():
 
 
 def test_gram_product_rule():
+    # the product over all columns, one exp per entry, against the
+    # product of the one-column Grams: Gaussian, indicator and interleaved
     rng = np.random.default_rng(19)
-    a = rng.normal(size=(12, 2))
-    both = gram(a, a, KernelSpec.gaussian([0.9, 1.4]))
-    first = gram(a[:, :1], a[:, :1], KernelSpec.gaussian([0.9]))
-    second = gram(a[:, 1:], a[:, 1:], KernelSpec.gaussian([1.4]))
-    np.testing.assert_allclose(both, first * second, rtol=1e-15)
+    interleaved = KernelSpec((ColumnKernel("gaussian", 0.9), ColumnKernel("indicator"),
+                              ColumnKernel("gaussian", 1.4), ColumnKernel("indicator")))
+    for spec in (KernelSpec.gaussian([0.9, 1.4]), KernelSpec.indicator(3), interleaved):
+        a = rng.normal(size=(12, spec.dim))
+        for j, ck in enumerate(spec.columns):
+            if ck.family == "indicator":
+                a[:, j] = rng.integers(0, 2, 12)
+        both = gram(a, a, spec)
+        factors = np.ones_like(both)
+        for j, ck in enumerate(spec.columns):
+            factors *= gram(a[:, j], a[:, j], KernelSpec((ck,)))
+        np.testing.assert_allclose(both, factors, rtol=1e-15)
 
 
 def test_gram_mixed_indicator_column():

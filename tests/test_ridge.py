@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelnc.bridge import GramSet, gram_product, project_stage1, stage2_kernel
+from kernelnc.bridge import product_gram, project_stage1, stage2_kernel
 from kernelnc.data import from_arrays
 from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from kernelnc.errors import InputError, NumericalError
@@ -272,14 +272,15 @@ def test_loocv_exact_over_the_default_grid():
     # the whole shipped grid, down to 1e-8, on a quadratic-design stage-1
     # Gram A with output Gram K_ww and the stage-2 kernel M with outcomes y
     data = generate(SimDesign("quadratic", n=40), 1)
-    grams = GramSet(data, kernel_specs(data))
-    A = gram_product(grams, ("d", "x", "z", "v"))
-    emb = RidgeSystem(A).loo_embedding(gram_factor(np.array(grams["w"])))
+    specs = kernel_specs(data)
+    A = product_gram(data, specs, ("d", "x", "z", "v"))
+    K_ww = product_gram(data, specs, ("w",))
+    emb = RidgeSystem(A).loo_embedding(gram_factor(K_ww))
     np.testing.assert_allclose(
-        emb.losses, loo_embedding_losses(A, grams["w"], DEFAULT_GRID), rtol=1e-8
+        emb.losses, loo_embedding_losses(A, K_ww, DEFAULT_GRID), rtol=1e-8
     )
-    BL = project_stage1(RidgeSystem(A), gram_factor(grams["w"]), emb.selected)
-    M = stage2_kernel(gram_product(grams, ("d", "x", "v")), BL)
+    BL = project_stage1(RidgeSystem(A), gram_factor(K_ww), emb.selected)
+    M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(
         RidgeSystem(M).loo_scalar(data.y).losses,
         loo_scalar_losses(M, data.y, DEFAULT_GRID),
@@ -292,8 +293,7 @@ def test_scalar_loss_exact_on_the_baselines_near_interpolating_gram():
     # its loss is smallest at the grid floor; the closed form must still
     # match brute-force refits there
     data = generate(SimDesign("no_confounding", n=60), 271828)
-    grams = GramSet(data, kernel_specs(data))
-    K = grams["d"] * grams["x"] * grams["z"] * grams["w"]
+    K = product_gram(data, kernel_specs(data), ("d", "x", "z", "w"))
     report = RidgeSystem(K).loo_scalar(data.y)
     np.testing.assert_allclose(
         report.losses, loo_scalar_losses(K, data.y, DEFAULT_GRID), rtol=1e-8
@@ -306,10 +306,10 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     # the loss read through its n x r factor matches brute-force refits
     # on the dense Gram over the whole shipped grid
     data = generate(SimDesign("quadratic", n=200), 2)
-    grams = GramSet(data, kernel_specs(data))
-    A = gram_product(grams, ("d", "x", "z", "v"))
-    K_ww = grams["w"].copy()
-    factor = gram_factor(grams.pop("w"))
+    specs = kernel_specs(data)
+    A = product_gram(data, specs, ("d", "x", "z", "v"))
+    K_ww = product_gram(data, specs, ("w",))
+    factor = gram_factor(K_ww)
     assert factor.shape[1] < 40
     report = RidgeSystem(A).loo_embedding(factor)
     want = loo_embedding_losses(A, K_ww, DEFAULT_GRID)
@@ -420,13 +420,10 @@ def _conditioning_case(case):
         d[0] = d.max() + 5.0 * d.std()
         data = from_arrays(data.y, d, data.block("x"), data.block("z"), data.block("w"),
                            v=data.block("v"))
-    grams = GramSet(data, kernel_specs(data))
-    outputs = grams["x"] * grams["w"]
+    specs = kernel_specs(data)
     if case == "cate_v":
-        return grams["v"], outputs
-    if "v" in grams:
-        outputs *= grams["v"]
-    return grams["d"], outputs
+        return product_gram(data, specs, ("v",)), product_gram(data, specs, ("x", "w"))
+    return product_gram(data, specs, ("d",)), product_gram(data, specs, ("x", "w", "v"))
 
 
 @pytest.mark.parametrize("case, rank", [
