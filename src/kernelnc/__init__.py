@@ -9,9 +9,6 @@ kernel ridge baseline on designs with known counterfactual curves.
 """
 
 from .bridge import (
-    BridgeModel,
-    project_stage1,
-    solve_coef,
     stage2_kernel,
     theoretical_embedding_penalty,
     theoretical_schedule,
@@ -46,7 +43,6 @@ from .simlab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BridgeModel",
     "ColumnKernel",
     "ConfigError",
     "DEFAULT_GRID",
@@ -72,11 +68,9 @@ __all__ = [
     "ingest",
     "kernel_specs",
     "median_heuristic",
-    "project_stage1",
     "run_end_to_end",
     "run_experiment",
     "score_replicate",
-    "solve_coef",
     "spec_from_data",
     "stage2_kernel",
     "theoretical_embedding_penalty",

@@ -35,6 +35,7 @@ from .effects import (
     ESTIMATORS,
     PENALTIES,
     SMOOTHNESS,
+    EffectCurve,
     EffectRequest,
     TuningPlan,
     run_end_to_end,
@@ -377,23 +378,32 @@ def _write_manifest(outdir, command, cfg, outputs, timings, results) -> Path:
     return path
 
 
-def cmd_estimate(cfg: dict) -> int:
-    tuning = _build_tuning(cfg)
+def _run_pass(
+    cfg: dict, tuning: TuningPlan, label: str
+) -> tuple[Path, EffectCurve, dict[str, float]]:
+    """One pass of the config's estimate request under `tuning`.
+
+    Returns the output directory, the curve, and the timings of the
+    data load ("load_data") and of the pass (under `label`).
+    """
     request = _build_request(cfg)
     lengthscales = _lengthscales(cfg)
     outdir = _prepare_outdir(cfg)
 
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     data = load_dataset(cfg)
-    timings["load_data"] = time.perf_counter() - t0
+    timings = {"load_data": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     curve = run_end_to_end(
         data, request, tuning, cfg["estimate"]["estimator"], lengthscales
     )
-    timings["estimate"] = time.perf_counter() - t0
+    timings[label] = time.perf_counter() - t0
+    return outdir, curve, timings
 
+
+def cmd_estimate(cfg: dict) -> int:
+    outdir, curve, timings = _run_pass(cfg, _build_tuning(cfg), "estimate")
     meta = curve.metadata
     rows = [
         (
@@ -512,22 +522,8 @@ def cmd_tune(cfg: dict) -> int:
     leave-one-out on the tuning grid; tune.csv and the manifest are
     built from that pass's metadata["tuning"], and no curve is written.
     """
-    grid = _build_tuning(cfg).grid
-    request = _build_request(cfg)
-    lengthscales = _lengthscales(cfg)
-    outdir = _prepare_outdir(cfg)
-
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    data = load_dataset(cfg)
-    timings["load_data"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    curve = run_end_to_end(
-        data, request, TuningPlan(grid=grid), cfg["estimate"]["estimator"], lengthscales
-    )
-    timings["tune"] = time.perf_counter() - t0
-
+    tuning = TuningPlan(grid=_build_tuning(cfg).grid)
+    outdir, curve, timings = _run_pass(cfg, tuning, "tune")
     searches = curve.metadata["tuning"]
     rows = []
     for name, search in searches.items():

@@ -30,9 +30,9 @@ from .bridge import (
     _search,
     _step,
     product_gram,
+    stage2_kernel,
     theoretical_embedding_penalty,
     theoretical_schedule,
-    tune_and_fit,
 )
 from .data import Dataset
 from .errors import DegenerateScaleError, InputError
@@ -96,9 +96,10 @@ class TuningPlan:
     them from the smoothness parameters; "forced" uses the values given
     here and falls back to LOOCV for any left as None, which is how the
     robustness sweeps pin one penalty while tuning the other. Penalty
-    values apply only in mode "forced". The smoothness values c0, c, c1
-    and c2 must lie in (1, 2] in every mode, and a given `grid` must hold
-    distinct, finite, positive candidates.
+    values apply only in mode "forced", and each must be finite and
+    >= 0. The smoothness values c0, c, c1 and c2 must lie in (1, 2] in
+    every mode, and a given `grid` must hold distinct, finite, positive
+    candidates.
     """
 
     mode: str = "loocv"
@@ -116,11 +117,16 @@ class TuningPlan:
         if self.mode not in TUNING_MODES:
             raise InputError(f"unknown tuning mode {self.mode!r}")
         for name in PENALTIES:
-            if self.mode != "forced" and getattr(self, name) is not None:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if self.mode != "forced":
                 raise InputError(
                     f"penalty {name} is set but tuning mode is {self.mode!r}; "
                     "penalty values apply only in mode 'forced'"
                 )
+            if not np.isfinite(value) or value < 0.0:
+                raise InputError(f"penalty {name} must be finite and >= 0, got {value}")
         for name in SMOOTHNESS:
             value = getattr(self, name)
             if not 1.0 < value <= 2.0:
@@ -275,14 +281,12 @@ def _population_features(
     population of a ds request: k_x(x, ax) [o k_v(v, av)] o B k_w(w, aw),
     with B applied as the smooth of the stage-1 system at penalty `lam`.
     The smooth runs first, with no other n x m array live."""
-    kw = gram(data.block("w"), sample["w"], specs["w"])
+    kw = product_gram(data, specs, ("w",), sample)
     smoothed = stage1.smooth(data.n * lam, kw)
     del kw
-    kx = gram(data.block("x"), sample["x"], specs["x"])
-    if sample["v"] is not None:
-        kx *= gram(data.block("v"), sample["v"], specs["v"])
-    kx *= smoothed
-    return kx
+    features = product_gram(data, specs, ("x", "v"), sample)
+    features *= smoothed
+    return features
 
 
 def _read_x(
@@ -353,18 +357,26 @@ def _nc_curve(
 ) -> EffectCurve:
     """Steps 4, 2-3 and 5 of the bridge estimator.
 
-    The att/cate embedding runs first. The bridge is then tuned and
-    fitted, and its coefficients are reweighted by
+    The att/cate embedding runs first. Stage 1 is the ridge system of
+    the Gram A over d, x, z[, v], whose smoother B = A (A + n lam I)^{-1}
+    is the stage-1 weights; it is read only as B'L, its smooth of the
+    factor L of K_ww. The bridge's coefficients are reweighted by
     c = rowsum(B'L o K_x' (weights o L)) (see :func:`_read_x`), with
     weights 1/n for ate and the embedding weights for att and cate;
     cate also multiplies in its subgroup point's kernel column. A ds
     request averages the features of its alternative sample instead
     (see :func:`_population_features`), unless that sample is the
-    training one, which it averages exactly as ate does. c reads only
-    stage 1 and is formed before stage 2 is built (see
-    :func:`tune_and_fit`). A penalty that is None in `penalties` is
+    training one, which it averages exactly as ate does. Stage 2 is the
+    ridge system of M (see :func:`stage2_kernel`) and its coefficients
+    are (M + n xi I)^{-1} y. A penalty that is None in `penalties` is
     tuned by leave-one-out on `candidates`, and its search is recorded
     on metadata["tuning"].
+
+    While either stage decomposes, its input is the only n x n array
+    live, LAPACK's buffers aside: each system releases its input after
+    its eigendecomposition, c is read from stage 1 before stage 1 is
+    released, and only then is the stage-2 core built over d, x[, v]
+    and M formed in its buffer.
     """
     kind = request.kind
     weights = extra = penalty = sample = None
@@ -386,22 +398,27 @@ def _nc_curve(
     if sample is None:
         with _step(5, "effect evaluation"):
             reads = _read_x(data, specs, kind, weights, w_factor)
-
-    def reweight(stage1: RidgeSystem, lam: float, projected_w: np.ndarray) -> np.ndarray:
+    n, y = data.n, data.y
+    with _step(3, "bridge fit"):
+        stage1 = RidgeSystem(product_gram(data, specs, ("d", "x", "z", "v")))
+        lam = _search(reports, "lam", penalties["lam"],
+                      lambda: stage1.loo_embedding(w_factor, candidates))
+        projected_w = stage1.smooth(n * lam, w_factor)
         with _step(5, "effect evaluation"):
             if sample is None:
-                return np.sum(projected_w * reads, axis=1)
-            return _population_features(data, specs, stage1, lam, sample).mean(axis=1)
-
-    model, bridge_reports = tune_and_fit(
-        data, specs, w_factor, reweight, penalties["lam"], penalties["xi"], candidates
-    )
-    reports.update(bridge_reports)
-    with _step(5, "effect evaluation"):
-        coef = model.coef * model.c if extra is None else model.coef * extra * model.c
-        return _curve(
-            data, specs, grid, coef, "nc", kind, model.lam, model.xi, penalty, reports
+                c = np.sum(projected_w * reads, axis=1)
+            else:
+                c = _population_features(data, specs, stage1, lam, sample).mean(axis=1)
+        del stage1  # and its eigenpairs, before the stage-2 core is built
+        stage2 = RidgeSystem(
+            stage2_kernel(product_gram(data, specs, ("d", "x", "v")), projected_w)
         )
+        xi = _search(reports, "xi", penalties["xi"],
+                     lambda: stage2.loo_scalar(y, candidates))
+        coef = stage2.solve(n * xi, y)
+    with _step(5, "effect evaluation"):
+        coef = coef * c if extra is None else coef * extra * c
+        return _curve(data, specs, grid, coef, "nc", kind, lam, xi, penalty, reports)
 
 
 def _te_fit(

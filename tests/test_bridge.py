@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from kernelnc import bridge, kernels
 from kernelnc.bridge import (
     product_gram,
-    project_stage1,
-    solve_coef,
     stage2_kernel,
     theoretical_embedding_penalty,
     theoretical_schedule,
-    tune_and_fit,
 )
 from kernelnc.data import from_arrays
 from kernelnc.effects import kernel_specs
@@ -31,17 +27,17 @@ def _indicator_dataset():
 
 
 def _fit(data, specs, lam, xi):
-    # the bridge, and B through the fitted stage-1 system's smooth of
-    # the identity, read where the effect evaluation reads stage 1
-    stage1_weights = []
-
-    def reweight(stage1, lam, projected_w):
-        stage1_weights.append(stage1.smooth(data.n * lam, np.eye(data.n)))
-        return np.ones(data.n)
-
-    w_factor = gram_factor(product_gram(data, specs, ("w",)))
-    model = tune_and_fit(data, specs, w_factor, reweight, lam, xi)[0]
-    return model, stage1_weights[0]
+    # the bridge's steps as the pipeline runs them: stage 1's smooth of
+    # L, the second-stage kernel M and the stage-2 solve; B is stage 1's
+    # smooth of the identity, which the pipeline never forms
+    n = data.n
+    stage1 = RidgeSystem(product_gram(data, specs, ("d", "x", "z", "v")))
+    L = gram_factor(product_gram(data, specs, ("w",)))
+    BL = stage1.smooth(n * lam, L)
+    B = stage1.smooth(n * lam, np.eye(n))
+    M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
+    alpha = RidgeSystem(M.copy()).solve(n * xi, data.y)
+    return B, M, alpha
 
 
 def _indicator_specs():
@@ -57,36 +53,14 @@ def test_identity_gram_hand_instance():
     np.testing.assert_array_equal(A, np.eye(3))
 
     L = gram_factor(product_gram(data, specs, ("w",)))
-    BL = project_stage1(RidgeSystem(A), L, 1.0 / 3.0)
+    BL = RidgeSystem(A).smooth(data.n * (1.0 / 3.0), L)
     M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(BL, L / 2.0, atol=1e-12)
     np.testing.assert_allclose(M, np.eye(3) / 4.0, atol=1e-12)
 
     y = data.y
-    alpha = solve_coef(RidgeSystem(M), y, 1.0 / 12.0)
+    alpha = RidgeSystem(M).solve(data.n * (1.0 / 12.0), y)
     np.testing.assert_allclose(alpha, 2.0 * y, rtol=1e-10)
-
-    model, _ = _fit(data, specs, 1.0 / 3.0, 1.0 / 12.0)
-    np.testing.assert_allclose(model.coef, 2.0 * y, rtol=1e-10)
-
-
-def test_tune_and_fit_keeps_only_the_factor_of_k_ww(monkeypatch):
-    # the bridge reads K_ww only through its factor: it builds A and the
-    # stage-2 core, and no Gram with a w column
-    data = _random_dataset(np.random.default_rng(59), 30)
-    specs = kernel_specs(data)
-    K_ww = product_gram(data, specs, ("w",))
-    w_factor = gram_factor(K_ww)
-    built = []
-
-    def counted(rows, cols, spec):
-        built.append(rows.shape[1])
-        return kernels.gram(rows, cols, spec)
-
-    monkeypatch.setattr(bridge, "gram", counted)
-    tune_and_fit(data, specs, w_factor, lambda *_: np.ones(data.n), 0.1, 0.05)
-    assert built == [1 + 2 + 1, 1 + 2]  # d, x (2 columns), z; then d, x
-    np.testing.assert_allclose(w_factor @ w_factor.T, K_ww, rtol=0.0, atol=1e-13)
 
 
 def _random_dataset(rng, n, with_v=False):
@@ -104,16 +78,11 @@ def _oracle_scales(data, roles):
     return {r: od.block_scales(data.block(r)) for r in roles}
 
 
-def _assert_stages_match(data, specs, fitted, fit):
-    # B as the fit read it; M as stage2_kernel forms it over the same Grams
-    model, B = fitted
+def _assert_stages_match(fitted, fit):
+    B, M, alpha = fitted
     np.testing.assert_allclose(B, fit["B"], rtol=1e-9)
-    A = product_gram(data, specs, ("d", "x", "z", "v"))
-    L = gram_factor(product_gram(data, specs, ("w",)))
-    BL = project_stage1(RidgeSystem(A), L, model.lam)
-    M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(M, fit["M"], rtol=1e-9)
-    np.testing.assert_allclose(model.coef, fit["alpha"], rtol=1e-8)
+    np.testing.assert_allclose(alpha, fit["alpha"], rtol=1e-8)
 
 
 def test_fit_matches_dense_oracle():
@@ -125,7 +94,7 @@ def test_fit_matches_dense_oracle():
         data.block("d"), data.block("x"), data.block("z"), data.block("w"),
         data.y, _oracle_scales(data, ("d", "x", "z", "w")), 0.08, 0.03,
     )
-    _assert_stages_match(data, specs, fitted, fit)
+    _assert_stages_match(fitted, fit)
 
 
 def test_fit_with_v_block_matches_dense_oracle():
@@ -138,7 +107,7 @@ def test_fit_with_v_block_matches_dense_oracle():
         data.y, _oracle_scales(data, ("d", "x", "z", "w", "v")), 0.1, 0.05,
         v=data.block("v"),
     )
-    _assert_stages_match(data, specs, fitted, fit)
+    _assert_stages_match(fitted, fit)
 
 
 def test_theoretical_penalty_spot_values():

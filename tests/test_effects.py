@@ -235,16 +235,20 @@ PASS_BUILDS = {
 def test_one_pass_builds_each_role_gram_once(monkeypatch, sample_v, kind, plan):
     # each reader of the training sample builds the product Gram of its
     # roles in one gram call, just before it reads it; no product is
-    # built twice in a pass, and none is kept from one reader to the next
+    # built twice in a pass, and none is kept from one reader to the next.
+    # A ds population's n x 9 cross Grams are one call each too: k_w, and
+    # k_x o k_v as one product
     data = sample_v[0]
-    built = []
+    built, cross = [], []
 
     def counted(rows, cols, spec):
         out = kernels.gram(rows, cols, spec)
-        if out.shape == (data.n, data.n):
+        if out.shape in ((data.n, data.n), (data.n, 9)):
             roles = [next(c.role for c, v in zip(data.columns, data.values.T)
                           if np.array_equal(col, v)) for col in rows.T]
-            built.append(tuple(dict.fromkeys(roles)))
+            (built if out.shape[1] == data.n else cross).append(
+                tuple(dict.fromkeys(roles))
+            )
         return out
 
     monkeypatch.setattr(bridge, "gram", counted)
@@ -259,6 +263,7 @@ def test_one_pass_builds_each_role_gram_once(monkeypatch, sample_v, kind, plan):
     if plan is not None and kind in ("att", "cate"):
         del expected[1]  # a forced embedding penalty needs no output Gram
     assert built == expected
+    assert cross == ([("w",), ("x", "v")] if kind == "ds" else [])
 
 
 def test_tuning_plan_resolves_every_penalty():
@@ -268,6 +273,12 @@ def test_tuning_plan_resolves_every_penalty():
     for mode, name in (("loocv", "c"), ("forced", "c1"), ("theoretical", "c2")):
         with pytest.raises(InputError, match=f"smoothness {name} must lie"):
             TuningPlan(mode=mode, **{name: 2.5})
+    # a forced penalty is checked where it arrives, before any Gram is built
+    for name, value in (("lam", -0.1), ("xi", np.nan), ("lam1", -1.0), ("lam2", np.inf)):
+        with pytest.raises(InputError, match=f"penalty {name} must be finite and >= 0"):
+            TuningPlan(mode="forced", **{name: value})
+    zeros = TuningPlan(mode="forced", lam=0.0, xi=0.0, lam1=0.0, lam2=0.0)
+    assert zeros.penalties(50) == dict.fromkeys(("lam", "xi", "lam1", "lam2"), 0.0)
     n = 50
     assert TuningPlan().penalties(n) == dict.fromkeys(("lam", "xi", "lam1", "lam2"))
     forced = TuningPlan(mode="forced", lam=0.1, lam2=0.2).penalties(n)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelnc.bridge import product_gram, project_stage1, stage2_kernel
+from kernelnc.bridge import product_gram, stage2_kernel
 from kernelnc.data import from_arrays
 from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
 from kernelnc.errors import InputError, NumericalError
@@ -279,7 +279,7 @@ def test_loocv_exact_over_the_default_grid():
     np.testing.assert_allclose(
         emb.losses, loo_embedding_losses(A, K_ww, DEFAULT_GRID), rtol=1e-8
     )
-    BL = project_stage1(RidgeSystem(A), gram_factor(K_ww), emb.selected)
+    BL = RidgeSystem(A).smooth(data.n * emb.selected, gram_factor(K_ww))
     M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(
         RidgeSystem(M).loo_scalar(data.y).losses,
