@@ -8,11 +8,6 @@ averages. A simulation lab benchmarks the estimator against a naive
 kernel ridge baseline on designs with known counterfactual curves.
 """
 
-from .bridge import (
-    stage2_kernel,
-    theoretical_embedding_penalty,
-    theoretical_schedule,
-)
 from .data import Dataset, Schema, from_arrays, ingest, write_dataset_csv
 from .effects import (
     EffectCurve,
@@ -20,6 +15,7 @@ from .effects import (
     TuningPlan,
     kernel_specs,
     run_end_to_end,
+    stage2_kernel,
 )
 from .errors import (
     ConfigError,
@@ -73,8 +69,6 @@ __all__ = [
     "score_replicate",
     "spec_from_data",
     "stage2_kernel",
-    "theoretical_embedding_penalty",
-    "theoretical_schedule",
     "true_curve",
     "write_dataset_csv",
 ]

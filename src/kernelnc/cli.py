@@ -31,7 +31,6 @@ from .data import (
     write_table_csv,
 )
 from .effects import (
-    EFFECT_KINDS,
     ESTIMATORS,
     PENALTIES,
     SMOOTHNESS,
@@ -42,7 +41,6 @@ from .effects import (
 )
 from .errors import ConfigError, IngestError, InputError, KernelncError
 from .simlab import (
-    DESIGN_KINDS,
     SimDesign,
     _one_blas_thread,
     blas_environment,
@@ -241,13 +239,10 @@ def _tuning_grid(cfg: dict) -> np.ndarray | None:
 
 def _build_tuning(cfg: dict) -> TuningPlan:
     t = cfg["tuning"]
-    penalties = {}
-    for name in PENALTIES:
-        value = t[name]
-        if value is not None:
-            value = _number(value, f"tuning.{name}")
-            _require(value > 0.0, f"penalty {name} must be > 0, got {value}")
-        penalties[name] = value
+    penalties = {
+        name: None if t[name] is None else _number(t[name], f"tuning.{name}")
+        for name in PENALTIES
+    }
     smoothness = {name: _number(t[name], f"tuning.{name}") for name in SMOOTHNESS}
     return _as_config_error(
         TuningPlan, mode=t["mode"], grid=_tuning_grid(cfg), **penalties, **smoothness
@@ -255,7 +250,6 @@ def _build_tuning(cfg: dict) -> TuningPlan:
 
 
 def _build_design(sim: dict) -> SimDesign:
-    _require(sim["design"] in DESIGN_KINDS, f"unknown design {sim['design']!r}")
     return _as_config_error(
         SimDesign,
         kind=sim["design"],
@@ -310,7 +304,6 @@ def load_dataset(cfg: dict) -> Dataset:
 def _build_request(cfg: dict) -> EffectRequest:
     est = cfg["estimate"]
     kind = est["effect"]
-    _require(kind in EFFECT_KINDS, f"unknown effect {kind!r}")
     _require(est["estimator"] in ESTIMATORS, f"unknown estimator {est['estimator']!r}")
     if est["estimator"] == "te":
         _require(kind == "ate", "estimator 'te' only supports effect 'ate'")

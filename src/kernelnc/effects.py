@@ -1,5 +1,9 @@
 """Treatment-effect curves from the fitted bridge, plus a naive baseline.
 
+The bridge's stage 1 ridge-projects the sample through the (treatment,
+covariates, control-exposure) kernel and stage 2 ridge-regresses
+outcomes on the projected features; :func:`_nc_curve` runs both.
+
 Every estimator reduces to one pattern: pair the bridge coefficients
 with reweighting constants c_j that encode which population the
 covariates and control outcomes are averaged over, then sweep the
@@ -20,23 +24,16 @@ and exists as a comparison target.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.percentile imports it at its first call, not in a fit
 
-from .bridge import (
-    _search,
-    _step,
-    product_gram,
-    stage2_kernel,
-    theoretical_embedding_penalty,
-    theoretical_schedule,
-)
 from .data import Dataset
-from .errors import DegenerateScaleError, InputError
-from .kernels import KernelSpec, gram, spec_from_data
+from .errors import DegenerateScaleError, InputError, NumericalError
+from .kernels import _BLOCK_BYTES, KernelSpec, gram, spec_from_data
 from .ridge import RidgeSystem, TuneReport, _prepare_grid, gram_factor
 
 EFFECT_KINDS = ("ate", "ds", "att", "cate")
@@ -44,6 +41,36 @@ ESTIMATORS = ("nc", "te")
 TUNING_MODES = ("loocv", "theoretical", "forced")
 PENALTIES = ("lam", "xi", "lam1", "lam2")
 SMOOTHNESS = ("c0", "c", "c1", "c2")
+
+
+@contextmanager
+def _step(num: int, label: str):
+    """Tag package errors with the pipeline step that raised them; an
+    error that an inner step already tagged passes through unchanged."""
+    try:
+        yield
+    except (InputError, NumericalError, DegenerateScaleError) as err:
+        if str(err).startswith("step "):
+            raise
+        raise type(err)(f"step {num} ({label}): {err}") from err
+
+
+def _search(
+    reports: dict[str, TuneReport],
+    name: str,
+    penalty: float | None,
+    loss: Callable[[], TuneReport],
+) -> float:
+    """`penalty` as a float, or, when it is None, the selection of the
+    leave-one-out search `loss()`, whose report is kept as reports[name].
+
+    Every penalty search of a pass runs here, as step 2.
+    """
+    if penalty is None:
+        with _step(2, "penalty tuning"):
+            reports[name] = loss()
+        penalty = reports[name].selected
+    return float(penalty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +162,17 @@ class TuningPlan:
             _prepare_grid(self.grid)
 
     def penalties(self, n: int) -> dict[str, float | None]:
-        """lam, xi, lam1 and lam2 for a sample of size n; None is tuned."""
+        """lam, xi, lam1 and lam2 for a sample of size n; None is tuned.
+        Mode "theoretical" gives the rate-optimal schedule for one sample."""
         if self.mode != "theoretical":
             return {name: getattr(self, name) for name in PENALTIES}
-        lam, xi = theoretical_schedule(n, self.c0, self.c)
-        lam1, lam2 = (theoretical_embedding_penalty(n, c) for c in (self.c1, self.c2))
-        return {"lam": lam, "xi": xi, "lam1": lam1, "lam2": lam2}
+        n = float(n)
+        return {
+            "lam": n ** (-1.0 / (self.c0 + 1.0)),
+            "xi": n ** (-(self.c0 - 1.0) / ((self.c0 + 1.0) * (self.c + 3.0))),
+            "lam1": n ** (-1.0 / (self.c1 + 1.0)),
+            "lam2": n ** (-1.0 / (self.c2 + 1.0)),
+        }
 
 
 @dataclass
@@ -274,6 +306,49 @@ def _population(specs, data: Dataset, request: EffectRequest) -> dict | None:
     return sample
 
 
+def product_gram(
+    data: Dataset,
+    specs: Mapping[str, KernelSpec],
+    roles: tuple[str, ...],
+    points: Mapping[str, np.ndarray] | None = None,
+) -> np.ndarray:
+    """The Gram, between the training sample and `points`, of the product
+    of the role kernels of those `roles` the data has.
+
+    `points` maps each such role to its query block (m rows each) and
+    gives an n x m Gram; without it the Gram is the sample's own, n x n.
+    The roles' columns and column kernels are concatenated in the order
+    of `roles` into one spec, so the product is one :func:`gram` call.
+    The stage-1 Gram A is the product over ("d", "x", "z", "v"), the
+    stage-2 core over ("d", "x", "v"), and the baseline's Gram without
+    treatment over ("x", "z", "w", "v").
+    """
+    present = [role for role in roles if data.has_role(role)]
+    rows = np.hstack([data.block(role) for role in present])
+    cols = rows if points is None else np.hstack([points[role] for role in present])
+    spec = KernelSpec(sum((specs[role].columns for role in present), ()))
+    return gram(rows, cols, spec)
+
+
+def stage2_kernel(core: np.ndarray, projected_w: np.ndarray) -> np.ndarray:
+    """The second-stage kernel M = core o B' K_ww B, in the buffer of `core`.
+
+    `core` is the stage-2 core K_d o K_x [o K_v] and `projected_w` is
+    B'L, the stage-1 smooth of the factor L of K_ww, so
+    B' K_ww B = (B'L)(B'L)'. M is formed one block of rows at a time,
+    so that no other n x n array is allocated. Entries (i, j) and
+    (j, i) of M may differ in round-off, and every solve reads only its
+    lower triangle.
+    """
+    M = core
+    n = M.shape[0]
+    height = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, height):
+        rows = slice(start, start + height)
+        M[rows] *= projected_w[rows] @ projected_w.T
+    return M
+
+
 def _population_features(
     data: Dataset, specs, stage1: RidgeSystem, lam: float, sample
 ) -> np.ndarray:
@@ -372,11 +447,13 @@ def _nc_curve(
     tuned by leave-one-out on `candidates`, and its search is recorded
     on metadata["tuning"].
 
-    While either stage decomposes, its input is the only n x n array
-    live, LAPACK's buffers aside: each system releases its input after
-    its eigendecomposition, c is read from stage 1 before stage 1 is
-    released, and only then is the stage-2 core built over d, x[, v]
-    and M formed in its buffer.
+    The only large objects of a fit are n x n product Grams (see
+    :func:`product_gram`), each built just before its reader and
+    dropped after it. While either stage decomposes, its input is the
+    only n x n array live, LAPACK's buffers aside: each system releases
+    its input after its eigendecomposition, c is read from stage 1
+    before stage 1 is released, and only then is the stage-2 core built
+    over d, x[, v] and M formed in its buffer.
     """
     kind = request.kind
     weights = extra = penalty = sample = None

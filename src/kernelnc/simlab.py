@@ -25,8 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, from_arrays
-from .bridge import _step
-from .effects import ESTIMATORS, EffectRequest, TuningPlan, kernel_specs, run_end_to_end
+from .effects import (
+    ESTIMATORS,
+    EffectRequest,
+    TuningPlan,
+    _step,
+    kernel_specs,
+    run_end_to_end,
+)
 from .errors import InputError, KernelncError, NumericalError
 
 DESIGN_KINDS = ("quadratic", "sigmoid", "peaked", "no_confounding", "discrete")

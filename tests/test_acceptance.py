@@ -13,7 +13,6 @@ import time
 import numpy as np
 import yaml
 
-from kernelnc.bridge import theoretical_embedding_penalty, theoretical_schedule
 from kernelnc.cli import main
 from kernelnc.data import from_arrays
 from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
@@ -274,12 +273,11 @@ def test_criterion_7_invariant_suite(capsys):
         run_end_to_end(data, ds, plan).values,
     )
 
-    lam_spot = theoretical_embedding_penalty(10000, 2.0)
-    lam_sched, xi_sched = theoretical_schedule(10000, 2.0, 2.0)
+    theory = TuningPlan("theoretical").penalties(10000)
     spots = (
-        abs(lam_spot - 0.0464159) < 1e-6
-        and lam_sched == lam_spot
-        and abs(xi_sched - 0.5411695265464637) < 1e-12
+        abs(theory["lam1"] - 0.0464159) < 1e-6
+        and theory["lam"] == theory["lam1"]
+        and abs(theory["xi"] - 0.5411695265464637) < 1e-12
     )
 
     elapsed = time.perf_counter() - t0

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from kernelnc.bridge import (
-    product_gram,
-    stage2_kernel,
-    theoretical_embedding_penalty,
-    theoretical_schedule,
-)
 from kernelnc.data import from_arrays
-from kernelnc.effects import kernel_specs
+from kernelnc.effects import TuningPlan, kernel_specs, product_gram, stage2_kernel
 from kernelnc.errors import InputError
 from kernelnc.kernels import KernelSpec
 from kernelnc.ridge import RidgeSystem, gram_factor
@@ -111,18 +105,13 @@ def test_fit_with_v_block_matches_dense_oracle():
 
 
 def test_theoretical_penalty_spot_values():
-    assert theoretical_embedding_penalty(10000, 2.0) == pytest.approx(
-        0.046415888336127795, rel=1e-12
-    )
-    lam, xi = theoretical_schedule(10000, 2.0, 2.0)
-    assert lam == pytest.approx(0.046415888336127795, rel=1e-12)
-    assert xi == pytest.approx(0.5411695265464637, rel=1e-12)
+    penalties = TuningPlan("theoretical").penalties(10000)
+    for name in ("lam", "lam1", "lam2"):
+        assert penalties[name] == pytest.approx(0.046415888336127795, rel=1e-12)
+    assert penalties["xi"] == pytest.approx(0.5411695265464637, rel=1e-12)
 
 
 def test_theoretical_schedule_validation():
-    with pytest.raises(InputError):
-        theoretical_embedding_penalty(10000, 1.0)
-    with pytest.raises(InputError):
-        theoretical_embedding_penalty(10000, 2.5)
-    with pytest.raises(InputError):
-        theoretical_schedule(1, 2.0, 2.0)
+    for name, value in (("c0", 1.0), ("c1", 2.5)):
+        with pytest.raises(InputError):
+            TuningPlan("theoretical", **{name: value})

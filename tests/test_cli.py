@@ -52,11 +52,19 @@ def test_config_semantic_errors(tmp_path, capsys):
     assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
     no_source = _write_config(tmp_path / "n.yaml", {})
     assert main(["estimate", "--config", no_source]) == EXIT_CONFIG
+    capsys.readouterr()
+    # the kinds are checked by the constructors the CLI builds from them
     bad_effect = _write_config(
         tmp_path / "e.yaml",
         {"data": {"simulate": {}}, "estimate": {"effect": "dose"}},
     )
     assert main(["estimate", "--config", bad_effect]) == EXIT_CONFIG
+    assert "unknown effect kind 'dose'" in capsys.readouterr().err
+    bad_design = _write_config(
+        tmp_path / "d.yaml", {"data": {"simulate": {"design": "wavy"}}}
+    )
+    assert main(["estimate", "--config", bad_design]) == EXIT_CONFIG
+    assert "unknown design kind 'wavy'" in capsys.readouterr().err
     bad_forced = _write_config(
         tmp_path / "f.yaml",
         {"data": {"simulate": {}}, "tuning": {"mode": "forced", "lam": -1.0}},
@@ -178,6 +186,28 @@ def test_penalty_outside_forced_mode_is_a_config_error(tmp_path, capsys, tuning,
     )
     assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
     assert f"configuration error: penalty {name} is set" in capsys.readouterr().err
+
+
+def test_forced_penalty_is_checked_by_the_tuning_plan(tmp_path, capsys):
+    # the CLI accepts the forced penalties TuningPlan accepts: 0 fits and
+    # is written as such, a negative value is TuningPlan's config error
+    def estimate(name, lam):
+        cfg = _write_config(tmp_path / f"{name}.yaml", {
+            "output_dir": str(tmp_path / name), "data": {"simulate": {"n": 60}},
+            "estimate": {"grid": [0.2, 0.5, 0.8]},
+            "tuning": {"mode": "forced", "lam": lam, "xi": 0.02},
+        })
+        return main(["estimate", "--config", cfg])
+
+    assert estimate("zero", 0.0) == EXIT_OK
+    rows = _read_csv(tmp_path / "zero" / "curve.csv")
+    assert rows[0][5] == "lambda" and {float(row[5]) for row in rows[1:]} == {0.0}
+    assert json.loads((tmp_path / "zero" / "manifest.json").read_text())[
+        "results"]["lambda"] == 0.0
+    capsys.readouterr()
+    assert estimate("negative", -1.0) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "penalty lam must be finite and >= 0, got -1.0" in err
 
 
 @pytest.mark.parametrize(

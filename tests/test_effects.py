@@ -6,8 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelnc import bridge, effects, kernels, ridge
-from kernelnc.bridge import theoretical_schedule
+from kernelnc import effects, kernels, ridge
 from kernelnc.data import Column, Dataset, from_arrays
 from kernelnc.effects import (
     ESTIMATORS,
@@ -251,7 +250,6 @@ def test_one_pass_builds_each_role_gram_once(monkeypatch, sample_v, kind, plan):
             )
         return out
 
-    monkeypatch.setattr(bridge, "gram", counted)
     monkeypatch.setattr(effects, "gram", counted)
     alt = {"alt_x": data.block("x")[:9] + 0.3, "alt_w": data.block("w")[:9],
            "alt_v": data.block("v")[:9] - 0.2}
@@ -284,7 +282,7 @@ def test_tuning_plan_resolves_every_penalty():
     forced = TuningPlan(mode="forced", lam=0.1, lam2=0.2).penalties(n)
     assert forced == {"lam": 0.1, "xi": None, "lam1": None, "lam2": 0.2}
     theory = TuningPlan(mode="theoretical", c=1.5, c1=1.5).penalties(n)
-    assert (theory["lam"], theory["xi"]) == theoretical_schedule(n, 2.0, 1.5)
+    assert (theory["lam"], theory["xi"]) == (n ** (-1 / 3), n ** (-1 / 13.5))
     assert (theory["lam1"], theory["lam2"]) == (n ** (-1 / 2.5), n ** (-1 / 3))
 
 

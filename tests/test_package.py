@@ -1,8 +1,9 @@
 """The public export list of the package, what importing it loads, and
-the README's Python quick start."""
+the README's Python quick start and Layout block."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +84,14 @@ def test_cli_runs_with_scipy_unimportable(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1]) == [0, 0, 0], out.stderr
+
+
+def test_readme_layout_names_every_module():
+    # the Layout block lists each module of the package once, and no
+    # module that is gone
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Layout", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^  (\S+)", block, flags=re.MULTILINE)
+    package = Path(kernelnc.__file__).parent
+    modules = sorted(p.name for p in package.glob("*.py") if p.name != "__init__.py")
+    assert sorted(listed) == modules

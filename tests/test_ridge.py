@@ -5,9 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelnc.bridge import product_gram, stage2_kernel
 from kernelnc.data import from_arrays
-from kernelnc.effects import EffectRequest, TuningPlan, kernel_specs, run_end_to_end
+from kernelnc.effects import (
+    EffectRequest,
+    TuningPlan,
+    kernel_specs,
+    product_gram,
+    run_end_to_end,
+    stage2_kernel,
+)
 from kernelnc.errors import InputError, NumericalError
 from kernelnc.kernels import KernelSpec, gram
 from kernelnc.ridge import (
