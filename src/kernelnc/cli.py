@@ -14,6 +14,7 @@ or ingestion failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -30,23 +31,9 @@ from .data import (
     population_from_csv,
     write_table_csv,
 )
-from .effects import (
-    ESTIMATORS,
-    PENALTIES,
-    SMOOTHNESS,
-    EffectCurve,
-    EffectRequest,
-    TuningPlan,
-    run_end_to_end,
-)
+from .effects import ESTIMATORS, EffectCurve, EffectRequest, TuningPlan, run_end_to_end
 from .errors import ConfigError, IngestError, InputError, KernelncError
-from .simlab import (
-    SimDesign,
-    _one_blas_thread,
-    blas_environment,
-    generate,
-    run_experiment,
-)
+from .simlab import SimDesign, blas_environment, generate, run_experiment
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -73,18 +60,7 @@ _DEFAULTS = {
         "v_value": None,
         "alt_population": None,
     },
-    "tuning": {
-        "mode": "loocv",
-        "lam": None,
-        "xi": None,
-        "lam1": None,
-        "lam2": None,
-        "c0": 2.0,
-        "c": 2.0,
-        "c1": 2.0,
-        "c2": 2.0,
-        "grid": None,
-    },
+    "tuning": {f.name: f.default for f in dataclasses.fields(TuningPlan)},
     "kernels": {"lengthscales": {}},
     "simulate": {
         "design": "quadratic",
@@ -99,6 +75,15 @@ _DEFAULTS = {
 }
 
 _SIM_KEYS = ("design", "n", "dim_x", "dim_z", "dim_w")
+
+# The run constants curve.csv repeats on every row, as (column, metadata
+# key); the estimate manifest's results carry them under the same columns.
+_CURVE_CONSTANTS = (
+    ("estimator", "estimator"), ("n", "n"), ("m", "m"), ("lambda", "lam"), ("xi", "xi"),
+    ("extra_penalty", "extra_penalty"), ("lengthscale_digest", "lengthscale_digest"),
+)
+# Each estimator's summary over its replicates, in output order.
+_SUMMARY = ("mean", "sd", "mse")
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -144,8 +129,11 @@ def _load_manifest(path: Path) -> dict:
     return doc
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, file or manifest values, and flag overrides."""
+def resolve_config(args: argparse.Namespace) -> tuple[dict, dict | None]:
+    """Merge defaults, file or manifest values, and flag overrides.
+
+    Returns the config and the manifest it replays, None without one.
+    """
     if args.config and args.from_manifest:
         raise ConfigError("pass either --config or --from-manifest, not both")
     cfg = json.loads(json.dumps(_DEFAULTS))
@@ -164,18 +152,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["simulate"]["replicates"] = args.replicates
     if getattr(args, "data_path", None) is not None:
         cfg["data"]["path"] = args.data_path
-    if manifest is not None:
-        recorded, current = manifest.get("blas"), _run_blas(args.command, cfg)
-        if recorded != current:
-            # a replay is byte-identical only at the recorded BLAS build and threads
-            print(
-                f"warning: manifest {args.from_manifest} records BLAS "
-                f"{json.dumps(recorded, sort_keys=True)}, this run has "
-                f"{json.dumps(current, sort_keys=True)}; "
-                "outputs may differ in the last digits",
-                file=sys.stderr,
-            )
-    return cfg
+    return cfg, manifest
 
 
 def _require(condition: bool, message: str) -> None:
@@ -208,19 +185,6 @@ def _count(value, key: str, least: int) -> int:
     return count
 
 
-def _workers(cfg: dict) -> int:
-    return 1 if cfg["workers"] is None else _count(cfg["workers"], "workers", 1)
-
-
-def _run_blas(command: str, cfg: dict) -> dict:
-    """The BLAS record a run's outputs are computed under: a pooled
-    simulate scores its replicates at one thread (see run_experiment)."""
-    if command == "simulate" and _workers(cfg) > 1:
-        with _one_blas_thread():
-            return blas_environment()
-    return blas_environment()
-
-
 def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -232,21 +196,19 @@ def _as_config_error(fn, *args, **kwargs):
         raise ConfigError(str(err)) from err
 
 
-def _tuning_grid(cfg: dict) -> np.ndarray | None:
-    grid = cfg["tuning"]["grid"]
-    return None if grid is None else _number(grid, "tuning.grid", _float_array)
-
-
 def _build_tuning(cfg: dict) -> TuningPlan:
-    t = cfg["tuning"]
-    penalties = {
-        name: None if t[name] is None else _number(t[name], f"tuning.{name}")
-        for name in PENALTIES
-    }
-    smoothness = {name: _number(t[name], f"tuning.{name}") for name in SMOOTHNESS}
-    return _as_config_error(
-        TuningPlan, mode=t["mode"], grid=_tuning_grid(cfg), **penalties, **smoothness
-    )
+    """The TuningPlan whose fields are the tuning section's keys.
+
+    Every value but the mode is checked as a number under its key; None
+    passes through where it is the field's default (a penalty left to
+    tuning, no grid).
+    """
+    plan = {}
+    for key, value in cfg["tuning"].items():
+        if key != "mode" and (value is not None or _DEFAULTS["tuning"][key] is not None):
+            value = _number(value, f"tuning.{key}", _float_array if key == "grid" else float)
+        plan[key] = value
+    return _as_config_error(TuningPlan, **plan)
 
 
 def _build_design(sim: dict) -> SimDesign:
@@ -354,7 +316,9 @@ def _prepare_outdir(cfg: dict) -> Path:
     return outdir
 
 
-def _write_manifest(outdir, command, cfg, outputs, timings, results) -> Path:
+def _write_manifest(outdir, command, cfg, outputs, timings, results, blas) -> dict:
+    """Write the run's manifest and return it. `blas` is the record the
+    outputs were computed under (see :func:`blas_environment`)."""
     manifest = {
         "command": command,
         "config": cfg,
@@ -362,13 +326,12 @@ def _write_manifest(outdir, command, cfg, outputs, timings, results) -> Path:
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "results": results,
         # outputs are byte-identical only at the same BLAS build and threads
-        "blas": _run_blas(command, cfg),
+        "blas": blas,
     }
-    path = outdir / MANIFEST_NAME
-    with open(path, "w") as fh:
+    with open(outdir / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return manifest
 
 
 def _run_pass(
@@ -395,48 +358,33 @@ def _run_pass(
     return outdir, curve, timings
 
 
-def cmd_estimate(cfg: dict) -> int:
+def cmd_estimate(cfg: dict) -> dict:
+    """Write curve.csv and its manifest, and return the manifest."""
     outdir, curve, timings = _run_pass(cfg, _build_tuning(cfg), "estimate")
     meta = curve.metadata
+    constants = {column: meta[key] for column, key in _CURVE_CONSTANTS}
     rows = [
-        (
-            float(d),
-            float(v),
-            meta["estimator"],
-            meta["n"],
-            meta["m"],
-            meta["lam"],
-            meta["xi"],
-            meta["extra_penalty"],
-            meta["lengthscale_digest"],
-        )
+        (float(d), float(v), *constants.values())
         for d, v in zip(curve.grid, curve.values)
     ]
     curve_path = outdir / "curve.csv"
-    write_table_csv(
-        curve_path,
-        ["d", "estimate", "estimator", "n", "m", "lambda", "xi",
-         "extra_penalty", "lengthscale_digest"],
-        rows,
-    )
+    write_table_csv(curve_path, ["d", "estimate", *constants], rows)
     results = {
+        **constants,
         "effect": meta["effect"],
-        "estimator": meta["estimator"],
-        "n": meta["n"],
-        "m": meta["m"],
-        "lambda": meta["lam"],
-        "xi": meta["xi"],
-        "extra_penalty": meta["extra_penalty"],
         "tuning_mode": meta["tuning_mode"],
-        "lengthscale_digest": meta["lengthscale_digest"],
         "grid_points": int(curve.grid.size),
     }
-    _write_manifest(outdir, "estimate", cfg, [curve_path.name], timings, results)
+    manifest = _write_manifest(
+        outdir, "estimate", cfg, [curve_path.name], timings, results, blas_environment()
+    )
     print(f"wrote {curve_path} ({curve.grid.size} grid points)")
-    return EXIT_OK
+    return manifest
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict) -> dict:
+    """Write replicates.csv, aggregate.csv and their manifest, and return
+    the manifest."""
     tuning = _build_tuning(cfg)
     sim = cfg["simulate"]
     design = _build_design(sim)
@@ -456,7 +404,7 @@ def cmd_simulate(cfg: dict) -> int:
     )
     replicates = _count(sim["replicates"], "simulate.replicates", 1)
     seed = _count(cfg["seed"], "seed", 0)
-    workers = _workers(cfg)
+    workers = 1 if cfg["workers"] is None else _count(cfg["workers"], "workers", 1)
     outdir = _prepare_outdir(cfg)
 
     t0 = time.perf_counter()
@@ -465,55 +413,47 @@ def cmd_simulate(cfg: dict) -> int:
     )
     timings = {"experiment": time.perf_counter() - t0}
 
+    summaries = {
+        est: {stat: getattr(reports[est], stat) for stat in _SUMMARY}
+        for est in estimators
+    }
     rep_rows = []
     agg_rows = []
-    for est in estimators:
+    for est, summary in summaries.items():
         rep = reports[est]
         rep_rows.extend(
             (est, int(r), float(v)) for r, v in zip(rep.replicates, rep.values)
         )
-        rep_rows.append((est, "mean", rep.mean))
-        rep_rows.append((est, "sd", rep.sd))
-        rep_rows.append((est, "mse", rep.mse))
-        agg_rows.append(
-            (est, design.n, int(rep.values.size), rep.mean, rep.sd, rep.mse)
-        )
+        rep_rows.extend((est, *item) for item in summary.items())
+        agg_rows.append((est, design.n, int(rep.values.size), *summary.values()))
     rep_path = outdir / "replicates.csv"
     write_table_csv(rep_path, ["estimator", "replicate", "value"], rep_rows)
     agg_path = outdir / "aggregate.csv"
-    write_table_csv(
-        agg_path, ["estimator", "n", "replicates", "mean", "sd", "mse"], agg_rows
-    )
+    write_table_csv(agg_path, ["estimator", "n", "replicates", *_SUMMARY], agg_rows)
 
     results = {
-        est: {
-            "mean": reports[est].mean,
-            "sd": reports[est].sd,
-            "mse": reports[est].mse,
-            "failed_replicates": [list(f) for f in reports[est].failures],
-        }
-        for est in estimators
+        est: {**summary, "failed_replicates": [list(f) for f in reports[est].failures]}
+        for est, summary in summaries.items()
     }
     results["metadata"] = reports[estimators[0]].metadata
-    _write_manifest(
-        outdir, "simulate", cfg, [rep_path.name, agg_path.name], timings, results
+    manifest = _write_manifest(
+        outdir, "simulate", cfg, [rep_path.name, agg_path.name], timings, results,
+        results["metadata"]["blas"],
     )
-    for est in estimators:
-        rep = reports[est]
-        print(
-            f"{est}: mean={format_float(rep.mean)} sd={format_float(rep.sd)} "
-            f"mse={format_float(rep.mse)} ({rep.values.size} replicates)"
-        )
+    for est, summary in summaries.items():
+        stats = " ".join(f"{stat}={format_float(value)}" for stat, value in summary.items())
+        print(f"{est}: {stats} ({reports[est].values.size} replicates)")
     print(f"wrote {rep_path} and {agg_path}")
-    return EXIT_OK
+    return manifest
 
 
-def cmd_tune(cfg: dict) -> int:
+def cmd_tune(cfg: dict) -> dict:
     """Export the penalty searches that `estimate` runs on the same config.
 
     One pass of the config's estimate with every penalty left to
     leave-one-out on the tuning grid; tune.csv and the manifest are
     built from that pass's metadata["tuning"], and no curve is written.
+    Returns the manifest.
     """
     tuning = TuningPlan(grid=_build_tuning(cfg).grid)
     outdir, curve, timings = _run_pass(cfg, tuning, "tune")
@@ -525,11 +465,13 @@ def cmd_tune(cfg: dict) -> int:
     tune_path = outdir / "tune.csv"
     write_table_csv(tune_path, ["hyperparameter", "candidate", "loss", "selected"], rows)
     results = {name: search["selected"] for name, search in searches.items()}
-    _write_manifest(outdir, "tune", cfg, [tune_path.name], timings, results)
+    manifest = _write_manifest(
+        outdir, "tune", cfg, [tune_path.name], timings, results, blas_environment()
+    )
     for name, selected in results.items():
         print(f"{name}: selected {format_float(selected)}")
     print(f"wrote {tune_path}")
-    return EXIT_OK
+    return manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,19 +510,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"estimate": cmd_estimate, "simulate": cmd_simulate, "tune": cmd_tune}
     try:
-        cfg = resolve_config(args)
-        if args.command == "estimate":
-            return cmd_estimate(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_tune(cfg)
+        cfg, replayed = resolve_config(args)
+        written = commands[args.command](cfg)
     except (ConfigError, IngestError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except KernelncError as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    if replayed is not None and replayed.get("blas") != written["blas"]:
+        # a replay is byte-identical only at the recorded BLAS build and threads
+        print(
+            f"warning: manifest {args.from_manifest} records BLAS "
+            f"{json.dumps(replayed.get('blas'), sort_keys=True)}, this run has "
+            f"{json.dumps(written['blas'], sort_keys=True)}; "
+            "outputs may differ in the last digits",
+            file=sys.stderr,
+        )
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ and exists as a comparison target.
 from __future__ import annotations
 
 import hashlib
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -97,6 +98,10 @@ class EffectRequest:
     def __post_init__(self) -> None:
         if self.kind not in EFFECT_KINDS:
             raise InputError(f"unknown effect kind {self.kind!r}")
+        try:
+            operator.index(self.grid_size)
+        except TypeError:
+            raise InputError(f"grid_size must be an integer, got {self.grid_size!r}") from None
         if self.grid is None and self.grid_size < 2:
             raise InputError("grid_size must be at least 2")
         if self.grid is not None:
@@ -397,7 +402,9 @@ def _embedding(
     by closed-form leave-one-out on `grid`, against the factor of the
     product Gram of the outputs, which is built for the search alone.
     The weights (K + n penalty I)^{-1} k_q of the `query` point are
-    solved from the same decomposition, tuned or forced.
+    solved from the same decomposition, tuned or forced. A query with a
+    zero k_q (a level the sample lacks, or so far out that exp
+    underflows) would give an all-zero curve and is refused up front.
 
     Returns the weights, the cate's own kernel column k_q, the penalty
     and the report of a tuned one.
@@ -407,6 +414,18 @@ def _embedding(
     with _step(4, "embedding weights"):
         if not data.has_role(role):
             raise InputError(f"{kind} needs a dataset with {role!r} columns")
+        if role == "d":
+            point = np.asarray([[float(query)]])
+        else:
+            point = _as_block(query, specs["v"].dim, "v")
+            if point.shape[0] != 1:
+                raise InputError("cate takes a single v point")
+        kq = gram(data.block(role), point, specs[role])
+        if not np.any(kq):
+            raise InputError(
+                f"{kind} query {role}={point[0].tolist()} has zero kernel weight "
+                "at every sample point"
+            )
         system = RidgeSystem(factor=gram_factor(product_gram(data, specs, (role,))))
         outputs = ("x", "w", "v") if role == "d" else ("x", "w")
 
@@ -415,13 +434,6 @@ def _embedding(
             return system.loo_embedding(factor, grid)
 
         penalty = _search(reports, name, penalty, loss)
-        if role == "d":
-            point = np.asarray([[float(query)]])
-        else:
-            point = _as_block(query, specs["v"].dim, "v")
-            if point.shape[0] != 1:
-                raise InputError("cate takes a single v point")
-        kq = gram(data.block(role), point, specs[role])
         weights = system.solve(data.n * penalty, kq)[:, 0]
     return weights, (kq[:, 0] if role == "v" else None), penalty, reports
 

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, outputs, manifests, precedence."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -628,6 +629,52 @@ def test_tune_reports_the_selections_of_estimate(tmp_path, capsys):
     picked = {r[0]: float(r[1]) for r in rows if r[3] == "1"}
     assert picked == tuned["results"]
     assert "tuning" not in _read_csv(tmp_path / "estimate" / "curve.csv")[0]
+    capsys.readouterr()
+
+
+def test_estimate_manifest_results_are_the_constants_of_each_curve_row(tmp_path, capsys):
+    # curve.csv repeats every run constant on each row, and the manifest's
+    # results carry the same value under the same column name
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {
+            "seed": 3,
+            "output_dir": str(out),
+            "data": {"simulate": {"design": "quadratic", "n": 40}},
+            "estimate": {"effect": "att", "d_value": 0.5, "grid": [0.2, 0.5, 0.8]},
+            "tuning": {"grid": [0.001, 0.01, 0.1]},
+        },
+    )
+    assert main(["estimate", "--config", cfg]) == EXIT_OK
+    header, *rows = _read_csv(out / "curve.csv")
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert header[:2] == ["d", "estimate"]
+    assert set(results) == {*header[2:], "effect", "tuning_mode", "grid_points"}
+    assert len(rows) == results["grid_points"] == 3
+    assert isinstance(results["extra_penalty"], float)  # the tuned lam1
+    for j, column in enumerate(header[2:], start=2):
+        value = results[column]
+        assert {type(value)(row[j]) for row in rows} == {value}, column
+    capsys.readouterr()
+
+
+def test_manifest_tuning_section_holds_the_tuning_plan_fields(tmp_path, capsys):
+    # the tuning section's keys and defaults are TuningPlan's own, so a
+    # default run records every field at its default
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        {
+            "output_dir": str(out),
+            "data": {"simulate": {"design": "quadratic", "n": 40}},
+            "estimate": {"grid": [0.25, 0.75]},
+        },
+    )
+    assert main(["estimate", "--config", cfg]) == EXIT_OK
+    tuning = json.loads((out / "manifest.json").read_text())["config"]["tuning"]
+    plan = TuningPlan()
+    assert tuning == {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
     capsys.readouterr()
 
 

@@ -194,6 +194,12 @@ def test_request_validation():
         with pytest.raises(InputError, match="explicit grid must be non-empty"):
             EffectRequest("ate", grid=grid)
     EffectRequest("ate", grid=0.5)  # a scalar is a one-point grid
+    # np.linspace takes only an integer count, so anything else would
+    # escape later as a bare TypeError
+    for size in (2.5, 2.0, "5"):
+        with pytest.raises(InputError, match="grid_size must be an integer"):
+            EffectRequest("ate", grid_size=size)
+    EffectRequest("ate", grid_size=np.int64(5))
 
 
 @pytest.mark.parametrize(
@@ -412,6 +418,39 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
     assert {id(s) for s in systems} == {id(systems[0])}
     assert systems[0].factor.shape == (40, 2)
     assert systems[0].jitter > 0.0
+
+
+@pytest.mark.parametrize(
+    "plan", [None, TuningPlan("forced", lam=0.05, xi=0.02, lam1=0.07, lam2=0.04)],
+    ids=["tuned", "forced"],
+)
+def test_query_without_kernel_weight_is_refused(plan):
+    # a query whose kernel column is zero at every sample point would
+    # weight nothing and give an all-zero curve: a treatment level the
+    # discrete design lacks, a Gaussian point so far out that exp
+    # underflows, and a subgroup value that is not one of v's codes
+    discrete = generate(SimDesign("discrete", n=200), 1)
+    continuous = generate(SimDesign("quadratic", n=60), 1)
+    rng = np.random.default_rng(7)
+    n = 60
+    coded = from_arrays(
+        rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, 2)),
+        rng.normal(size=n), rng.normal(size=n), rng.integers(0, 3, size=n).astype(float),
+        v_categorical=True,
+    )
+    cases = [
+        (discrete, EffectRequest("att", grid_size=5, d_value=0.5), r"att query d=\[0\.5\]"),
+        (continuous, EffectRequest("att", grid_size=5, d_value=1e6), r"att query d=\[1000000\.0\]"),
+        (coded, EffectRequest("cate", grid=GRID, v_value=5.0), r"cate query v=\[5\.0\]"),
+    ]
+    for data, request, query in cases:
+        with pytest.raises(InputError, match=rf"step 4 .*{query} has zero kernel weight"):
+            run_end_to_end(data, request, plan)
+    # the observed level and codes are answered
+    assert np.any(run_end_to_end(discrete, EffectRequest("att", d_value=1.0), plan).values)
+    for code in (0.0, 1.0, 2.0):
+        request = EffectRequest("cate", grid=GRID, v_value=code)
+        assert np.any(run_end_to_end(coded, request, plan).values)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from pathlib import Path
 import yaml
 
 import kernelnc
+from kernelnc import cli
 
 
 def test_every_exported_name_resolves_once():
@@ -95,3 +96,13 @@ def test_readme_layout_names_every_module():
     package = Path(kernelnc.__file__).parent
     modules = sorted(p.name for p in package.glob("*.py") if p.name != "__init__.py")
     assert sorted(listed) == modules
+
+
+def test_readme_config_examples_merge_into_the_defaults():
+    # every YAML config the README shows holds only keys the CLI knows,
+    # so a renamed TuningPlan field or config key fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(), flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        cli._deep_merge(cli._DEFAULTS, yaml.safe_load(block))
