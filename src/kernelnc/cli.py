@@ -20,7 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .data import (
@@ -32,7 +31,7 @@ from .data import (
     write_table_csv,
 )
 from .effects import ESTIMATORS, EffectCurve, EffectRequest, TuningPlan, run_end_to_end
-from .errors import ConfigError, IngestError, InputError, KernelncError
+from .errors import ConfigError, IngestError, InputError, KernelncError, _number
 from .simlab import SimDesign, blas_environment, generate, run_experiment
 
 EXIT_OK = 0
@@ -160,83 +159,35 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _number(value, key: str, kind=float):
-    """`kind(value)` for a finite config value, or a ConfigError naming its key.
+def _as_config_error(section, fn, *args, **kwargs):
+    """fn(*args, **kwargs), raising its InputError as a ConfigError.
 
-    With `kind=int` the value must also be integral.
+    An error on a named field is prefixed with the field's config
+    section: `section` itself, or section[field] when it is a mapping.
     """
-    try:
-        arr = np.asarray(value, dtype=float)
-        if np.all(np.isfinite(arr)):
-            if kind is int and arr != np.round(arr):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
-    except OverflowError:
-        pass
-    raise ConfigError(f"{key} must be finite, got {value!r}")
-
-
-def _count(value, key: str, least: int) -> int:
-    """An integer config value of at least `least`, or a ConfigError naming its key."""
-    count = _number(value, key, int)
-    _require(count >= least, f"{key} must be >= {least}, got {count}")
-    return count
-
-
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _as_config_error(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except InputError as err:
-        raise ConfigError(str(err)) from err
+        prefix = ""
+        if err.field is not None:
+            prefix = section if isinstance(section, str) else section.get(err.field, "")
+        raise ConfigError(prefix + str(err)) from err
 
 
 def _build_tuning(cfg: dict) -> TuningPlan:
-    """The TuningPlan whose fields are the tuning section's keys.
-
-    Every value but the mode is checked as a number under its key; None
-    passes through where it is the field's default (a penalty left to
-    tuning, no grid).
-    """
-    plan = {}
-    for key, value in cfg["tuning"].items():
-        if key != "mode" and (value is not None or _DEFAULTS["tuning"][key] is not None):
-            value = _number(value, f"tuning.{key}", _float_array if key == "grid" else float)
-        plan[key] = value
-    return _as_config_error(TuningPlan, **plan)
+    """The TuningPlan whose fields are the tuning section's keys."""
+    return _as_config_error("tuning.", TuningPlan, **cfg["tuning"])
 
 
 def _build_design(sim: dict) -> SimDesign:
-    return _as_config_error(
-        SimDesign,
-        kind=sim["design"],
-        **{
-            key: _number(sim[key], f"simulate.{key}", int)
-            for key in ("n", "dim_x", "dim_z", "dim_w")
-        },
-    )
+    dims = {key: sim[key] for key in ("n", "dim_x", "dim_z", "dim_w")}
+    return _as_config_error("simulate.", SimDesign, kind=sim["design"], **dims)
 
 
 def _build_schema(data_cfg: dict) -> Schema:
     roles = data_cfg["roles"]
-    for role in ("y", "d"):
-        _require(bool(roles.get(role)), f"data.roles.{role} is required")
-    for role in ("x", "z", "w"):
-        _require(bool(roles.get(role)), f"data.roles.{role} needs at least one column")
-    return Schema(
-        y=str(roles["y"]),
-        d=str(roles["d"]),
-        x=tuple(roles["x"]),
-        z=tuple(roles["z"]),
-        w=tuple(roles["w"]),
-        v=tuple(roles.get("v") or ()),
-        categorical=frozenset(data_cfg["categorical"]),
-    )
+    sections = {"categorical": "data.", **dict.fromkeys(roles, "data.roles.")}
+    return _as_config_error(sections, Schema, **roles, categorical=data_cfg["categorical"])
 
 
 def load_dataset(cfg: dict) -> Dataset:
@@ -254,12 +205,12 @@ def load_dataset(cfg: dict) -> Dataset:
         sim = data_cfg["simulate"]
         _require(isinstance(sim, dict), f"data.simulate must be a mapping, got {sim!r}")
         sim = dict(sim)
-        replicate = _count(sim.pop("replicate", 0), "data.simulate.replicate", 0)
+        replicate = sim.pop("replicate", 0)
         unknown = set(sim).difference(_SIM_KEYS)
         _require(not unknown, f"unknown data.simulate keys {sorted(unknown)}")
-        merged = {**cfg["simulate"], **sim}
-        seed = _count(cfg["seed"], "seed", 0)
-        return generate(_build_design(merged), seed, replicate)
+        design = _build_design({**cfg["simulate"], **sim})
+        sections = {"replicate": "data.simulate."}
+        return _as_config_error(sections, generate, design, cfg["seed"], replicate)
     raise ConfigError("set data.path (CSV) or data.simulate (synthetic draw)")
 
 
@@ -269,42 +220,25 @@ def _build_request(cfg: dict) -> EffectRequest:
     _require(est["estimator"] in ESTIMATORS, f"unknown estimator {est['estimator']!r}")
     if est["estimator"] == "te":
         _require(kind == "ate", "estimator 'te' only supports effect 'ate'")
-    grid = est["grid"]
-    if grid is not None:
-        grid = _number(grid, "estimate.grid", _float_array)
-    alt_x = alt_w = alt_v = None
+    alt = {}
     if kind == "ds":
-        alt = est["alt_population"]
+        population = est["alt_population"]
         _require(
-            isinstance(alt, dict) and alt.get("path"),
+            isinstance(population, dict) and population.get("path"),
             "effect 'ds' needs estimate.alt_population with a path and columns",
         )
-        columns = {role: tuple(alt.get(role) or ()) for role in ("x", "w", "v")}
-        blocks = population_from_csv(alt["path"], columns)
-        alt_x, alt_w = blocks["x"], blocks["w"]
-        alt_v = blocks.get("v")
-    d_value, v_value = est["d_value"], est["v_value"]
-    if d_value is not None:
-        d_value = _number(d_value, "estimate.d_value")
-    if v_value is not None:
-        v_value = np.atleast_1d(_number(v_value, "estimate.v_value", _float_array))
-    return _as_config_error(
-        EffectRequest,
-        kind=kind,
-        grid=grid,
-        grid_size=_number(est["grid_size"], "estimate.grid_size", int),
-        alt_x=alt_x,
-        alt_w=alt_w,
-        alt_v=alt_v,
-        d_value=d_value,
-        v_value=v_value,
-    )
+        blocks = _as_config_error(
+            "estimate.alt_population.", population_from_csv, population["path"], population
+        )
+        alt = {f"alt_{role}": block for role, block in blocks.items()}
+    fields = {key: est[key] for key in ("grid", "grid_size", "d_value", "v_value")}
+    return _as_config_error("estimate.", EffectRequest, kind=kind, **fields, **alt)
 
 
 def _lengthscales(cfg: dict) -> dict[str, float]:
     out = {}
     for name, value in cfg["kernels"]["lengthscales"].items():
-        value = _number(value, f"kernels.lengthscales.{name}")
+        value = _as_config_error("kernels.lengthscales.", _number, str(name), value)
         _require(value > 0, f"lengthscale for {name!r} must be > 0")
         out[str(name)] = value
     return out
@@ -388,34 +322,22 @@ def cmd_simulate(cfg: dict) -> dict:
     tuning = _build_tuning(cfg)
     sim = cfg["simulate"]
     design = _build_design(sim)
-    estimators = sim["estimators"]
-    _require(
-        isinstance(estimators, list), f"simulate.estimators must be a list, got {estimators!r}"
-    )
-    for est in estimators:
-        _require(est in ESTIMATORS, f"unknown estimator {est!r}")
-    _require(
-        0 < len(estimators) == len(set(estimators)),
-        f"simulate.estimators must name one or more estimators, each once, got {estimators!r}",
-    )
     _require(
         isinstance(sim["strict"], bool),
         f"simulate.strict must be true or false, got {sim['strict']!r}",
     )
-    replicates = _count(sim["replicates"], "simulate.replicates", 1)
-    seed = _count(cfg["seed"], "seed", 0)
-    workers = 1 if cfg["workers"] is None else _count(cfg["workers"], "workers", 1)
+    workers = 1 if cfg["workers"] is None else cfg["workers"]
     outdir = _prepare_outdir(cfg)
 
     t0 = time.perf_counter()
-    reports = run_experiment(
-        design, replicates, seed, estimators, tuning, workers=workers, strict=sim["strict"]
+    reports = _as_config_error(
+        {"replicates": "simulate.", "estimators": "simulate."}, run_experiment, design,
+        sim["replicates"], cfg["seed"], sim["estimators"], tuning, workers, sim["strict"],
     )
     timings = {"experiment": time.perf_counter() - t0}
 
     summaries = {
-        est: {stat: getattr(reports[est], stat) for stat in _SUMMARY}
-        for est in estimators
+        est: {stat: getattr(rep, stat) for stat in _SUMMARY} for est, rep in reports.items()
     }
     rep_rows = []
     agg_rows = []
@@ -435,7 +357,7 @@ def cmd_simulate(cfg: dict) -> dict:
         est: {**summary, "failed_replicates": [list(f) for f in reports[est].failures]}
         for est, summary in summaries.items()
     }
-    results["metadata"] = reports[estimators[0]].metadata
+    results["metadata"] = next(iter(reports.values())).metadata
     manifest = _write_manifest(
         outdir, "simulate", cfg, [rep_path.name, agg_path.name], timings, results,
         results["metadata"]["blas"],

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IngestError, InputError
+from .errors import IngestError, InputError, _names
 
 ROLES = ("y", "d", "x", "z", "w", "v")
 _REQUIRED_SINGLE = ("y", "d")
@@ -166,7 +166,12 @@ def from_arrays(
 
 @dataclass(frozen=True)
 class Schema:
-    """Column-to-role assignment used when ingesting a CSV file."""
+    """Column-to-role assignment used when ingesting a CSV file.
+
+    y and d name one column each, x, z and w one or more, v any number,
+    and `categorical` only columns of these roles; a field that does
+    not raises InputError naming it (a string is not a list of names).
+    """
 
     y: str
     d: str
@@ -175,6 +180,22 @@ class Schema:
     w: tuple[str, ...]
     v: tuple[str, ...] = ()
     categorical: frozenset[str] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        for role in _REQUIRED_SINGLE:
+            name = getattr(self, role)
+            if not (isinstance(name, str) and name):
+                raise InputError(f"{role} must be a column name, got {name!r}", role)
+        for role in ("x", "z", "w", "v"):
+            object.__setattr__(self, role, _names(role, getattr(self, role)))
+            if role in _REQUIRED_MANY and not getattr(self, role):
+                raise InputError(f"{role} must name at least one column", role)
+        categorical = frozenset(_names("categorical", self.categorical))
+        object.__setattr__(self, "categorical", categorical)
+        unknown = sorted(categorical.difference(name for name, _ in self.role_of()))
+        if unknown:
+            message = f"categorical names columns that no role assigns: {unknown}"
+            raise InputError(message, "categorical")
 
     def role_of(self) -> list[tuple[str, str]]:
         pairs = [(self.y, "y"), (self.d, "d")]
@@ -326,9 +347,10 @@ def population_from_csv(path, columns: Mapping[str, Sequence[str]]) -> dict[str,
     Relaxed counterpart to :func:`ingest` for distribution-shift targets,
     which carry no outcome or treatment; the header, the assignment and
     every cell are checked as for a continuous column of :func:`ingest`.
+    Each role's names must be a list (see :class:`Schema`).
     """
     roles = [role for role in ("x", "w", "v") if columns.get(role)]
-    pairs = [(name, role) for role in roles for name in columns[role]]
+    pairs = [(name, role) for role in roles for name in _names(role, columns[role])]
     problems = [] if {"x", "w"} <= set(roles) else [
         "population needs at least one 'x' and one 'w' column"]
     values, _ = _read_columns(path, pairs, problems=problems)

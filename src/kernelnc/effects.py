@@ -24,7 +24,6 @@ and exists as a comparison target.
 from __future__ import annotations
 
 import hashlib
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -33,7 +32,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.percentile imports it at its first call, not in a fit
 
 from .data import Dataset
-from .errors import DegenerateScaleError, InputError, NumericalError
+from .errors import DegenerateScaleError, InputError, NumericalError, _number
 from .kernels import _BLOCK_BYTES, KernelSpec, gram, spec_from_data
 from .ridge import RidgeSystem, TuneReport, _prepare_grid, gram_factor
 
@@ -83,7 +82,10 @@ class EffectRequest:
     codes when treatment is categorical); it must be non-empty, finite
     and at most 1-D, and a scalar is a one-point grid. `alt_*` carry
     the target population for kind "ds", `d_value` the conditioning
-    treatment for "att", `v_value` the subgroup point for "cate".
+    treatment for "att", `v_value` the subgroup point for "cate". Each
+    given number is stored as a finite float (`d_value`), an int
+    (`grid_size`, at least 2 without a grid) or a float array of finite
+    entries; anything else raises InputError naming its field.
     """
 
     kind: str = "ate"
@@ -98,26 +100,21 @@ class EffectRequest:
     def __post_init__(self) -> None:
         if self.kind not in EFFECT_KINDS:
             raise InputError(f"unknown effect kind {self.kind!r}")
-        try:
-            operator.index(self.grid_size)
-        except TypeError:
-            raise InputError(f"grid_size must be an integer, got {self.grid_size!r}") from None
-        if self.grid is None and self.grid_size < 2:
-            raise InputError("grid_size must be at least 2")
-        if self.grid is not None:
-            grid = np.asarray(self.grid, dtype=float)
-            if grid.ndim > 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-                raise InputError("explicit grid must be non-empty, finite and at most 1-D")
+        size = _number("grid_size", self.grid_size, int, 2 if self.grid is None else None)
+        object.__setattr__(self, "grid_size", size)
+        for name in ("grid", "d_value", "v_value", "alt_x", "alt_w", "alt_v"):
+            value = getattr(self, name)
+            if value is not None:
+                as_type = float if name == "d_value" else np.ndarray
+                object.__setattr__(self, name, _number(name, value, as_type))
+        if self.grid is not None and (self.grid.ndim > 1 or self.grid.size == 0):
+            raise InputError("explicit grid must be non-empty, finite and at most 1-D")
         if self.kind == "ds" and (self.alt_x is None or self.alt_w is None):
             raise InputError("kind 'ds' needs alt_x and alt_w")
         if self.kind == "att" and self.d_value is None:
             raise InputError("kind 'att' needs d_value")
         if self.kind == "cate" and self.v_value is None:
             raise InputError("kind 'cate' needs v_value")
-        for name in ("d_value", "v_value", "alt_x", "alt_w", "alt_v"):
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(np.asarray(value, float))):
-                raise InputError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,8 @@ class TuningPlan:
     values apply only in mode "forced", and each must be finite and
     >= 0. The smoothness values c0, c, c1 and c2 must lie in (1, 2] in
     every mode, and a given `grid` must hold distinct, finite, positive
-    candidates.
+    candidates. Each number is stored as a float, the grid as a float
+    array; a value that is not one raises InputError naming its field.
     """
 
     mode: str = "loocv"
@@ -157,13 +155,14 @@ class TuningPlan:
                     f"penalty {name} is set but tuning mode is {self.mode!r}; "
                     "penalty values apply only in mode 'forced'"
                 )
-            if not np.isfinite(value) or value < 0.0:
-                raise InputError(f"penalty {name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, _number(name, value, least=0))
         for name in SMOOTHNESS:
-            value = getattr(self, name)
+            value = _number(name, getattr(self, name))
             if not 1.0 < value <= 2.0:
                 raise InputError(f"smoothness {name} must lie in (1, 2], got {value}")
+            object.__setattr__(self, name, value)
         if self.grid is not None:
+            object.__setattr__(self, "grid", _number("grid", self.grid, np.ndarray))
             _prepare_grid(self.grid)
 
     def penalties(self, n: int) -> dict[str, float | None]:

@@ -33,7 +33,7 @@ from .effects import (
     kernel_specs,
     run_end_to_end,
 )
-from .errors import InputError, KernelncError, NumericalError
+from .errors import InputError, KernelncError, NumericalError, _names, _number
 
 DESIGN_KINDS = ("quadratic", "sigmoid", "peaked", "no_confounding", "discrete")
 
@@ -53,7 +53,8 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 @dataclass(frozen=True)
 class SimDesign:
-    """One design configuration: curve kind, sample size, dimensions."""
+    """One design configuration: curve kind, sample size, dimensions.
+    n (at least 2) and each dimension (at least 1) must be integers."""
 
     kind: str = "quadratic"
     n: int = 1000
@@ -64,11 +65,8 @@ class SimDesign:
     def __post_init__(self) -> None:
         if self.kind not in DESIGN_KINDS:
             raise InputError(f"unknown design kind {self.kind!r}")
-        if self.n < 2:
-            raise InputError(f"need n >= 2, got {self.n}")
-        for name in ("dim_x", "dim_z", "dim_w"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1")
+        for name, least in (("n", 2), ("dim_x", 1), ("dim_z", 1), ("dim_w", 1)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), int, least))
 
 
 def _stream(seed: int, replicate: int, role: str) -> np.random.Generator:
@@ -105,9 +103,11 @@ def true_curve(design: SimDesign, d) -> np.ndarray:
 
 
 def generate(design: SimDesign, seed: int, replicate: int = 0) -> Dataset:
-    """Draw one dataset; same arguments always give identical bytes."""
-    if seed < 0 or replicate < 0:
-        raise InputError(f"seed and replicate must be >= 0, got {seed} and {replicate}")
+    """Draw one dataset; same arguments always give identical bytes.
+
+    `seed` and `replicate` must be non-negative integers."""
+    seed = _number("seed", seed, int, 0)
+    replicate = _number("replicate", replicate, int, 0)
     n = design.n
     confounded = design.kind != "no_confounding"
     eps = _stream(seed, replicate, "shared").standard_normal((n, 3 if confounded else 4))
@@ -288,19 +288,20 @@ def run_experiment(
     count changes no number when this process also runs BLAS at one
     thread. The metadata's `blas` records numpy's BLAS build and the
     thread count the replicates ran with (see :func:`blas_environment`).
+    Every argument is checked before any replicate runs: `replicates`
+    and `workers` must be integers of at least 1, `seed` a non-negative
+    integer and `estimators` a list of distinct estimator names.
     """
-    if replicates < 1:
-        raise InputError("need at least one replicate")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    if workers < 1:
-        raise InputError(f"need at least one worker, got {workers}")
-    estimators = tuple(estimators)
+    replicates = _number("replicates", replicates, int, 1)
+    seed = _number("seed", seed, int, 0)
+    workers = _number("workers", workers, int, 1)
+    estimators = _names("estimators", estimators)
     for est in estimators:
         if est not in ESTIMATORS:
             raise InputError(f"unknown estimator {est!r}")
     if not 0 < len(estimators) == len(set(estimators)):
-        raise InputError(f"need one or more estimators, each once, got {estimators}")
+        message = f"estimators must name one or more estimators, each once, got {estimators}"
+        raise InputError(message, "estimators")
     jobs = [(design, seed, rep, estimators, tuning) for rep in range(replicates)]
     results: dict[int, dict[str, float]] = {}
     failures: list[tuple[int, str]] = []

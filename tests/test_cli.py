@@ -28,6 +28,7 @@ def _read_csv(path):
 
 
 FORCED = {"mode": "forced", "lam": 0.05, "xi": 0.02}
+ROLES = {"y": "yy", "d": "dd", "x": ["x1"], "z": ["zz"], "w": ["ww"]}
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -93,6 +94,7 @@ def test_config_semantic_errors(tmp_path, capsys):
         ("estimate", {"estimate": {"grid_size": "ten"}}, "estimate.grid_size"),
         ("estimate", {"kernels": {"lengthscales": {"x1": "wide"}}},
          "kernels.lengthscales.x1"),
+        ("estimate", {"tuning": {"c0": None}}, "tuning.c0"),
     ],
 )
 def test_non_numeric_config_value_is_a_config_error(
@@ -126,6 +128,20 @@ def test_non_numeric_config_value_is_a_config_error(
         ("estimate", {"seed": -1}, "seed must be >= 0, got -1"),
         ("estimate", {"data": {"simulate": {"n": 40, "replicate": -2}}},
          "data.simulate.replicate must be >= 0, got -2"),
+        ("estimate", {"data": {"path": "x.csv", "roles": {**ROLES, "z": "zz"}}},
+         "data.roles.z must be a list of names, got 'zz'"),
+        ("estimate", {"data": {"path": "x.csv", "roles": {**ROLES, "x": []}}},
+         "data.roles.x must name at least one column"),
+        ("estimate", {"data": {"path": "x.csv", "roles": {**ROLES, "y": None}}},
+         "data.roles.y must be a column name, got None"),
+        ("estimate", {"data": {"path": "x.csv", "roles": ROLES, "categorical": "dd"}},
+         "data.categorical must be a list of names, got 'dd'"),
+        ("estimate", {"data": {"path": "x.csv", "roles": ROLES,
+                               "categorical": ["treatment"]}},
+         "data.categorical names columns that no role assigns: ['treatment']"),
+        ("estimate", {"estimate": {"effect": "ds", "alt_population": {
+            "path": "p.csv", "x": "x1", "w": ["w"]}}},
+         "estimate.alt_population.x must be a list of names, got 'x1'"),
     ],
 )
 def test_misshapen_config_section_is_a_config_error(
@@ -156,12 +172,15 @@ def test_misshapen_config_section_is_a_config_error(
         ("estimate", {"seed": 1.5}, "seed"),
         ("estimate", {"estimate": {"grid_size": 10.5}}, "estimate.grid_size"),
         ("simulate", {"simulate": {"n": 40}, "workers": 2.7}, "workers"),
+        ("simulate", {"simulate": {"n": 40.0}}, "simulate.n"),
+        ("estimate", {"estimate": {"grid_size": "5"}}, "estimate.grid_size"),
     ],
 )
 def test_non_integral_config_value_is_a_config_error(
     tmp_path, capsys, command, body, key
 ):
-    # an integer setting is never truncated: 60.9 is not silently 60
+    # an integer setting is never truncated: 60.9 is not silently 60, and
+    # it takes an integer, not an integral float or a numeric string
     body = {"output_dir": str(tmp_path / "out"), **body}
     body.setdefault("data", {"simulate": {"n": 40}})
     cfg = _write_config(tmp_path / "c.yaml", body)
@@ -208,7 +227,7 @@ def test_forced_penalty_is_checked_by_the_tuning_plan(tmp_path, capsys):
     capsys.readouterr()
     assert estimate("negative", -1.0) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "penalty lam must be finite and >= 0, got -1.0" in err
+    assert "configuration error: tuning.lam must be >= 0, got -1.0" in err
 
 
 @pytest.mark.parametrize(

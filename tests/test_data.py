@@ -113,6 +113,27 @@ def test_ingest_header_violations(tmp_path):
         ingest(path, Schema(y="y", d="y", x=("x",), z=("z",), w=("d",)))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"categorical": frozenset({"treatment"})},
+      r"categorical names columns that no role assigns: \['treatment'\]"),
+     ({"categorical": "dd"}, "categorical must be a list of names, got 'dd'"),
+     ({"z": "zz"}, "z must be a list of names, got 'zz'"),
+     ({"v": None}, "v must be a list of names, got None"),
+     ({"x": ()}, "x must name at least one column"),
+     ({"d": ""}, "d must be a column name, got ''")],
+)
+def test_schema_refuses_what_it_cannot_assign(fields, message):
+    # a categorical name that no role assigns would leave its column on a
+    # Gaussian kernel, and a string would be read as one name per character
+    roles = {"y": "yy", "d": "dd", "x": ("x1",), "z": ("zz",), "w": ("ww",)}
+    with pytest.raises(InputError, match=message) as err:
+        Schema(**{**roles, **fields})
+    assert err.value.field == next(iter(fields))
+    schema = Schema(**{**roles, "x": ["x1"]}, categorical=["dd"])
+    assert schema.x == ("x1",) and schema.categorical == frozenset({"dd"})
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(103)
     n = 10_000
@@ -153,6 +174,8 @@ def test_population_from_csv(tmp_path):
         population_from_csv(path, {"w": ("w",)})
     with pytest.raises(IngestError, match="not found"):
         population_from_csv(path, {"x": ("x9",), "w": ("w",)})
+    with pytest.raises(InputError, match="x must be a list of names, got 'x1'"):
+        population_from_csv(path, {"x": "x1", "w": ("w",)})
     # the header and assignment checks of ingest
     with pytest.raises(IngestError, match="assigned to both 'x' and 'w'"):
         population_from_csv(path, {"x": ("w",), "w": ("w",)})

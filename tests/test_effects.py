@@ -1,6 +1,7 @@
 """Effect curves from the bridge, the naive baseline, and the runner."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,9 +191,11 @@ def test_request_validation():
     with pytest.raises(InputError):
         EffectRequest("cate")
     EffectRequest("att", d_value=1.0)
-    for grid in ([], [0.2, np.nan], [[0.1, 0.2], [0.3, 0.4]]):
+    for grid in ([], [[0.1, 0.2], [0.3, 0.4]]):
         with pytest.raises(InputError, match="explicit grid must be non-empty"):
             EffectRequest("ate", grid=grid)
+    with pytest.raises(InputError, match=r"grid must be finite, got \[0.2, nan\]"):
+        EffectRequest("ate", grid=[0.2, np.nan])
     EffectRequest("ate", grid=0.5)  # a scalar is a one-point grid
     # np.linspace takes only an integer count, so anything else would
     # escape later as a bare TypeError
@@ -200,6 +203,19 @@ def test_request_validation():
         with pytest.raises(InputError, match="grid_size must be an integer"):
             EffectRequest("ate", grid_size=size)
     EffectRequest("ate", grid_size=np.int64(5))
+    for fields, message in (
+        ({"grid_size": 1}, "grid_size must be >= 2, got 1"),
+        ({"grid_size": "ten"}, "grid_size must be numeric"),
+        ({"kind": "att", "d_value": "a"}, "d_value must be numeric, got 'a'"),
+        ({"kind": "att", "d_value": [0.5]}, "d_value must be numeric"),
+        ({"kind": "cate", "v_value": "a"}, "v_value must be numeric"),
+        ({"grid": ["a", 0.5]}, "grid must be numeric"),
+    ):
+        with pytest.raises(InputError, match=re.escape(message)) as err:
+            EffectRequest(**fields)
+        assert message.startswith(err.value.field)
+    request = EffectRequest("att", grid=[0, 1], grid_size=1, d_value=np.float32(0.5))
+    assert type(request.d_value) is float and request.grid.dtype == float
 
 
 @pytest.mark.parametrize(
@@ -278,9 +294,22 @@ def test_tuning_plan_resolves_every_penalty():
         with pytest.raises(InputError, match=f"smoothness {name} must lie"):
             TuningPlan(mode=mode, **{name: 2.5})
     # a forced penalty is checked where it arrives, before any Gram is built
-    for name, value in (("lam", -0.1), ("xi", np.nan), ("lam1", -1.0), ("lam2", np.inf)):
-        with pytest.raises(InputError, match=f"penalty {name} must be finite and >= 0"):
-            TuningPlan(mode="forced", **{name: value})
+    for fields, message in (
+        ({"mode": "forced", "lam": -0.1}, "lam must be >= 0, got -0.1"),
+        ({"mode": "forced", "xi": np.nan}, "xi must be finite, got nan"),
+        ({"mode": "forced", "lam1": -1.0}, "lam1 must be >= 0, got -1.0"),
+        ({"mode": "forced", "lam2": np.inf}, "lam2 must be finite, got inf"),
+        ({"mode": "forced", "lam": "abc"}, "lam must be numeric, got 'abc'"),
+        ({"c0": None}, "c0 must be numeric, got None"),
+        ({"c": [1.5]}, "c must be numeric"),
+        ({"grid": "abc"}, "grid must be numeric, got 'abc'"),
+        ({"grid": [0.1, np.nan]}, "grid must be finite"),
+    ):
+        with pytest.raises(InputError, match=re.escape(message)) as err:
+            TuningPlan(**fields)
+        assert message.startswith(err.value.field)
+    plan = TuningPlan("forced", lam=np.float32(0.5), c0=1.5, grid=[1, 2])
+    assert type(plan.lam) is float and plan.grid.dtype == float
     zeros = TuningPlan(mode="forced", lam=0.0, xi=0.0, lam1=0.0, lam2=0.0)
     assert zeros.penalties(50) == dict.fromkeys(("lam", "xi", "lam1", "lam2"), 0.0)
     n = 50

@@ -1,6 +1,8 @@
-"""The public export list of the package, what importing it loads, and
-the README's Python quick start and Layout block."""
+"""The public export list of the package, what importing it loads, the
+constructors' argument checks, and the README's Python quick start and
+Layout block."""
 
+import dataclasses
 import json
 import os
 import re
@@ -8,10 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import kernelnc
 from kernelnc import cli
+from kernelnc.data import Schema
+from kernelnc.effects import EffectRequest, TuningPlan
+from kernelnc.errors import KernelncError
+from kernelnc.simlab import SimDesign
 
 
 def test_every_exported_name_resolves_once():
@@ -25,6 +32,27 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from kernelnc import *", namespace)
     assert set(kernelnc.__all__) <= set(namespace)
+
+
+# The keyword arguments of a valid instance of each checked constructor.
+VALID = {
+    TuningPlan: {"mode": "forced"},
+    EffectRequest: {"kind": "att", "d_value": 0.5},
+    SimDesign: {},
+    Schema: {"y": "y", "d": "d", "x": ("x",), "z": ("z",), "w": ("w",)},
+}
+
+
+@pytest.mark.parametrize("value", [None, "abc", float("nan"), 1.5, [], [[1, 2]]])
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+def test_constructors_raise_only_package_errors(cls, value):
+    # any value in any field is either stored or refused as a KernelncError,
+    # never a bare TypeError or ValueError from deeper down
+    for field in dataclasses.fields(cls):
+        try:
+            cls(**{**VALID[cls], field.name: value})
+        except KernelncError:
+            pass
 
 
 def _env():

@@ -27,12 +27,18 @@ FAST_PLAN = TuningPlan(mode="forced", lam=0.01, xi=0.01)
 
 
 def test_design_validation():
-    with pytest.raises(InputError):
-        SimDesign(kind="cubic")
-    with pytest.raises(InputError):
-        SimDesign(n=1)
-    with pytest.raises(InputError):
-        SimDesign(dim_z=0)
+    # an integer field is never truncated, so 60.9 is not silently 60; a
+    # field's own error names it
+    for fields, message in (
+        ({"kind": "cubic"}, "unknown design kind 'cubic'"), ({"n": 1}, "n must be >= 2, got 1"),
+        ({"dim_z": 0}, "dim_z must be >= 1, got 0"), ({"n": "a"}, "n must be numeric"),
+        ({"n": 60.9}, "n must be an integer"), ({"n": 40.0}, "n must be an integer"),
+        ({"dim_x": np.inf}, "dim_x must be finite"),
+    ):
+        with pytest.raises(InputError, match=message) as err:
+            SimDesign(**fields)
+        assert err.value.field == (None if "kind" in fields else next(iter(fields)))
+    assert SimDesign(n=np.int64(40)).n == 40
 
 
 def test_true_curve_spot_values():
@@ -218,7 +224,7 @@ def test_resolve_workers():
     assert np.array_equal(default["te"].values, serial["te"].values)
     assert default["te"].metadata["blas"] == serial["te"].metadata["blas"]
     for workers in (0, -3):
-        with pytest.raises(InputError, match=f"at least one worker, got {workers}"):
+        with pytest.raises(InputError, match=f"workers must be >= 1, got {workers}"):
             run_experiment(design, replicates=1, seed=33, tuning=FAST_PLAN,
                            workers=workers)
 
@@ -250,7 +256,7 @@ def test_run_experiment_validation():
         run_experiment(SimDesign(), replicates=0, seed=1)
     with pytest.raises(InputError):
         run_experiment(SimDesign(), replicates=1, seed=1, estimators=("ols",))
-    with pytest.raises(InputError, match="at least one worker"):
+    with pytest.raises(InputError, match="workers must be >= 1"):
         run_experiment(SimDesign(), replicates=1, seed=1, workers=0)
     for estimators in ((), ("nc", "nc")):
         with pytest.raises(InputError, match="one or more estimators, each once"):
@@ -258,6 +264,19 @@ def test_run_experiment_validation():
     for strict in (True, False):
         with pytest.raises(InputError, match="seed must be >= 0"):
             run_experiment(SimDesign(n=40), replicates=1, seed=-1, strict=strict)
-    for seed, replicate in ((-1, 0), (1, -2)):
-        with pytest.raises(InputError, match="seed and replicate must be >= 0"):
+    # each argument is checked before any replicate runs; a string is one
+    # name, not a list of its characters
+    for arguments, message in (
+        ((1, 0, "te"), "estimators must be a list of names, got 'te'"),
+        ((1.5, 0), "replicates must be an integer, got 1.5"),
+        ((1, "0"), "seed must be an integer, got '0'"),
+        ((1, 0, ("nc",), None, "2"), "workers must be an integer, got '2'"),
+    ):
+        with pytest.raises(InputError, match=message):
+            run_experiment(SimDesign(n=40), *arguments)
+    for seed, replicate, message in (
+        (-1, 0, "seed must be >= 0, got -1"), (1, -2, "replicate must be >= 0, got -2"),
+        (1.5, 0, "seed must be an integer, got 1.5"), (1, None, "replicate must be numeric"),
+    ):
+        with pytest.raises(InputError, match=message):
             generate(SimDesign(n=40), seed, replicate)
