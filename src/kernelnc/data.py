@@ -46,7 +46,7 @@ class Column:
             raise InputError(f"continuous column {self.name!r} cannot carry labels")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     columns: tuple[Column, ...]
     values: np.ndarray

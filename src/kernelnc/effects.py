@@ -55,24 +55,6 @@ def _step(num: int, label: str):
         raise type(err)(f"step {num} ({label}): {err}") from err
 
 
-def _search(
-    reports: dict[str, TuneReport],
-    name: str,
-    penalty: float | None,
-    loss: Callable[[], TuneReport],
-) -> float:
-    """`penalty` as a float, or, when it is None, the selection of the
-    leave-one-out search `loss()`, whose report is kept as reports[name].
-
-    Every penalty search of a pass runs here, as step 2.
-    """
-    if penalty is None:
-        with _step(2, "penalty tuning"):
-            reports[name] = loss()
-        penalty = reports[name].selected
-    return float(penalty)
-
-
 @dataclass(frozen=True, eq=False)
 class EffectRequest:
     """What to estimate and where to evaluate it.
@@ -117,7 +99,7 @@ class EffectRequest:
             raise InputError("kind 'cate' needs v_value")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuningPlan:
     """Penalty selection policy for the end-to-end runner.
 
@@ -179,7 +161,7 @@ class TuningPlan:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class EffectCurve:
     """Estimated effect on a treatment grid, with run metadata."""
 
@@ -267,25 +249,52 @@ def _resolve_grid(request: EffectRequest, data: Dataset) -> np.ndarray:
     return default_grid(data.block("d")[:, 0], request.grid_size, categorical)
 
 
-def _curve(
-    data: Dataset, specs, grid, coef: np.ndarray, estimator: str, kind: str, lam, xi,
-    extra, reports: Mapping[str, TuneReport],
-) -> EffectCurve:
-    """The curve g -> sum_i coef_i k_d(d_i, g) over `grid`, with its metadata.
+@dataclass(eq=False)
+class _Pass:
+    """One estimate's pass: its data, kernel specs and treatment grid, the
+    plan's penalties (None is tuned) and candidates, and what the steps
+    write: the penalties the pass used and the search of each tuned one.
+    It holds no Gram and no RidgeSystem."""
 
-    metadata["tuning"] holds the search of each penalty the pass tuned,
-    keyed by name, as plain floats: candidates, losses and selected.
-    """
-    grid = np.asarray(grid, dtype=float).ravel()
-    kd = gram(data.block("d"), grid[:, None], specs["d"])
-    tuning = {
-        name: {"candidates": r.grid.tolist(), "losses": r.losses.tolist(),
-               "selected": float(r.selected)}
-        for name, r in sorted(reports.items())
-    }
-    metadata = dict(estimator=estimator, effect=kind, n=data.n, m=data.n,
-                    lam=lam, xi=xi, extra_penalty=extra, tuning=tuning)
-    return EffectCurve(grid, kd.T @ coef, estimator, metadata)
+    data: Dataset
+    specs: dict[str, KernelSpec]
+    grid: np.ndarray
+    plan: dict[str, float | None]
+    candidates: np.ndarray | None
+    used: dict[str, float] = field(default_factory=dict)
+    reports: dict[str, TuneReport] = field(default_factory=dict)
+
+    def penalty(self, name: str, loss: Callable[[np.ndarray | None], TuneReport]) -> float:
+        """The plan's value of penalty `name`, or, when it is None, the
+        selection of the leave-one-out search `loss(candidates)`, whose
+        report is kept. Every penalty search of a pass runs here, as step 2.
+        """
+        value = self.plan[name]
+        if value is None:
+            with _step(2, "penalty tuning"):
+                self.reports[name] = loss(self.candidates)
+            value = self.reports[name].selected
+        self.used[name] = float(value)
+        return self.used[name]
+
+    def curve(self, coef: np.ndarray, estimator: str, kind: str) -> EffectCurve:
+        """The curve g -> sum_i coef_i k_d(d_i, g) over the grid, with its
+        metadata: the penalties used (xi None for te, extra_penalty the
+        embedding's lam1 or lam2, else None), and on metadata["tuning"] the
+        search of each tuned penalty, keyed by name, as plain floats:
+        candidates, losses and selected.
+        """
+        kd = gram(self.data.block("d"), self.grid[:, None], self.specs["d"])
+        tuning = {
+            name: {"candidates": r.grid.tolist(), "losses": r.losses.tolist(),
+                   "selected": float(r.selected)}
+            for name, r in sorted(self.reports.items())
+        }
+        used = self.used
+        metadata = dict(estimator=estimator, effect=kind, n=self.data.n, m=self.data.n,
+                        lam=used["lam"], xi=used.get("xi"),
+                        extra_penalty=used.get("lam1", used.get("lam2")), tuning=tuning)
+        return EffectCurve(self.grid, kd.T @ coef, estimator, metadata)
 
 
 def _population(specs, data: Dataset, request: EffectRequest) -> dict | None:
@@ -381,14 +390,7 @@ def _read_x(
     return product_gram(data, specs, roles) @ (weights[:, None] * w_factor)
 
 
-def _embedding(
-    data: Dataset,
-    specs: Mapping[str, KernelSpec],
-    kind: str,
-    query,
-    penalty: float | None = None,
-    grid=None,
-) -> tuple[np.ndarray, np.ndarray | None, float, dict[str, TuneReport]]:
+def _embedding(p: _Pass, request: EffectRequest) -> tuple[np.ndarray, np.ndarray | None]:
     """Step 4: the conditional mean embedding of att or cate.
 
     One kernel ridge on the conditioning Gram: the treatment's for att
@@ -397,26 +399,25 @@ def _embedding(
     pivoted-Cholesky factor of that Gram, which is dropped once
     factored: a one-column treatment or subgroup Gram has numerical rank
     r of about 20 at n = 1000, so the system's eigendecomposition is
-    r x r (see :class:`RidgeSystem`). A penalty left as None is selected
-    by closed-form leave-one-out on `grid`, against the factor of the
+    r x r (see :class:`RidgeSystem`). A penalty the plan leaves as None
+    is selected by closed-form leave-one-out, against the factor of the
     product Gram of the outputs, which is built for the search alone.
-    The weights (K + n penalty I)^{-1} k_q of the `query` point are
+    The weights (K + n penalty I)^{-1} k_q of the query point are
     solved from the same decomposition, tuned or forced. A query with a
     zero k_q (a level the sample lacks, or so far out that exp
     underflows) would give an all-zero curve and is refused up front.
 
-    Returns the weights, the cate's own kernel column k_q, the penalty
-    and the report of a tuned one.
+    Returns the weights and, for cate, its own kernel column k_q.
     """
+    data, specs, kind = p.data, p.specs, request.kind
     role, name = ("d", "lam1") if kind == "att" else ("v", "lam2")
-    reports: dict[str, TuneReport] = {}
     with _step(4, "embedding weights"):
         if not data.has_role(role):
             raise InputError(f"{kind} needs a dataset with {role!r} columns")
         if role == "d":
-            point = np.asarray([[float(query)]])
+            point = np.asarray([[request.d_value]])
         else:
-            point = _as_block(query, specs["v"].dim, "v")
+            point = _as_block(request.v_value, specs["v"].dim, "v")
             if point.shape[0] != 1:
                 raise InputError("cate takes a single v point")
         kq = gram(data.block(role), point, specs[role])
@@ -428,19 +429,15 @@ def _embedding(
         system = RidgeSystem(factor=gram_factor(product_gram(data, specs, (role,))))
         outputs = ("x", "w", "v") if role == "d" else ("x", "w")
 
-        def loss():
+        def loss(candidates):
             factor = gram_factor(product_gram(data, specs, outputs))
-            return system.loo_embedding(factor, grid)
+            return system.loo_embedding(factor, candidates)
 
-        penalty = _search(reports, name, penalty, loss)
-        weights = system.solve(data.n * penalty, kq)[:, 0]
-    return weights, (kq[:, 0] if role == "v" else None), penalty, reports
+        weights = system.solve(data.n * p.penalty(name, loss), kq)[:, 0]
+    return weights, (kq[:, 0] if role == "v" else None)
 
 
-def _nc_curve(
-    data: Dataset, specs: Mapping[str, KernelSpec], request: EffectRequest,
-    grid, penalties, candidates,
-) -> EffectCurve:
+def _nc_curve(p: _Pass, request: EffectRequest) -> EffectCurve:
     """Steps 4, 2-3 and 5 of the bridge estimator.
 
     The att/cate embedding runs first. Stage 1 is the ridge system of
@@ -454,9 +451,7 @@ def _nc_curve(
     (see :func:`_population_features`), unless that sample is the
     training one, which it averages exactly as ate does. Stage 2 is the
     ridge system of M (see :func:`stage2_kernel`) and its coefficients
-    are (M + n xi I)^{-1} y. A penalty that is None in `penalties` is
-    tuned by leave-one-out on `candidates`, and its search is recorded
-    on metadata["tuning"].
+    are (M + n xi I)^{-1} y. Each penalty comes from :meth:`_Pass.penalty`.
 
     The only large objects of a fit are n x n product Grams (see
     :func:`product_gram`), each built just before its reader and
@@ -466,16 +461,10 @@ def _nc_curve(
     before stage 1 is released, and only then is the stage-2 core built
     over d, x[, v] and M formed in its buffer.
     """
-    kind = request.kind
-    weights = extra = penalty = sample = None
-    reports: dict[str, TuneReport] = {}
+    data, specs, kind = p.data, p.specs, request.kind
+    weights = kq = sample = None
     if kind in ("att", "cate"):
-        query, name = (
-            (request.d_value, "lam1") if kind == "att" else (request.v_value, "lam2")
-        )
-        weights, extra, penalty, reports = _embedding(
-            data, specs, kind, query, penalties[name], candidates
-        )
+        weights, kq = _embedding(p, request)
     elif kind == "ds":
         with _step(5, "effect evaluation"):
             sample = _population(specs, data, request)
@@ -489,8 +478,7 @@ def _nc_curve(
     n, y = data.n, data.y
     with _step(3, "bridge fit"):
         stage1 = RidgeSystem(product_gram(data, specs, ("d", "x", "z", "v")))
-        lam = _search(reports, "lam", penalties["lam"],
-                      lambda: stage1.loo_embedding(w_factor, candidates))
+        lam = p.penalty("lam", lambda grid: stage1.loo_embedding(w_factor, grid))
         projected_w = stage1.smooth(n * lam, w_factor)
         with _step(5, "effect evaluation"):
             if sample is None:
@@ -501,35 +489,31 @@ def _nc_curve(
         stage2 = RidgeSystem(
             stage2_kernel(product_gram(data, specs, ("d", "x", "v")), projected_w)
         )
-        xi = _search(reports, "xi", penalties["xi"],
-                     lambda: stage2.loo_scalar(y, candidates))
+        xi = p.penalty("xi", lambda grid: stage2.loo_scalar(y, grid))
         coef = stage2.solve(n * xi, y)
     with _step(5, "effect evaluation"):
-        coef = coef * c if extra is None else coef * extra * c
-        return _curve(data, specs, grid, coef, "nc", kind, lam, xi, penalty, reports)
+        coef = coef * c if kq is None else coef * kq * c
+        return p.curve(coef, "nc", kind)
 
 
-def _te_fit(
-    data: Dataset, specs, lam: float | None, candidates
-) -> tuple[np.ndarray, np.ndarray, float, dict[str, TuneReport]]:
-    """The baseline's tuning sequence: lam, then the ridge coefficients.
+def _te_curve(p: _Pass) -> EffectCurve:
+    """The baseline's curve: lam, the ridge coefficients, then the sweep.
 
-    The product Gram over x, z, w[, v] is built first and its row means
-    taken; the d Gram is then multiplied into its buffer, so at most two
-    n x n arrays are live before the eigh. Returns the coefficients, the
-    mean over the sample of the non-treatment kernel factors, the
-    penalty and the report of the tuned one.
+    The product Gram over x, z, w[, v] is built first and its row means,
+    the sample mean of the non-treatment kernel factors, taken; the d
+    Gram is then multiplied into its buffer, so at most two n x n arrays
+    are live before the eigh.
     """
-    full = product_gram(data, specs, ("x", "z", "w", "v"))
+    data = p.data
+    full = product_gram(data, p.specs, ("x", "z", "w", "v"))
     rest_mean = full.mean(axis=1)
-    full *= product_gram(data, specs, ("d",))
+    full *= product_gram(data, p.specs, ("d",))
     y = data.y
     system = RidgeSystem(full)
     del full  # the system releases it after its eigendecomposition
-    reports: dict[str, TuneReport] = {}
-    lam = _search(reports, "lam", lam, lambda: system.loo_scalar(y, candidates))
+    lam = p.penalty("lam", lambda grid: system.loo_scalar(y, grid))
     coef = system.solve(data.n * lam, y)
-    return coef, rest_mean, lam, reports
+    return p.curve(coef * rest_mean, "te", "ate")
 
 
 def run_end_to_end(
@@ -557,15 +541,12 @@ def run_end_to_end(
     with _step(1, "kernel selection"):
         specs = kernel_specs(data, lengthscales)
         grid = _resolve_grid(request, data)
-    penalties = tuning.penalties(data.n)
+    p = _Pass(data, specs, grid, tuning.penalties(data.n), tuning.grid)
     if estimator == "te":
         with _step(3, "bridge fit"):
-            coef, gbar, lam, reports = _te_fit(data, specs, penalties["lam"], tuning.grid)
-            curve = _curve(
-                data, specs, grid, coef * gbar, "te", "ate", lam, None, None, reports
-            )
+            curve = _te_curve(p)
     else:
-        curve = _nc_curve(data, specs, request, grid, penalties, tuning.grid)
+        curve = _nc_curve(p, request)
     curve.metadata.update(
         tuning_mode=tuning.mode, lengthscale_digest=lengthscale_digest(specs)
     )

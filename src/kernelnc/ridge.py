@@ -62,7 +62,7 @@ def _check_finite(K: np.ndarray, name: str) -> np.ndarray:
     return K
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuneReport:
     """Grid-search record: candidates, losses, and the selected penalty.
 
@@ -161,7 +161,7 @@ def _prepare_grid(grid) -> np.ndarray:
     return g
 
 
-@dataclass
+@dataclass(eq=False)
 class RidgeSystem:
     """A PSD kernel K and the one decomposition that solves K + ridge I.
 

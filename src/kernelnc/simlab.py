@@ -237,7 +237,7 @@ def _worker(args) -> tuple[int, dict[str, float] | None, str | None]:
         return replicate, None, str(err)
 
 
-@dataclass
+@dataclass(eq=False)
 class ReplicateReport:
     """Per-replicate scores plus deterministic aggregates.
 

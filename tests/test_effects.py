@@ -10,7 +10,6 @@ import pytest
 from kernelnc import effects, kernels, ridge
 from kernelnc.data import Column, Dataset, from_arrays
 from kernelnc.effects import (
-    ESTIMATORS,
     EffectRequest,
     TuningPlan,
     default_grid,
@@ -338,13 +337,24 @@ def test_run_end_to_end_is_deterministic(sample):
     assert a.metadata == b.metadata
 
 
-def test_run_end_to_end_theoretical_mode(sample):
-    data, _ = sample
-    plan = TuningPlan(mode="theoretical", c0=2.0, c=2.0)
-    for estimator in ESTIMATORS:
-        request = EffectRequest("ate", grid=GRID)
-        curve = run_end_to_end(data, request, plan, estimator)
-        assert curve.metadata["lam"] == data.n ** (-1.0 / 3.0), estimator
+def test_run_end_to_end_theoretical_mode(sample_v):
+    # a theoretical pass reports the schedule's value of each penalty it
+    # used, None for those it did not, and searches nothing
+    data = sample_v[0]
+    n = data.n
+    plan = TuningPlan(mode="theoretical", c0=2.0, c=2.0, c1=1.5, c2=1.8)
+    xi = n ** (-1.0 / 15.0)
+    cases = [
+        ("te", EffectRequest("ate", grid=GRID), None, None),
+        ("nc", EffectRequest("ate", grid=GRID), xi, None),
+        ("nc", EffectRequest("att", grid=GRID, d_value=0.3), xi, n ** (-1.0 / (1.5 + 1.0))),
+        ("nc", EffectRequest("cate", grid=GRID, v_value=0.1), xi, n ** (-1.0 / (1.8 + 1.0))),
+    ]
+    for estimator, request, xi_used, extra in cases:
+        meta = run_end_to_end(data, request, plan, estimator).metadata
+        assert meta["lam"] == n ** (-1.0 / 3.0), (estimator, request.kind)
+        assert (meta["xi"], meta["extra_penalty"]) == (xi_used, extra), (estimator, request.kind)
+        assert meta["tuning"] == {}
 
 
 @pytest.mark.parametrize(
@@ -442,8 +452,10 @@ def test_forced_zero_lam1_on_a_rank_deficient_treatment_gram_jitters(monkeypatch
 
     monkeypatch.setattr(effects.RidgeSystem, "_with_jitter", recorded)
     data = generate(SimDesign("discrete", n=40), 5)
-    weights, _, penalty, _ = effects._embedding(data, kernel_specs(data), "att", 1.0, 0.0)
-    assert penalty == 0.0 and np.all(np.isfinite(weights))
+    plan = TuningPlan("forced", lam1=0.0)
+    p = effects._Pass(data, kernel_specs(data), GRID, plan.penalties(data.n), None)
+    weights, _ = effects._embedding(p, EffectRequest("att", d_value=1.0))
+    assert p.used["lam1"] == 0.0 and np.all(np.isfinite(weights))
     assert {id(s) for s in systems} == {id(systems[0])}
     assert systems[0].factor.shape == (40, 2)
     assert systems[0].jitter > 0.0

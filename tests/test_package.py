@@ -1,6 +1,6 @@
 """The public export list of the package, what importing it loads, the
-constructors' argument checks, and the README's Python quick start and
-Layout block."""
+constructors' argument checks, how records holding arrays compare, and
+the README's Python quick start and Layout block."""
 
 import dataclasses
 import json
@@ -10,15 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import kernelnc
 from kernelnc import cli
-from kernelnc.data import Schema
-from kernelnc.effects import EffectRequest, TuningPlan
+from kernelnc.data import Dataset, Schema
+from kernelnc.effects import EffectCurve, EffectRequest, TuningPlan
 from kernelnc.errors import KernelncError
-from kernelnc.simlab import SimDesign
+from kernelnc.ridge import RidgeSystem, TuneReport
+from kernelnc.simlab import ReplicateReport, SimDesign, generate
 
 
 def test_every_exported_name_resolves_once():
@@ -53,6 +55,27 @@ def test_constructors_raise_only_package_errors(cls, value):
             cls(**{**VALID[cls], field.name: value})
         except KernelncError:
             pass
+
+
+# Builds two equal-valued instances of each record that holds arrays.
+RECORDS = {
+    TuningPlan: lambda: TuningPlan(grid=[1, 2]),
+    EffectCurve: lambda: EffectCurve([0.0, 1.0], [1.0, 2.0], "nc"),
+    TuneReport: lambda: TuneReport(np.array([1.0, 2.0]), np.array([0.5, 0.25]), 2.0,
+                                   "scalar_loocv"),
+    ReplicateReport: lambda: ReplicateReport("nc", np.arange(2), np.ones(2), 1.0, 0.0, 0.0),
+    RidgeSystem: lambda: RidgeSystem(np.eye(2)),
+    Dataset: lambda: generate(SimDesign(n=20), 1),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_holding_arrays_compare_and_hash_by_identity(cls):
+    # == and hash never reach an array's ambiguous truth value or its
+    # unhashable type: each record is equal only to itself
+    a, twin = RECORDS[cls](), RECORDS[cls]()
+    assert a == a and a != twin
+    assert hash(a) == hash(a) and len({a, twin}) == 2
 
 
 def _env():
