@@ -287,7 +287,7 @@ class _Pass:
         kd = gram(self.data.block("d"), self.grid[:, None], self.specs["d"])
         tuning = {
             name: {"candidates": r.grid.tolist(), "losses": r.losses.tolist(),
-                   "selected": float(r.selected)}
+                   "selected": r.selected}
             for name, r in sorted(self.reports.items())
         }
         used = self.used
@@ -431,7 +431,7 @@ def _embedding(p: _Pass, request: EffectRequest) -> tuple[np.ndarray, np.ndarray
 
         def loss(candidates):
             factor = gram_factor(product_gram(data, specs, outputs))
-            return system.loo_embedding(factor, candidates)
+            return system.loo(factor, candidates)
 
         weights = system.solve(data.n * p.penalty(name, loss), kq)[:, 0]
     return weights, (kq[:, 0] if role == "v" else None)
@@ -478,7 +478,7 @@ def _nc_curve(p: _Pass, request: EffectRequest) -> EffectCurve:
     n, y = data.n, data.y
     with _step(3, "bridge fit"):
         stage1 = RidgeSystem(product_gram(data, specs, ("d", "x", "z", "v")))
-        lam = p.penalty("lam", lambda grid: stage1.loo_embedding(w_factor, grid))
+        lam = p.penalty("lam", lambda grid: stage1.loo(w_factor, grid))
         projected_w = stage1.smooth(n * lam, w_factor)
         with _step(5, "effect evaluation"):
             if sample is None:
@@ -489,7 +489,7 @@ def _nc_curve(p: _Pass, request: EffectRequest) -> EffectCurve:
         stage2 = RidgeSystem(
             stage2_kernel(product_gram(data, specs, ("d", "x", "v")), projected_w)
         )
-        xi = p.penalty("xi", lambda grid: stage2.loo_scalar(y, grid))
+        xi = p.penalty("xi", lambda grid: stage2.loo(y, grid))
         coef = stage2.solve(n * xi, y)
     with _step(5, "effect evaluation"):
         coef = coef * c if kq is None else coef * kq * c
@@ -511,7 +511,7 @@ def _te_curve(p: _Pass) -> EffectCurve:
     y = data.y
     system = RidgeSystem(full)
     del full  # the system releases it after its eigendecomposition
-    lam = p.penalty("lam", lambda grid: system.loo_scalar(y, grid))
+    lam = p.penalty("lam", lambda grid: system.loo(y, grid))
     coef = system.solve(data.n * lam, y)
     return p.curve(coef * rest_mean, "te", "ate")
 

@@ -48,8 +48,16 @@ _MAX_RETRIES = 3
 _PANEL = 64  # columns per panel of gram_factor's loop, rows per block of a substitution
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """`value` as a float array, else an InputError naming `name`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be numeric", name) from None
+
+
 def _check_square(K: np.ndarray, name: str) -> np.ndarray:
-    K = np.asarray(K, dtype=float)
+    K = _floats(K, name)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] == 0:
         raise InputError(f"{name} must be a non-empty square matrix, got {K.shape}")
     return _check_finite(K, name)
@@ -64,24 +72,26 @@ def _check_finite(K: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TuneReport:
-    """Grid-search record: candidates, losses, and the selected penalty.
+    """Grid-search record: the candidates and their leave-one-out losses.
 
-    The grid is sorted ascending and ties resolve to the smallest
-    candidate, so `selected` is always the first minimizer.
+    `selected` is the first minimizer: on the sorted grid that
+    :meth:`RidgeSystem.loo` searches, ties resolve to the smallest candidate.
     """
 
     grid: np.ndarray
     losses: np.ndarray
-    selected: float
-    loss_kind: str
 
     def __post_init__(self) -> None:
+        for name in ("grid", "losses"):
+            object.__setattr__(self, name, _floats(getattr(self, name), name))
         if self.grid.shape != self.losses.shape or self.grid.ndim != 1:
             raise InputError("grid and losses must be 1-D arrays of equal length")
         if not np.all(np.isfinite(self.losses)):
-            raise NumericalError(f"non-finite {self.loss_kind} loss on the grid")
-        if self.selected != self.grid[int(np.argmin(self.losses))]:
-            raise InputError("selected penalty does not attain the minimum loss")
+            raise NumericalError("non-finite leave-one-out loss on the grid")
+
+    @property
+    def selected(self) -> float:
+        return float(self.grid[int(np.argmin(self.losses))])
 
 
 def gram_factor(K: np.ndarray) -> np.ndarray:
@@ -150,7 +160,7 @@ def gram_factor(K: np.ndarray) -> np.ndarray:
 
 
 def _prepare_grid(grid) -> np.ndarray:
-    g = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=float)
+    g = _floats(DEFAULT_GRID if grid is None else grid, "tuning grid")
     if g.ndim != 1 or g.shape[0] == 0:
         raise InputError("tuning grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
@@ -204,7 +214,7 @@ class RidgeSystem:
             self.n = K.shape[0]
             mean_diag = float(np.trace(K)) / self.n
         else:
-            L = np.asarray(self.factor, dtype=float)
+            L = _floats(self.factor, "factor")
             if L.ndim != 2 or L.shape[0] == 0:
                 raise InputError(f"factor must be a non-empty n x r matrix, got {L.shape}")
             self.factor = _check_finite(L, "factor")
@@ -215,8 +225,10 @@ class RidgeSystem:
 
     def _with_jitter(self, ridge: float, attempt, method: str):
         """`attempt(ridge + jitter)` at the first jitter where it is not None."""
-        if not np.isfinite(ridge) or ridge < 0.0:
+        value = _floats(ridge, "ridge")
+        if value.ndim or not np.isfinite(value) or value < 0.0:
             raise InputError(f"ridge must be finite and >= 0, got {ridge}")
+        ridge = float(value)
         scale = self._jitter_scale
         jitters = [0.0] + [_JITTER_UNIT * scale * 10.0**k for k in range(_MAX_RETRIES)]
         for jit in jitters:
@@ -280,7 +292,7 @@ class RidgeSystem:
         return self._with_jitter(ridge, attempt, "eigendecomposition")
 
     def _rhs(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
+        b = _floats(b, "rhs")
         rows = b.shape[0] if b.ndim in (1, 2) else -1
         if rows != self.n:
             raise InputError(f"rhs has {rows} rows, system has {self.n}")
@@ -325,19 +337,6 @@ class RidgeSystem:
         QtX = Q.T @ X
         QtX *= s if X.ndim == 1 else s[:, None]
         return Q @ QtX
-
-    def _tune(self, g: np.ndarray, loss_kind: str, L: np.ndarray) -> TuneReport:
-        """Leave-one-out losses of the output factor L (n x r_out) on the grid `g`.
-
-        The loss n^{-1} tr(S H L L' H), with H = I - K (K + n lambda I)^{-1},
-        h = diag(H) and S = diag(h)^{-2}, is mean(rowsum((H L)^2) / h^2).
-        A dense system evaluates it in n^2 r_out per candidate
-        (:meth:`_dense_losses`); a factored one in n r r_out once and then
-        n r^2 per candidate, whatever r_out is (:meth:`_factored_losses`).
-        L is only read.
-        """
-        losses = (self._dense_losses if self.factor is None else self._factored_losses)(g, L)
-        return TuneReport(g, losses, float(g[int(np.argmin(losses))]), loss_kind)
 
     def _dense_losses(self, g: np.ndarray, L: np.ndarray) -> np.ndarray:
         """H = Q diag(s) Q', so H L = Q (s C) with C = Q' L formed once and
@@ -417,34 +416,22 @@ class RidgeSystem:
             losses[k] = np.mean(hl2 / (h * h))
         return losses
 
-    def loo_scalar(self, y: np.ndarray, grid=None) -> TuneReport:
-        """Exact leave-one-out loss for scalar kernel ridge regression.
+    def loo(self, factor: np.ndarray, grid=None) -> TuneReport:
+        """Exact leave-one-out losses of the output factor L on the grid.
 
-        For each candidate lambda, with H = I - K (K + n lambda I)^{-1}
-        and Htilde = diag(H), the loss is n^{-1} || Htilde^{-1} H y ||^2:
-        the mean squared leave-one-out residual, no refits required. It
-        is the embedding loss with the output Gram y y'.
+        `factor` is the n x r_out factor L of the output Gram L L' (see
+        :func:`gram_factor`); a vector is one column, so a scalar
+        regression passes y. With H = I - K (K + n lambda I)^{-1} and
+        h = diag(H), each candidate's loss n^{-1} tr(diag(h)^{-2} H L L' H)
+        = mean(rowsum((H L)^2) / h^2) is the mean squared distance between
+        each held-out output and its leave-one-out prediction. It costs
+        n^2 r_out per candidate on a dense system (:meth:`_dense_losses`),
+        and n r r_out once and then n r^2 per candidate on a factored one
+        (:meth:`_factored_losses`). L is only read.
         """
-        y = np.asarray(y, dtype=float)
-        g = _prepare_grid(grid)
-        if y.shape != (self.n,):
-            raise InputError(f"y must have shape ({self.n},), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise NumericalError("non-finite entry in y")
-        return self._tune(g, "scalar_loocv", y[:, None])
-
-    def loo_embedding(self, factor: np.ndarray, grid=None) -> TuneReport:
-        """Exact leave-one-out loss for a conditional mean embedding.
-
-        `factor` is the n x r factor L of the output Gram,
-        K_output = L L' (see :func:`gram_factor`). For each candidate
-        lambda, with H = I - K (K + n lambda I)^{-1} and S = diag(H)^{-2},
-        the loss is n^{-1} tr(S H K_output H): the mean squared RKHS
-        distance between each held-out output feature and its
-        leave-one-out embedding.
-        """
-        g = _prepare_grid(grid)
-        L = np.asarray(factor, dtype=float)
-        if L.ndim != 2 or L.shape[0] != self.n:
-            raise InputError(f"factor is {L.shape}, the kernel has {self.n} rows")
-        return self._tune(g, "embedding_loocv", L)
+        L, g = self._rhs(factor), _prepare_grid(grid)
+        L = L[:, None] if L.ndim == 1 else L
+        if L.shape[1] == 0:  # a zero output Gram: the exact loss is 0
+            return TuneReport(g, np.zeros(g.shape))
+        losses = (self._dense_losses if self.factor is None else self._factored_losses)(g, L)
+        return TuneReport(g, losses)

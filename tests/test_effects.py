@@ -359,29 +359,31 @@ def test_run_end_to_end_theoretical_mode(sample_v):
 
 @pytest.mark.parametrize(
     "estimator, kind, forced, searched",
-    [("te", "ate", {}, ("scalar_loocv", False)),
-     ("nc", "ate", {}, ("embedding_loocv", False)),
-     ("nc", "ate", {"lam": 0.05}, ("scalar_loocv", False)),
-     ("nc", "att", {}, ("embedding_loocv", True)),
-     ("nc", "cate", {}, ("embedding_loocv", True))],
+    [("te", "ate", {}, ("y", False)),
+     ("nc", "ate", {}, ("factor", False)),
+     ("nc", "ate", {"lam": 0.05}, ("y", False)),
+     ("nc", "att", {}, ("factor", True)),
+     ("nc", "cate", {}, ("factor", True))],
     ids=["te-lam", "nc-lam", "nc-xi", "att-lam1", "cate-lam2"],
 )
 def test_every_penalty_search_fails_as_step_2(
     monkeypatch, sample_v, estimator, kind, forced, searched
 ):
     # a failed search carries the penalty-tuning tag, and no tag of the
-    # step that reads its penalty
-    calls = []
+    # step that reads its penalty. Each case runs one search: against y
+    # or an output factor, on a dense or a factored system
+    data, calls = sample_v[0], []
 
-    def failing(self, g, loss_kind, L):
-        calls.append((loss_kind, self.factor is not None))
+    def failing(self, factor, grid=None):
+        against = "y" if np.array_equal(factor, data.y) else "factor"
+        calls.append((against, self.factor is not None))
         raise NumericalError("loss failed")
 
-    monkeypatch.setattr(effects.RidgeSystem, "_tune", failing)
+    monkeypatch.setattr(effects.RidgeSystem, "loo", failing)
     request = EffectRequest(kind, grid=GRID, d_value=0.3, v_value=0.1)
     plan = TuningPlan(mode="forced", **forced)
     with pytest.raises(NumericalError) as err:
-        run_end_to_end(sample_v[0], request, plan, estimator)
+        run_end_to_end(data, request, plan, estimator)
     assert str(err.value) == "step 2 (penalty tuning): loss failed"
     assert calls == [searched]
 

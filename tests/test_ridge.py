@@ -43,7 +43,7 @@ def test_default_grid_is_pinned():
 def _untuned_and_tuned(K):
     """The same kernel as a Cholesky system and as a cached-eigh system."""
     tuned = RidgeSystem(K)
-    tuned.loo_scalar(np.ones(tuned.n))
+    tuned.loo(np.ones(tuned.n))
     return RidgeSystem(K), tuned
 
 
@@ -84,7 +84,7 @@ def test_ridge_system_shifts_negative_eigenvalues():
     Q = np.linalg.qr(np.random.default_rng(19).normal(size=(4, 4)))[0]
     K = (Q * np.array([-5e-12, 0.5, 1.0, 2.5])) @ Q.T
     system = RidgeSystem(K)
-    report = system.loo_scalar(np.arange(4.0), [1e-14, 1e-2])
+    report = system.loo(np.arange(4.0), [1e-14, 1e-2])
     assert np.all(np.isfinite(report.losses)) and np.all(report.losses > 0.0)
     assert system.jitter == pytest.approx(1e-11 * np.trace(K) / 4, rel=1e-12)
 
@@ -156,8 +156,8 @@ def test_solves_and_losses_read_only_the_lower_triangle():
     for kernel in (K, skewed):
         system = RidgeSystem(kernel)
         cholesky = (system.solve(0.3, b), system.smooth(0.3, b))
-        scalar = system.loo_scalar(y).losses
-        embedding = system.loo_embedding(factor).losses
+        scalar = system.loo(y).losses
+        embedding = system.loo(factor).losses
         eigh = (system.solve(0.3, b), system.smooth(0.3, b))
         outputs.append(cholesky + (scalar, embedding) + eigh)
     for got, want in zip(outputs[1], outputs[0]):
@@ -220,7 +220,7 @@ def test_loocv_scalar_identity_gram():
     # with an identity Gram the held-out prediction is always 0, so the
     # loss equals mean(y^2) for every penalty and ties resolve smallest
     y = np.array([1.0, -2.0, 3.0])
-    report = RidgeSystem(np.eye(3)).loo_scalar(y, [1e-3, 1e-1, 1e1])
+    report = RidgeSystem(np.eye(3)).loo(y, [1e-3, 1e-1, 1e1])
     np.testing.assert_allclose(report.losses, np.full(3, np.mean(y**2)),
                                rtol=1e-12)
     assert report.selected == 1e-3
@@ -233,7 +233,7 @@ def test_loocv_scalar_matches_brute_force():
         K = _random_gram(rng, n)
         y = rng.normal(size=n)
         grid = np.sort(rng.uniform(1e-4, 1.0, size=4))
-        report = RidgeSystem(K).loo_scalar(y, grid)
+        report = RidgeSystem(K).loo(y, grid)
         np.testing.assert_allclose(report.losses, loo_scalar_losses(K, y, grid),
                                    rtol=1e-9)
         assert report.selected == grid[np.argmin(report.losses)]
@@ -246,7 +246,7 @@ def test_loocv_embedding_matches_brute_force():
         K_in = _random_gram(rng, n)
         K_out = _random_gram(rng, n, p=3)
         grid = np.sort(rng.uniform(1e-4, 1.0, size=4))
-        report = RidgeSystem(K_in).loo_embedding(gram_factor(np.array(K_out)), grid)
+        report = RidgeSystem(K_in).loo(gram_factor(np.array(K_out)), grid)
         np.testing.assert_allclose(
             report.losses, loo_embedding_losses(K_in, K_out, grid), rtol=1e-9
         )
@@ -263,12 +263,12 @@ def test_dense_losses_split_the_grid_into_several_products():
     K_in = _random_gram(rng, n, p=3)
     for L in (rng.normal(size=(n, 20)), gram_factor(_random_gram(rng, n, p=6))):
         assert n // L.shape[1] < DEFAULT_GRID.size
-        report = RidgeSystem(K_in).loo_embedding(L)
+        report = RidgeSystem(K_in).loo(L)
         want = loo_embedding_losses(K_in, L @ L.T, DEFAULT_GRID)
         np.testing.assert_allclose(report.losses, want, rtol=1e-8)
         assert report.selected == DEFAULT_GRID[np.argmin(want)]
     y = rng.normal(size=n)
-    report = RidgeSystem(K_in).loo_scalar(y)
+    report = RidgeSystem(K_in).loo(y)
     want = loo_scalar_losses(K_in, y, DEFAULT_GRID)
     np.testing.assert_allclose(report.losses, want, rtol=1e-8)
     assert report.selected == DEFAULT_GRID[np.argmin(want)]
@@ -281,14 +281,14 @@ def test_loocv_exact_over_the_default_grid():
     specs = kernel_specs(data)
     A = product_gram(data, specs, ("d", "x", "z", "v"))
     K_ww = product_gram(data, specs, ("w",))
-    emb = RidgeSystem(A).loo_embedding(gram_factor(K_ww))
+    emb = RidgeSystem(A).loo(gram_factor(K_ww))
     np.testing.assert_allclose(
         emb.losses, loo_embedding_losses(A, K_ww, DEFAULT_GRID), rtol=1e-8
     )
     BL = RidgeSystem(A).smooth(data.n * emb.selected, gram_factor(K_ww))
     M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(
-        RidgeSystem(M).loo_scalar(data.y).losses,
+        RidgeSystem(M).loo(data.y).losses,
         loo_scalar_losses(M, data.y, DEFAULT_GRID),
         rtol=1e-8,
     )
@@ -300,7 +300,7 @@ def test_scalar_loss_exact_on_the_baselines_near_interpolating_gram():
     # match brute-force refits there
     data = generate(SimDesign("no_confounding", n=60), 271828)
     K = product_gram(data, kernel_specs(data), ("d", "x", "z", "w"))
-    report = RidgeSystem(K).loo_scalar(data.y)
+    report = RidgeSystem(K).loo(data.y)
     np.testing.assert_allclose(
         report.losses, loo_scalar_losses(K, data.y, DEFAULT_GRID), rtol=1e-8
     )
@@ -317,7 +317,7 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     K_ww = product_gram(data, specs, ("w",))
     factor = gram_factor(K_ww)
     assert factor.shape[1] < 40
-    report = RidgeSystem(A).loo_embedding(factor)
+    report = RidgeSystem(A).loo(factor)
     want = loo_embedding_losses(A, K_ww, DEFAULT_GRID)
     np.testing.assert_allclose(report.losses, want, rtol=1e-8)
     assert report.selected == DEFAULT_GRID[np.argmin(want)]
@@ -371,32 +371,60 @@ def test_gram_factor_reconstructs_on_each_route(monkeypatch):
 def test_loocv_uses_default_grid():
     rng = np.random.default_rng(47)
     K = _random_gram(rng, 12)
-    report = RidgeSystem(K).loo_scalar(rng.normal(size=12))
+    report = RidgeSystem(K).loo(rng.normal(size=12))
     np.testing.assert_array_equal(report.grid, DEFAULT_GRID)
-    assert report.loss_kind == "scalar_loocv"
-    other = RidgeSystem(K).loo_embedding(gram_factor(np.array(K)))
+    other = RidgeSystem(K).loo(gram_factor(np.array(K)))
     np.testing.assert_array_equal(other.grid, DEFAULT_GRID)
-    assert other.loss_kind == "embedding_loocv"
 
 
 def test_loocv_validation():
     with pytest.raises(InputError):
-        RidgeSystem(np.eye(3)).loo_scalar(np.ones(4))
+        RidgeSystem(np.eye(3)).loo(np.ones(4))
     with pytest.raises(InputError):
-        RidgeSystem(np.eye(3)).loo_scalar(np.ones(3), [])
+        RidgeSystem(np.eye(3)).loo(np.ones(3), [])
     with pytest.raises(InputError):
-        RidgeSystem(np.eye(3)).loo_scalar(np.ones(3), [-1.0, 0.1])
+        RidgeSystem(np.eye(3)).loo(np.ones(3), [-1.0, 0.1])
     with pytest.raises(InputError):
-        RidgeSystem(np.eye(3)).loo_embedding(gram_factor(np.eye(4)))
+        RidgeSystem(np.eye(3)).loo(gram_factor(np.eye(4)))
+
+
+def test_an_output_with_no_columns_has_zero_loss():
+    # the factor of a zero output Gram has no columns, and the exact loss
+    # of a zero output is 0 at every candidate, on either route
+    empty = gram_factor(np.zeros((4, 4)))
+    for system in (RidgeSystem(np.eye(4)), RidgeSystem(factor=np.eye(4))):
+        report = system.loo(empty, [1.0, 0.1])
+        np.testing.assert_array_equal(report.grid, [0.1, 1.0])
+        np.testing.assert_array_equal(report.losses, np.zeros(2))
+        assert report.selected == 0.1
+
+
+def test_non_numeric_inputs_raise_input_error():
+    # a string where a kernel, a factor, a ridge, a right-hand side or a
+    # grid belongs is refused as an InputError, never a bare ValueError
+    for kwargs in ({"kernel": "abc"}, {"factor": "abc"}, {"kernel": [["a", 1.0]] * 2}):
+        with pytest.raises(InputError):
+            RidgeSystem(**kwargs)
+    text = ["a", "b"]
+    for system in (RidgeSystem(np.eye(2)), RidgeSystem(factor=np.eye(2))):
+        calls = (
+            lambda: system.solve(1.0, text), lambda: system.smooth(1.0, text),
+            lambda: system.solve("a", np.ones(2)), lambda: system.loo(text),
+            lambda: system.loo(np.ones((2, 1)), ["a", 0.1]),
+        )
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
+    with pytest.raises(InputError):
+        TuneReport(["a", 0.1], [0.5, 0.4])
 
 
 def test_tune_report_tie_break_and_validation():
-    report = TuneReport(np.array([0.1, 1.0]), np.array([0.5, 0.5]), 0.1, "scalar")
+    report = TuneReport(np.array([0.1, 1.0]), np.array([0.5, 0.5]))
     assert report.selected == 0.1
-    with pytest.raises(InputError):
-        TuneReport(np.array([0.1, 1.0]), np.array([0.5, 0.4]), 0.1, "scalar")
+    assert TuneReport([0.1, 1.0], [0.5, 0.4]).selected == 1.0
     with pytest.raises(NumericalError):
-        TuneReport(np.array([0.1]), np.array([np.nan]), 0.1, "scalar")
+        TuneReport(np.array([0.1]), np.array([np.nan]))
 
 
 def _study_data(n, seed):
@@ -445,7 +473,7 @@ def test_factored_embedding_loss_exact_over_the_default_grid(case, rank):
     system = RidgeSystem(factor=gram_factor(K_in.copy()))
     r = system.factor.shape[1]
     assert r == rank if rank != "deficient" else r < 40
-    report = system.loo_embedding(gram_factor(K_out.copy()))
+    report = system.loo(gram_factor(K_out.copy()))
     want = loo_embedding_losses(K_in, K_out, DEFAULT_GRID)
     np.testing.assert_allclose(report.losses, want, rtol=1e-8)
     assert report.selected == DEFAULT_GRID[np.argmin(want)]
@@ -486,7 +514,7 @@ def test_factored_system_validation():
     with pytest.raises(InputError):
         system.solve(0.1, np.ones(2))
     with pytest.raises(InputError):
-        system.loo_embedding(np.ones((2, 1)))
+        system.loo(np.ones((2, 1)))
 
 
 def test_one_decomposition_per_tuned_system(monkeypatch):
