@@ -362,16 +362,11 @@ def stage2_kernel(core: np.ndarray, projected_w: np.ndarray) -> np.ndarray:
     return M
 
 
-def _population_features(
-    data: Dataset, specs, stage1: RidgeSystem, lam: float, sample
-) -> np.ndarray:
+def _population_features(data: Dataset, specs, smoothed: np.ndarray, sample) -> np.ndarray:
     """n x m features pairing each sample point with the m-point (x, w[, v])
     population of a ds request: k_x(x, ax) [o k_v(v, av)] o B k_w(w, aw),
-    with B applied as the smooth of the stage-1 system at penalty `lam`.
-    The smooth runs first, with no other n x m array live."""
-    kw = product_gram(data, specs, ("w",), sample)
-    smoothed = stage1.smooth(data.n * lam, kw)
-    del kw
+    where `smoothed` is B k_w(w, aw), the stage-1 smooth of the
+    population's w Gram."""
     features = product_gram(data, specs, ("x", "v"), sample)
     features *= smoothed
     return features
@@ -449,17 +444,21 @@ def _nc_curve(p: _Pass, request: EffectRequest) -> EffectCurve:
     cate also multiplies in its subgroup point's kernel column. A ds
     request averages the features of its alternative sample instead
     (see :func:`_population_features`), unless that sample is the
-    training one, which it averages exactly as ate does. Stage 2 is the
-    ridge system of M (see :func:`stage2_kernel`) and its coefficients
-    are (M + n xi I)^{-1} y. Each penalty comes from :meth:`_Pass.penalty`.
+    training one, which it averages exactly as ate does. Its population's
+    w Gram is smoothed beside L, in stage 1's one solve, so a forced
+    stage 1 is factored once. Stage 2 is the ridge system of M (see
+    :func:`stage2_kernel`) and its coefficients are (M + n xi I)^{-1} y.
+    Each penalty comes from :meth:`_Pass.penalty`.
 
     The only large objects of a fit are n x n product Grams (see
     :func:`product_gram`), each built just before its reader and
-    dropped after it. While either stage decomposes, its input is the
-    only n x n array live, LAPACK's buffers aside: each system releases
-    its input after its eigendecomposition, c is read from stage 1
-    before stage 1 is released, and only then is the stage-2 core built
-    over d, x[, v] and M formed in its buffer.
+    dropped after it. Each system takes its Gram over, and a tuned one
+    decomposes it in the Gram's own buffer (see :class:`RidgeSystem`),
+    so that as either stage decomposes its input is the only n x n
+    array live and the decomposition adds only dsyevd's workspace of
+    about 2 n^2 doubles. Stage 1 is released after its one smooth, and
+    only then is the stage-2 core built over d, x[, v] and M formed in
+    its buffer.
     """
     data, specs, kind = p.data, p.specs, request.kind
     weights = kq = sample = None
@@ -479,13 +478,18 @@ def _nc_curve(p: _Pass, request: EffectRequest) -> EffectCurve:
     with _step(3, "bridge fit"):
         stage1 = RidgeSystem(product_gram(data, specs, ("d", "x", "z", "v")))
         lam = p.penalty("lam", lambda grid: stage1.loo(w_factor, grid))
-        projected_w = stage1.smooth(n * lam, w_factor)
+        r = w_factor.shape[1]
+        if sample is not None:  # one stage-1 solve smooths L and the population's w Gram
+            w_factor = np.hstack([w_factor, product_gram(data, specs, ("w",), sample)])
+        smoothed = stage1.smooth(n * lam, w_factor)
+        del stage1, w_factor  # and its eigenpairs, before the stage-2 core is built
+        projected_w = np.ascontiguousarray(smoothed[:, :r])
         with _step(5, "effect evaluation"):
             if sample is None:
                 c = np.sum(projected_w * reads, axis=1)
             else:
-                c = _population_features(data, specs, stage1, lam, sample).mean(axis=1)
-        del stage1  # and its eigenpairs, before the stage-2 core is built
+                c = _population_features(data, specs, smoothed[:, r:], sample).mean(axis=1)
+        del smoothed
         stage2 = RidgeSystem(
             stage2_kernel(product_gram(data, specs, ("d", "x", "v")), projected_w)
         )
@@ -510,7 +514,7 @@ def _te_curve(p: _Pass) -> EffectCurve:
     full *= product_gram(data, p.specs, ("d",))
     y = data.y
     system = RidgeSystem(full)
-    del full  # the system releases it after its eigendecomposition
+    del full  # the system's own now: its eigendecomposition overwrites it
     lam = p.penalty("lam", lambda grid: system.loo(y, grid))
     coef = system.solve(data.n * lam, y)
     return p.curve(coef * rest_mean, "te", "ate")

@@ -28,11 +28,20 @@ suite checks this loss against the same brute-force refits to 1e-8
 over the whole shipped grid, as it does at duplicated points.
 
 A dense system that was never tuned (a forced or theoretical penalty)
-solves by Cholesky instead. Every route runs on numpy's LAPACK alone.
+solves by Cholesky instead. Every route runs on the LAPACK that numpy
+loads. Where that is numpy's own scipy-openblas, a dense system's
+eigendecomposition calls its dsyevd through ctypes, in the kernel's own
+buffer (see :func:`_eigh_in_place`): the result is np.linalg.eigh's, bit
+for bit, with no copy of the kernel and no separate output. Where numpy
+links another LAPACK, np.linalg.eigh runs instead, the only second route.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +168,92 @@ def gram_factor(K: np.ndarray) -> np.ndarray:
         diag = K.diagonal().copy()
 
 
+@functools.cache
+def _dsyevd():
+    """LAPACK's dsyevd from the scipy-openblas library that numpy's wheel
+    ships (numpy.libs/ on Linux, numpy/.dylibs/ on macOS), or None where
+    it is absent, as with MKL, Accelerate or a source build. The library
+    takes 64-bit integers and two trailing string lengths."""
+    here = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(here, os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
+    paths += glob.glob(os.path.join(here, ".dylibs", "libscipy_openblas64_*.dylib"))
+    for path in sorted(paths):
+        try:
+            dsyevd = ctypes.CDLL(path).scipy_dsyevd_64_
+        except (OSError, AttributeError):
+            continue
+        floats = np.ctypeslib.ndpointer(np.float64, flags="C,W")
+        ints = np.ctypeslib.ndpointer(np.int64, flags="C,W")
+        integer = ctypes.POINTER(ctypes.c_int64)
+        dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, integer, floats, integer,
+                           floats, floats, integer, ints, integer, integer,
+                           ctypes.c_size_t, ctypes.c_size_t]
+        dsyevd.restype = None
+        return dsyevd
+    return None
+
+
+def _row_blocks(n: int):
+    """(rows, rest): each block of rows of an n x n array and the columns
+    right of its diagonal square, about _BLOCK_BYTES per block."""
+    height = max(1, _BLOCK_BYTES // (8 * n))
+    return [(slice(s, s + height), slice(s + height, n)) for s in range(0, n, height)]
+
+
+def _mirror_lower(K: np.ndarray) -> None:
+    """Copy K's lower triangle into its upper one, in place."""
+    for rows, rest in _row_blocks(K.shape[0]):
+        K[rows, rest] = K[rest, rows].T
+        square = K[rows, rows]
+        upper = np.triu_indices(square.shape[0], 1)
+        square[upper] = square.T[upper]
+
+
+def _transpose(K: np.ndarray) -> None:
+    """Transpose the square K in place."""
+    for rows, rest in _row_blocks(K.shape[0]):
+        upper = K[rows, rest].copy()
+        K[rows, rest] = K[rest, rows].T
+        K[rest, rows] = upper.T
+        K[rows, rows] = K[rows, rows].T.copy()
+
+
+def _eigh_in_place(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(K), bit for bit, computed by dsyevd in K's own buffer,
+    which then holds Q: (e, Q) with Q the same array as K.
+
+    The Fortran view of K's buffer is K', so K's lower triangle is first
+    mirrored into its upper one: dsyevd("V", "L") then reads what numpy's
+    eigh reads from its column-major copy of K. It writes the
+    eigenvectors as the rows of K's C view, which is then transposed in
+    place, so that Q is C-ordered as numpy returns it. Both passes run
+    one block of rows at a time. Beside K only dsyevd's workspace, about
+    2 n^2 doubles sized by its own query, is allocated. A K that is
+    read-only or not C-contiguous is copied first. Raises LinAlgError,
+    as numpy's eigh does, when dsyevd fails.
+    """
+    if not (K.flags.writeable and K.flags.c_contiguous):
+        K = K.copy()
+    n = K.shape[0]
+    _mirror_lower(K)
+    e, info = np.empty(n), ctypes.c_int64(0)
+
+    def dsyevd(work, iwork, lwork, liwork):
+        sizes = [ctypes.byref(ctypes.c_int64(v)) for v in (n, lwork, liwork)]
+        _dsyevd()(b"V", b"L", sizes[0], K, sizes[0], e, work, sizes[1], iwork, sizes[2],
+                  ctypes.byref(info), 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    dsyevd(work, iwork, -1, -1)  # the workspace query
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    dsyevd(work, iwork, work.size, iwork.size)
+    del work, iwork
+    _transpose(K)
+    return e, K
+
+
 def _prepare_grid(grid) -> np.ndarray:
     g = _floats(DEFAULT_GRID if grid is None else grid, "tuning grid")
     if g.ndim != 1 or g.shape[0] == 0:
@@ -183,6 +278,12 @@ class RidgeSystem:
     that cache. A dense system that was never tuned solves by Cholesky
     instead: one eigendecomposition costs more than the solve it would
     replace. Every route reads only the lower triangle of K.
+
+    `RidgeSystem(K)` takes K over: its first leave-one-out loss
+    overwrites K with its eigenvectors (see :func:`_eigh_in_place`), so
+    a caller that reads K afterwards passes `K.copy()`. A read-only or
+    non-contiguous K is decomposed in a copy and left intact, as is every
+    K where numpy's LAPACK is not scipy-openblas and np.linalg.eigh runs.
 
     A factored system eigendecomposes only the r x r matrix
     L'L = V diag(e) V', at its first loss or solve alike, and keeps
@@ -269,11 +370,14 @@ class RidgeSystem:
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(e, Q) with K = Q diag(e) Q' and e ascending: Q orthonormal
-        (n x n) for a dense kernel, Q = W = L V (n x r) for a factor."""
+        (n x n) for a dense kernel, Q = W = L V (n x r) for a factor.
+        A dense kernel is decomposed in its own buffer, which becomes Q,
+        unless numpy's LAPACK lacks the binding: then np.linalg.eigh, to
+        the same bits."""
         if self._eig is None:
             if self.factor is None:
-                self._eig = np.linalg.eigh(self.kernel)
-                self.kernel = None  # every later read goes through (e, Q)
+                K, self.kernel = self.kernel, None  # every later read goes through (e, Q)
+                self._eig = np.linalg.eigh(K) if _dsyevd() is None else _eigh_in_place(K)
             else:
                 e, V = np.linalg.eigh(self.factor.T @ self.factor)
                 self._eig = (e, self.factor @ V)

@@ -47,7 +47,7 @@ def test_criterion_1_scalar_loocv_matches_brute_force(capsys):
         K = _rand_gram(rng, n, cols=int(rng.integers(1, 4)))
         y = rng.normal(size=n)
         grid = np.sort(rng.uniform(1e-4, 10.0, size=5))
-        fast = RidgeSystem(K).loo(y, grid).losses
+        fast = RidgeSystem(K.copy()).loo(y, grid).losses
         slow = od.loo_scalar_losses(K, y, grid)
         worst = max(worst, float(np.max(np.abs(fast - slow) / slow)))
     elapsed = time.perf_counter() - t0
@@ -66,7 +66,7 @@ def test_criterion_2_embedding_loocv_matches_brute_force(capsys):
         K_in = _rand_gram(rng, n)
         K_out = _rand_gram(rng, n, cols=3)
         grid = np.sort(rng.uniform(1e-4, 10.0, size=5))
-        fast = RidgeSystem(K_in).loo(gram_factor(np.array(K_out)), grid).losses
+        fast = RidgeSystem(K_in.copy()).loo(gram_factor(np.array(K_out)), grid).losses
         slow = od.loo_embedding_losses(K_in, K_out, grid)
         worst = max(worst, float(np.max(np.abs(fast - slow) / slow)))
     elapsed = time.perf_counter() - t0

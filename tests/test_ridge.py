@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernelnc import ridge
 from kernelnc.data import from_arrays
 from kernelnc.effects import (
     EffectRequest,
@@ -42,7 +43,7 @@ def test_default_grid_is_pinned():
 
 def _untuned_and_tuned(K):
     """The same kernel as a Cholesky system and as a cached-eigh system."""
-    tuned = RidgeSystem(K)
+    tuned = RidgeSystem(K.copy())
     tuned.loo(np.ones(tuned.n))
     return RidgeSystem(K), tuned
 
@@ -83,7 +84,7 @@ def test_ridge_system_shifts_negative_eigenvalues():
     # leave-one-out diagonal: the ladder shifts it, and records the shift
     Q = np.linalg.qr(np.random.default_rng(19).normal(size=(4, 4)))[0]
     K = (Q * np.array([-5e-12, 0.5, 1.0, 2.5])) @ Q.T
-    system = RidgeSystem(K)
+    system = RidgeSystem(K.copy())
     report = system.loo(np.arange(4.0), [1e-14, 1e-2])
     assert np.all(np.isfinite(report.losses)) and np.all(report.losses > 0.0)
     assert system.jitter == pytest.approx(1e-11 * np.trace(K) / 4, rel=1e-12)
@@ -140,6 +141,72 @@ def test_untuned_solves_leave_the_kernel_unchanged():
             else:
                 assert system.jitter > 0.0
                 np.testing.assert_allclose(smoothed, 0.0, atol=1e-12)
+
+
+def test_in_place_eigh_is_numpys_to_the_bit():
+    # a dense system decomposes its kernel in the kernel's own buffer by
+    # dsyevd; (e, Q) equal np.linalg.eigh's bit for bit, on an exactly
+    # symmetric Gram A and on an M-like kernel whose two triangles differ
+    # in round-off, as the stage-2 kernel's may (both routes read the
+    # lower one)
+    if ridge._dsyevd() is None:
+        pytest.skip("numpy's LAPACK is not scipy-openblas")
+    rng = np.random.default_rng(89)
+    for n in (300, 1000):
+        data = generate(SimDesign("quadratic", n=n), 3)
+        A = product_gram(data, kernel_specs(data), ("d", "x", "z", "v"))
+        M = A * (1.0 + 1e-15 * rng.normal(size=(n, n)))
+        assert np.array_equal(A, A.T) and not np.array_equal(M, M.T)
+        for K in (A, M):
+            want_e, want_Q = np.linalg.eigh(K)
+            e, Q = ridge._eigh_in_place(K)
+            assert Q is K and Q.flags.c_contiguous
+            np.testing.assert_array_equal(e, want_e)
+            np.testing.assert_array_equal(Q, want_Q)
+
+
+def test_a_read_only_or_non_contiguous_kernel_is_decomposed_in_a_copy():
+    # RidgeSystem(K) takes a writeable, C-contiguous K over: its first
+    # loss overwrites K with the eigenvectors. Any other K is copied
+    # first and left intact, and its losses and solves are the same bits
+    rng = np.random.default_rng(83)
+    K = _random_gram(rng, 40)
+    y = rng.normal(size=40)
+    owned = K.copy()
+    system = RidgeSystem(owned)
+    want = system.loo(y).losses, system.solve(0.3, y)
+    if ridge._dsyevd() is not None:
+        assert system._eig[1] is owned
+    read_only = K.copy()
+    read_only.setflags(write=False)
+    strided = np.zeros((40, 80))
+    strided[:, ::2] = K
+    for kernel in (read_only, np.asfortranarray(K), strided[:, ::2]):
+        before = kernel.copy()
+        system = RidgeSystem(kernel)
+        got = system.loo(y).losses, system.solve(0.3, y)
+        np.testing.assert_array_equal(kernel, before)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_without_the_binding_curves_are_the_same_bits(monkeypatch):
+    # where numpy's LAPACK lacks scipy-openblas's dsyevd, np.linalg.eigh
+    # decomposes each dense system in a copy: every tuned curve and every
+    # search it records are byte-identical to the in-place route's
+    data = _study_data(150, 5)
+    runs = [
+        ("nc", EffectRequest("ate", grid_size=5)),
+        ("nc", EffectRequest("att", grid_size=5, d_value=0.2)),
+        ("nc", EffectRequest("cate", grid_size=5, v_value=0.1)),
+        ("te", EffectRequest("ate", grid_size=5)),
+    ]
+    in_place = [run_end_to_end(data, request, estimator=est) for est, request in runs]
+    monkeypatch.setattr(ridge, "_dsyevd", lambda: None)
+    for (est, request), want in zip(runs, in_place):
+        got = run_end_to_end(data, request, estimator=est)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.metadata == want.metadata
 
 
 def test_solves_and_losses_read_only_the_lower_triangle():
@@ -233,7 +300,7 @@ def test_loocv_scalar_matches_brute_force():
         K = _random_gram(rng, n)
         y = rng.normal(size=n)
         grid = np.sort(rng.uniform(1e-4, 1.0, size=4))
-        report = RidgeSystem(K).loo(y, grid)
+        report = RidgeSystem(K.copy()).loo(y, grid)
         np.testing.assert_allclose(report.losses, loo_scalar_losses(K, y, grid),
                                    rtol=1e-9)
         assert report.selected == grid[np.argmin(report.losses)]
@@ -246,7 +313,7 @@ def test_loocv_embedding_matches_brute_force():
         K_in = _random_gram(rng, n)
         K_out = _random_gram(rng, n, p=3)
         grid = np.sort(rng.uniform(1e-4, 1.0, size=4))
-        report = RidgeSystem(K_in).loo(gram_factor(np.array(K_out)), grid)
+        report = RidgeSystem(K_in.copy()).loo(gram_factor(np.array(K_out)), grid)
         np.testing.assert_allclose(
             report.losses, loo_embedding_losses(K_in, K_out, grid), rtol=1e-9
         )
@@ -263,12 +330,12 @@ def test_dense_losses_split_the_grid_into_several_products():
     K_in = _random_gram(rng, n, p=3)
     for L in (rng.normal(size=(n, 20)), gram_factor(_random_gram(rng, n, p=6))):
         assert n // L.shape[1] < DEFAULT_GRID.size
-        report = RidgeSystem(K_in).loo(L)
+        report = RidgeSystem(K_in.copy()).loo(L)
         want = loo_embedding_losses(K_in, L @ L.T, DEFAULT_GRID)
         np.testing.assert_allclose(report.losses, want, rtol=1e-8)
         assert report.selected == DEFAULT_GRID[np.argmin(want)]
     y = rng.normal(size=n)
-    report = RidgeSystem(K_in).loo(y)
+    report = RidgeSystem(K_in.copy()).loo(y)
     want = loo_scalar_losses(K_in, y, DEFAULT_GRID)
     np.testing.assert_allclose(report.losses, want, rtol=1e-8)
     assert report.selected == DEFAULT_GRID[np.argmin(want)]
@@ -281,14 +348,14 @@ def test_loocv_exact_over_the_default_grid():
     specs = kernel_specs(data)
     A = product_gram(data, specs, ("d", "x", "z", "v"))
     K_ww = product_gram(data, specs, ("w",))
-    emb = RidgeSystem(A).loo(gram_factor(K_ww))
+    emb = RidgeSystem(A.copy()).loo(gram_factor(K_ww))
     np.testing.assert_allclose(
         emb.losses, loo_embedding_losses(A, K_ww, DEFAULT_GRID), rtol=1e-8
     )
-    BL = RidgeSystem(A).smooth(data.n * emb.selected, gram_factor(K_ww))
+    BL = RidgeSystem(A.copy()).smooth(data.n * emb.selected, gram_factor(K_ww))
     M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(
-        RidgeSystem(M).loo(data.y).losses,
+        RidgeSystem(M.copy()).loo(data.y).losses,
         loo_scalar_losses(M, data.y, DEFAULT_GRID),
         rtol=1e-8,
     )
@@ -300,7 +367,7 @@ def test_scalar_loss_exact_on_the_baselines_near_interpolating_gram():
     # match brute-force refits there
     data = generate(SimDesign("no_confounding", n=60), 271828)
     K = product_gram(data, kernel_specs(data), ("d", "x", "z", "w"))
-    report = RidgeSystem(K).loo(data.y)
+    report = RidgeSystem(K.copy()).loo(data.y)
     np.testing.assert_allclose(
         report.losses, loo_scalar_losses(K, data.y, DEFAULT_GRID), rtol=1e-8
     )
@@ -317,7 +384,7 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     K_ww = product_gram(data, specs, ("w",))
     factor = gram_factor(K_ww)
     assert factor.shape[1] < 40
-    report = RidgeSystem(A).loo(factor)
+    report = RidgeSystem(A.copy()).loo(factor)
     want = loo_embedding_losses(A, K_ww, DEFAULT_GRID)
     np.testing.assert_allclose(report.losses, want, rtol=1e-8)
     assert report.selected == DEFAULT_GRID[np.argmin(want)]
@@ -371,7 +438,7 @@ def test_gram_factor_reconstructs_on_each_route(monkeypatch):
 def test_loocv_uses_default_grid():
     rng = np.random.default_rng(47)
     K = _random_gram(rng, 12)
-    report = RidgeSystem(K).loo(rng.normal(size=12))
+    report = RidgeSystem(K.copy()).loo(rng.normal(size=12))
     np.testing.assert_array_equal(report.grid, DEFAULT_GRID)
     other = RidgeSystem(K).loo(gram_factor(np.array(K)))
     np.testing.assert_array_equal(other.grid, DEFAULT_GRID)
@@ -524,7 +591,10 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
     # The att/cate embedding, tuned or forced, eigendecomposes only the
     # r x r matrix L'L of its conditioning Gram's factor, and no system
     # solves by Cholesky. A forced penalty factors its system by
-    # Cholesky and never takes the n x n eigh
+    # Cholesky and never takes the n x n eigh; a forced ds pass smooths
+    # its population's w Gram in the same stage-1 solve as L. A dense
+    # eigh is counted in its own buffer, or by numpy where the binding
+    # is absent, a factor's r x r eigh by numpy
     shapes, chols = [], []
 
     def recorded(log, fn):
@@ -533,12 +603,15 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(ridge, "_eigh_in_place", recorded(shapes, ridge._eigh_in_place))
     monkeypatch.setattr(np.linalg, "eigh", recorded(shapes, np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "cholesky", recorded(chols, np.linalg.cholesky))
     data = _study_data(60, 3)
     att = EffectRequest("att", grid_size=5, d_value=0.2)
     cate = EffectRequest("cate", grid_size=5, v_value=0.1)
     ate = EffectRequest("ate", grid_size=5)
+    x, w = data.block("x"), data.block("w")
+    ds = EffectRequest("ds", grid_size=5, alt_x=x[:20] + 0.3, alt_w=w[:20], alt_v=x[:20, 0])
     runs = (
         ("nc", ate, None, 2, 0, 0),
         ("te", ate, None, 1, 0, 0),
@@ -547,6 +620,8 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
         ("nc", att, TuningPlan("forced", lam1=0.01), 2, 1, 0),
         ("nc", cate, TuningPlan("forced", lam2=0.01), 2, 1, 0),
         ("nc", ate, TuningPlan("forced", lam=0.01, xi=0.01), 0, 0, 2),
+        ("nc", ds, None, 2, 0, 0),
+        ("nc", ds, TuningPlan("forced", lam=0.01, xi=0.01), 0, 0, 2),
         ("te", ate, TuningPlan("forced", lam=0.01), 0, 0, 1),
     )
     for estimator, request, plan, full, thin, forced in runs:
