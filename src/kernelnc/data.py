@@ -17,6 +17,7 @@ round-trip formatting so write-then-ingest is bit-exact.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -241,7 +242,7 @@ def _continuous(cells: list[str], name: str, violations: list[str]) -> np.ndarra
         except ValueError:
             problem = "non-numeric"
         else:
-            if np.isfinite(parsed):
+            if math.isfinite(parsed):
                 out[r] = parsed
                 continue
             problem = "non-finite"

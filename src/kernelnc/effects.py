@@ -452,13 +452,13 @@ def _nc_curve(p: _Pass, request: EffectRequest) -> EffectCurve:
 
     The only large objects of a fit are n x n product Grams (see
     :func:`product_gram`), each built just before its reader and
-    dropped after it. Each system takes its Gram over, and a tuned one
-    decomposes it in the Gram's own buffer (see :class:`RidgeSystem`),
-    so that as either stage decomposes its input is the only n x n
-    array live and the decomposition adds only dsyevd's workspace of
-    about 2 n^2 doubles. Stage 1 is released after its one smooth, and
-    only then is the stage-2 core built over d, x[, v] and M formed in
-    its buffer.
+    dropped after it. Each system takes its Gram over and decomposes it
+    in the Gram's own buffer, by eigh when tuned and by Cholesky when
+    not (see :class:`RidgeSystem`), so that as either stage decomposes
+    its input is the only n x n array live and the decomposition adds
+    at most dsyevd's workspace of about 2 n^2 doubles. Stage 1 is
+    released after its one smooth, and only then is the stage-2 core
+    built over d, x[, v] and M formed in its buffer.
     """
     data, specs, kind = p.data, p.specs, request.kind
     weights = kq = sample = None
@@ -505,13 +505,17 @@ def _te_curve(p: _Pass) -> EffectCurve:
 
     The product Gram over x, z, w[, v] is built first and its row means,
     the sample mean of the non-treatment kernel factors, taken; the d
-    Gram is then multiplied into its buffer, so at most two n x n arrays
-    are live before the eigh.
+    Gram is then multiplied into its buffer one block of rows at a time,
+    so it is the only n x n array the fit builds.
     """
-    data = p.data
+    data, spec_d = p.data, p.specs["d"]
     full = product_gram(data, p.specs, ("x", "z", "w", "v"))
     rest_mean = full.mean(axis=1)
-    full *= product_gram(data, p.specs, ("d",))
+    d = data.block("d")
+    height = max(1, _BLOCK_BYTES // (8 * data.n))
+    for start in range(0, data.n, height):
+        rows = slice(start, start + height)
+        full[rows] *= gram(d[rows], d, spec_d)
     y = data.y
     system = RidgeSystem(full)
     del full  # the system's own now: its eigendecomposition overwrites it

@@ -29,11 +29,21 @@ over the whole shipped grid, as it does at duplicated points.
 
 A dense system that was never tuned (a forced or theoretical penalty)
 solves by Cholesky instead. Every route runs on the LAPACK that numpy
-loads. Where that is numpy's own scipy-openblas, a dense system's
-eigendecomposition calls its dsyevd through ctypes, in the kernel's own
-buffer (see :func:`_eigh_in_place`): the result is np.linalg.eigh's, bit
-for bit, with no copy of the kernel and no separate output. Where numpy
-links another LAPACK, np.linalg.eigh runs instead, the only second route.
+loads. Where that is numpy's own scipy-openblas, its dsyevd and dpotrf
+are called through ctypes in the kernel's own buffer (see
+:func:`_eigh_in_place` and :meth:`RidgeSystem._cho_solve`), as is
+:func:`gram_factor`'s dense Cholesky: each result is numpy's, bit for
+bit, with no copy of the kernel and no separate output. Where numpy
+links another LAPACK, np.linalg.eigh and np.linalg.cholesky run
+instead, the only second route.
+
+So a dense decomposition runs beside nothing but its own Gram and
+LAPACK's workspace. dsyevd's workspace of about 2 n^2 doubles is, from
+n of about 1450, above glibc's 32 MiB ceiling on its mmap threshold, so
+it is always mapped fresh and never placed in freed heap; the heap's
+free chunks are handed back to the system (malloc_trim) before it is
+mapped. Below that size glibc serves the workspace from those chunks,
+and nothing is trimmed.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import ctypes
 import functools
 import glob
 import os
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +66,9 @@ DEFAULT_GRID = np.logspace(-8.0, 2.0, 20)
 _JITTER_UNIT = 1e-12  # first retry adds 1e-12 * mean(diag), then 10x per retry
 _MAX_RETRIES = 3
 _PANEL = 64  # columns per panel of gram_factor's loop, rows per block of a substitution
+# glibc's ceiling on its dynamic mmap threshold on 64-bit systems: a larger
+# allocation is always mapped fresh, never placed in freed heap
+_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 def _floats(value, name: str) -> np.ndarray:
@@ -114,21 +128,38 @@ def gram_factor(K: np.ndarray) -> np.ndarray:
     - a panel of 64 columns is filled left-looking, each column K's row p
       less the panel so far: a Gram of rank r below 64 costs n r^2 and
       no n x n allocation;
-    - a Gram that fills the first panel is factored by dense Cholesky,
+    - a Gram that fills the first panel is factored by dense Cholesky in
+      its own buffer, beside no panel (see :func:`_cholesky_in_place`),
       kept when its smallest pivot squared clears the same tolerance
-      (r = n);
+      (r = n): L is then the same array as K, bit for bit
+      np.linalg.cholesky(K);
     - otherwise (singular but of high rank, as with duplicated points)
-      the pivoted loop goes on, panel by panel, on a copy of K that is
-      updated in place by each finished panel's product, one block of
-      rows at a time.
+      K is restored and the pivoted loop runs again from its first
+      pivot, panel by panel, with K updated in place by each finished
+      panel's product, one block of rows at a time.
 
-    K is only read, and must be exactly symmetric, as a Gram is: the
-    loop reads its rows.
+    gram_factor takes K over, as `RidgeSystem(K)` does: a Gram of rank
+    below 64 is only read, but any other is overwritten, so a caller
+    that reads K afterwards passes `K.copy()`. A read-only or
+    non-contiguous K is factored in a copy and left intact. K must be
+    exactly symmetric, as a Gram is: the loop reads its rows.
     """
     K = _check_square(K, "K")
-    n = K.shape[0]
     diag = K.diagonal().copy()
-    tol = n * np.finfo(float).epsneg * max(float(diag.max()), 0.0)
+    tol = K.shape[0] * np.finfo(float).epsneg * max(float(diag.max()), 0.0)
+    L = _pivoted(K, diag, tol, panels=1)
+    if L is None:
+        K = _owned(K)
+        L = _cholesky_in_place(K, diag, tol)
+    return _pivoted(K, diag, tol) if L is None else L
+
+
+def _pivoted(K: np.ndarray, diag: np.ndarray, tol: float, panels: int | None = None):
+    """:func:`gram_factor`'s pivoted loop, from the first pivot: the factor,
+    or None once `panels` panels are full and K's rank is not reached.
+    Between panels K is updated in place, so with no `panels` limit K
+    is taken over; within the first panel it is only read."""
+    n = K.shape[0]
     pivoted = np.zeros(n, dtype=bool)
     done = []  # finished panels, whose rows are factor columns
     while True:
@@ -152,15 +183,8 @@ def gram_factor(K: np.ndarray) -> np.ndarray:
         done.append(P)
         if pivoted.all():
             return np.concatenate(done).T.copy()
-        if len(done) == 1:
-            try:
-                L = np.linalg.cholesky(K)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                if L.diagonal().min() ** 2 > tol:
-                    return L
-            K = K.copy()
+        if len(done) == panels:
+            return None
         height = max(1, _BLOCK_BYTES // (8 * n))
         for start in range(0, n, height):
             rows = slice(start, start + height)
@@ -168,18 +192,51 @@ def gram_factor(K: np.ndarray) -> np.ndarray:
         diag = K.diagonal().copy()
 
 
+def _cholesky_in_place(K: np.ndarray, diag: np.ndarray, tol: float) -> np.ndarray | None:
+    """np.linalg.cholesky(K), bit for bit, when K is positive definite
+    and its smallest pivot squared exceeds `tol`, else None.
+
+    dpotrf("L") on the Fortran view of K's buffer, which is K', reads
+    K's upper triangle and writes the factor's transpose there; the
+    buffer is then transposed in place and its upper triangle zeroed, so
+    that L is K, C-ordered as numpy returns it. When the factor is
+    refused, K's upper triangle is mirrored back from its intact lower
+    one and its diagonal restored from `diag`, so that K is as given.
+    Where numpy's LAPACK lacks the binding, np.linalg.cholesky factors a
+    copy and K is only read. K is writeable and C-contiguous.
+    """
+    if _lapack() is None:
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            return None
+        return L if L.diagonal().min() ** 2 > tol else None
+    if _potrf(K, b"L") and K.diagonal().min() ** 2 > tol:
+        _transpose(K)
+        for rows, rest in _row_blocks(K.shape[0]):
+            K[rows, rest] = 0.0
+            square = K[rows, rows]
+            square[np.triu_indices(square.shape[0], 1)] = 0.0
+        return K
+    _mirror_lower(K)
+    K.flat[:: K.shape[0] + 1] = diag
+    return None
+
+
 @functools.cache
-def _dsyevd():
-    """LAPACK's dsyevd from the scipy-openblas library that numpy's wheel
-    ships (numpy.libs/ on Linux, numpy/.dylibs/ on macOS), or None where
-    it is absent, as with MKL, Accelerate or a source build. The library
-    takes 64-bit integers and two trailing string lengths."""
+def _lapack():
+    """dsyevd and dpotrf from the scipy-openblas library that numpy's
+    wheel ships (numpy.libs/ on Linux, numpy/.dylibs/ on macOS), as the
+    attributes of one namespace, or None where it is absent, as with
+    MKL, Accelerate or a source build. The library takes 64-bit integers
+    and a trailing length for each string argument."""
     here = os.path.dirname(np.__file__)
     paths = glob.glob(os.path.join(here, os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
     paths += glob.glob(os.path.join(here, ".dylibs", "libscipy_openblas64_*.dylib"))
     for path in sorted(paths):
         try:
-            dsyevd = ctypes.CDLL(path).scipy_dsyevd_64_
+            library = ctypes.CDLL(path)
+            dsyevd, dpotrf = library.scipy_dsyevd_64_, library.scipy_dpotrf_64_
         except (OSError, AttributeError):
             continue
         floats = np.ctypeslib.ndpointer(np.float64, flags="C,W")
@@ -188,9 +245,27 @@ def _dsyevd():
         dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, integer, floats, integer,
                            floats, floats, integer, ints, integer, integer,
                            ctypes.c_size_t, ctypes.c_size_t]
-        dsyevd.restype = None
-        return dsyevd
+        dpotrf.argtypes = [ctypes.c_char_p, integer, floats, integer, integer, ctypes.c_size_t]
+        dsyevd.restype = dpotrf.restype = None
+        return types.SimpleNamespace(dsyevd=dsyevd, dpotrf=dpotrf)
     return None
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library lacks it (macOS, musl)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _owned(K: np.ndarray) -> np.ndarray:
+    """K itself when a routine may overwrite it in place, else a copy."""
+    return K if K.flags.writeable and K.flags.c_contiguous else K.copy()
 
 
 def _row_blocks(n: int):
@@ -218,6 +293,14 @@ def _transpose(K: np.ndarray) -> None:
         K[rows, rows] = K[rows, rows].T.copy()
 
 
+def _potrf(K: np.ndarray, uplo: bytes) -> bool:
+    """dpotrf(uplo) on the Fortran view of K's buffer, in place: True when
+    it factored the whole matrix, False at a non-positive pivot."""
+    n, info = ctypes.c_int64(K.shape[0]), ctypes.c_int64(0)
+    _lapack().dpotrf(uplo, ctypes.byref(n), K, ctypes.byref(n), ctypes.byref(info), 1)
+    return info.value == 0
+
+
 def _eigh_in_place(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(K), bit for bit, computed by dsyevd in K's own buffer,
     which then holds Q: (e, Q) with Q the same array as K.
@@ -228,27 +311,31 @@ def _eigh_in_place(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as the rows of K's C view, which is then transposed in
     place, so that Q is C-ordered as numpy returns it. Both passes run
     one block of rows at a time. Beside K only dsyevd's workspace, about
-    2 n^2 doubles sized by its own query, is allocated. A K that is
-    read-only or not C-contiguous is copied first. Raises LinAlgError,
-    as numpy's eigh does, when dsyevd fails.
+    2 n^2 doubles sized by its own query, is allocated. A workspace above
+    glibc's 32 MiB ceiling on its mmap threshold is mapped fresh, so the
+    heap's free chunks are trimmed first (see the module docstring). A K
+    that is read-only or not C-contiguous is copied first. Raises
+    LinAlgError, as numpy's eigh does, when dsyevd fails.
     """
-    if not (K.flags.writeable and K.flags.c_contiguous):
-        K = K.copy()
+    K = _owned(K)
     n = K.shape[0]
     _mirror_lower(K)
     e, info = np.empty(n), ctypes.c_int64(0)
 
     def dsyevd(work, iwork, lwork, liwork):
         sizes = [ctypes.byref(ctypes.c_int64(v)) for v in (n, lwork, liwork)]
-        _dsyevd()(b"V", b"L", sizes[0], K, sizes[0], e, work, sizes[1], iwork, sizes[2],
-                  ctypes.byref(info), 1, 1)
+        _lapack().dsyevd(b"V", b"L", sizes[0], K, sizes[0], e, work, sizes[1], iwork,
+                         sizes[2], ctypes.byref(info), 1, 1)
         if info.value:
             raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
 
     work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
     dsyevd(work, iwork, -1, -1)  # the workspace query
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    dsyevd(work, iwork, work.size, iwork.size)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    if 8 * lwork > _MMAP_THRESHOLD_MAX and _malloc_trim() is not None:
+        _malloc_trim()(0)
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    dsyevd(work, iwork, lwork, liwork)
     del work, iwork
     _transpose(K)
     return e, K
@@ -281,9 +368,13 @@ class RidgeSystem:
 
     `RidgeSystem(K)` takes K over: its first leave-one-out loss
     overwrites K with its eigenvectors (see :func:`_eigh_in_place`), so
-    a caller that reads K afterwards passes `K.copy()`. A read-only or
-    non-contiguous K is decomposed in a copy and left intact, as is every
-    K where numpy's LAPACK is not scipy-openblas and np.linalg.eigh runs.
+    a caller that reads K afterwards passes `K.copy()`. A Cholesky solve
+    factors K in its own buffer too, but restores it from its lower
+    triangle once the factor is applied (see :meth:`_cho_solve`), so
+    an untuned system solves again, and an exactly symmetric K is left
+    as given. A read-only or non-contiguous K is decomposed in a copy
+    and left intact, as is every K where numpy's LAPACK is not
+    scipy-openblas and np.linalg.eigh and np.linalg.cholesky run.
 
     A factored system eigendecomposes only the r x r matrix
     L'L = V diag(e) V', at its first loss or solve alike, and keeps
@@ -344,29 +435,52 @@ class RidgeSystem:
 
     def _cho_solve(self, ridge: float, b: np.ndarray) -> tuple[np.ndarray, float]:
         """((K + shift I)^{-1} b, shift), shift = ridge + jitter, by Cholesky
-        K + shift I = U'U: K is shifted in place and its diagonal restored
-        bitwise, and K' upper (K lower) is numpy's fastest order. U' and U
-        are substituted _PANEL rows at a time, each diagonal block by LU."""
-        K = self.kernel if self.kernel.flags.writeable else self.kernel.copy()
+        K + shift I = U'U, which is np.linalg.cholesky(K', upper=True) bit
+        for bit: K' upper (K lower) is numpy's fastest order.
+
+        Where numpy's LAPACK is scipy-openblas, U is formed in K's own
+        buffer: K's lower triangle is mirrored into its upper one and the
+        shifted diagonal set, dpotrf("U") runs on the Fortran view of the
+        buffer, which is K', and the buffer is transposed in place. U then
+        fills K's upper triangle, C-ordered, and K's lower triangle
+        survives below it, so a failed attempt retries from it with a
+        larger jitter, and once U has been applied K is restored from it
+        and from its saved diagonal. Elsewhere np.linalg.cholesky factors
+        a copy of K with its diagonal shifted in place and restored.
+        Either way U' and U are substituted _PANEL rows at a time, each
+        diagonal block (the upper triangle of K's) by LU.
+        """
+        in_place, K, n = _lapack() is not None, _owned(self.kernel), self.n
         diag = K.diagonal().copy()
 
         def attempt(shift):
-            K.flat[:: self.n + 1] = diag + shift
-            try:
-                return np.linalg.cholesky(K.T, upper=True), shift
-            except np.linalg.LinAlgError:
-                return None
-            finally:
-                K.flat[:: self.n + 1] = diag
+            if not in_place:
+                K.flat[:: n + 1] = diag + shift
+                try:
+                    return np.linalg.cholesky(K.T, upper=True), shift
+                except np.linalg.LinAlgError:
+                    return None
+                finally:
+                    K.flat[:: n + 1] = diag
+            _mirror_lower(K)
+            K.flat[:: n + 1] = diag + shift
+            factored = _potrf(K, b"U")
+            _transpose(K)
+            return (K, shift) if factored else None
 
-        U, shift = self._with_jitter(ridge, attempt, "Cholesky")
-        x = b.copy()
-        blocks = [slice(s, s + _PANEL) for s in range(0, self.n, _PANEL)]
-        for k in blocks:
-            x[k] = np.linalg.solve(U[k, k].T, x[k] - U[: k.start, k].T @ x[: k.start])
-        for k in reversed(blocks):
-            x[k] = np.linalg.solve(U[k, k], x[k] - U[k, k.stop :] @ x[k.stop :])
-        return x, shift
+        try:
+            U, shift = self._with_jitter(ridge, attempt, "Cholesky")
+            x = b.copy()
+            blocks = [slice(s, s + _PANEL) for s in range(0, n, _PANEL)]
+            for k in blocks:
+                x[k] = np.linalg.solve(np.triu(U[k, k]).T, x[k] - U[: k.start, k].T @ x[: k.start])
+            for k in reversed(blocks):
+                x[k] = np.linalg.solve(np.triu(U[k, k]), x[k] - U[k, k.stop :] @ x[k.stop :])
+            return x, shift
+        finally:
+            if in_place:
+                _mirror_lower(K)
+                K.flat[:: n + 1] = diag
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(e, Q) with K = Q diag(e) Q' and e ascending: Q orthonormal
@@ -377,7 +491,7 @@ class RidgeSystem:
         if self._eig is None:
             if self.factor is None:
                 K, self.kernel = self.kernel, None  # every later read goes through (e, Q)
-                self._eig = np.linalg.eigh(K) if _dsyevd() is None else _eigh_in_place(K)
+                self._eig = np.linalg.eigh(K) if _lapack() is None else _eigh_in_place(K)
             else:
                 e, V = np.linalg.eigh(self.factor.T @ self.factor)
                 self._eig = (e, self.factor @ V)

@@ -242,7 +242,8 @@ PASS_BUILDS = {
     # the n x n Grams of one pass, as role tuples, in build order: the
     # embedding's conditioning Gram and (tuned only) its output product,
     # the w factor's Gram, _read_x's product (not for a ds population),
-    # the stage-1 Gram A and the stage-2 core; "te" is the baseline's ate
+    # the stage-1 Gram A and the stage-2 core; "te" is the baseline's ate,
+    # whose d Gram is built one block of rows at a time (one block at n = 24)
     "ate": [("w",), ("x", "v"), A, CORE],
     "ds": [("w",), A, CORE],
     "att": [("d",), ("x", "w", "v"), ("w",), ("x", "v"), A, CORE],
@@ -518,8 +519,10 @@ def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
     array, so this peak is the whole peak: the baseline's reads 3.07
     n x n, its Gram and that workspace. (Where numpy's LAPACK lacks the
     binding, np.linalg.eigh's copy, workspace and output sit on top,
-    unseen.) A forced fit solves by Cholesky: it shifts the kernel's
-    diagonal in place, so the factor is the one n x n the solve adds.
+    unseen.) A forced fit solves by Cholesky in its kernel's own buffer
+    too, so the solve adds no n x n array (where the binding is absent,
+    numpy's factor and its copy of the kernel add two, unseen but for
+    the factor).
     """
     n = 300
     data = generate(SimDesign("quadratic", n=n), 1)
@@ -533,34 +536,80 @@ def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
     assert peak <= bound * 8 * n * n
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or ridge._dsyevd() is None,
-                    reason="reads /proc/self/statm; numpy's eigh copies where dsyevd is absent")
-@pytest.mark.parametrize("estimator", ["nc", "te"])
-def test_tuned_ate_fit_peaks_within_four_n_by_n_arrays_of_resident_memory(estimator):
-    """Peak resident memory of one tuned ATE fit at n = 2000, each in a
-    fresh process, in n x n arrays above the resident memory before the
-    fit: ru_maxrss counts what tracemalloc does not, LAPACK's own
-    buffers included. Each tuned system decomposes in its Gram's own
-    buffer beside dsyevd's 2 n^2 workspace: about 3.5 n x n for nc and
-    3.4 for te, where numpy's eigh (a copy of its input, its workspace
-    and a separate output) read 5.36 and 5.26."""
-    code = textwrap.dedent(f"""
-        import resource
-        from kernelnc.effects import EffectRequest, run_end_to_end
+def _resident_peak(fits: str) -> float:
+    """Peak resident memory of `fits`, run on one quadratic n = 2000 draw
+    in a fresh process, in n x n arrays above the resident memory before
+    them. The peak, VmHWM, counts what tracemalloc does not, LAPACK's own
+    buffers and freed heap the allocator keeps included. It is read from
+    /proc/self/status, not from ru_maxrss: Linux carries a process's
+    ru_maxrss across exec, so a child of a large test runner would read
+    the runner's resident memory at the fork."""
+    code = textwrap.dedent("""
+        def resident(field):
+            with open("/proc/self/status") as status:
+                line = next(line for line in status if line.startswith(field + ":"))
+            return int(line.split()[1]) * 1024
+
+        from kernelnc.effects import EffectRequest, TuningPlan, run_end_to_end
         from kernelnc.simlab import SimDesign, generate
         data = generate(SimDesign("quadratic", n=2000), 1)
-        with open("/proc/self/statm") as statm:
-            before = int(statm.read().split()[1]) * resource.getpagesize()
-        run_end_to_end(data, EffectRequest("ate", grid_size=5), estimator="{estimator}")
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-        print((peak - before) / (8 * 2000**2))
+        ate = EffectRequest("ate", grid_size=5)
+        before = resident("VmRSS")
+    """) + textwrap.dedent(fits) + textwrap.dedent("""
+        print((resident("VmHWM") - before) / (8 * 2000**2))
     """)
     src = os.path.dirname(os.path.dirname(effects.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    assert float(out.stdout) <= 4.0
+    return float(out.stdout)
+
+
+_IN_PLACE = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or ridge._lapack() is None,
+    reason="reads /proc/self/status; numpy's eigh and cholesky copy where the binding is absent",
+)
+
+
+@_IN_PLACE
+@pytest.mark.parametrize("estimator", ["nc", "te"])
+def test_tuned_ate_fit_peaks_within_four_n_by_n_arrays_of_resident_memory(estimator):
+    """One tuned ATE fit at n = 2000, in n x n arrays above the resident
+    memory before it. Each tuned system decomposes in its Gram's own
+    buffer beside dsyevd's 2 n^2 workspace: about 3.5 n x n for nc and
+    3.4 for te, where numpy's eigh (a copy of its input, its workspace
+    and a separate output) read 5.36 and 5.26."""
+    assert _resident_peak(f'run_end_to_end(data, ate, estimator="{estimator}")') <= 4.0
+
+
+@_IN_PLACE
+@pytest.mark.skipif(ridge._malloc_trim() is None, reason="the C library has no malloc_trim")
+def test_repeated_tuned_fits_decompose_beside_no_freed_heap():
+    """Tuned nc, te, nc and te ATE fits at n = 2000 in one process. An
+    n = 2000 Gram (30.5 MiB) is below glibc's 32 MiB mmap-threshold
+    ceiling, so once one is freed later Grams come from the heap and
+    freed ones stay resident, while dsyevd's 61 MiB workspace is always
+    mapped fresh beside them. With the heap trimmed before each such
+    workspace is mapped, the sequence peaks at about 3.3 n x n above the
+    resident memory before it; untrimmed, it read 4.37."""
+    fits = """
+        for estimator in ("nc", "te", "nc", "te"):
+            run_end_to_end(data, ate, estimator=estimator)
+    """
+    assert _resident_peak(fits) <= 3.6
+
+
+@_IN_PLACE
+@pytest.mark.parametrize("estimator", ["nc", "te"])
+def test_forced_ate_fit_peaks_within_two_n_by_n_arrays_of_resident_memory(estimator):
+    """One forced ATE fit at n = 2000. Each system is factored by dpotrf
+    in its Gram's own buffer, which is then the only n x n array live,
+    and te builds no second n x n Gram: about 1.5 n x n for nc and 1.3
+    for te, where np.linalg.cholesky's copy of its input and its separate
+    factor read 3.33 and 3.26."""
+    fit = f'run_end_to_end(data, ate, TuningPlan("forced", lam=0.05, xi=0.02), "{estimator}")'
+    assert _resident_peak(fit) <= 2.0
 
 
 @pytest.mark.parametrize("kind, query", [("att", {"d_value": 0.5}), ("cate", {"v_value": 0.0})])
@@ -607,8 +656,9 @@ def test_a_dense_decomposition_runs_beside_no_other_n_by_n_array(
     vector c from stage 1 and releases stage 1 before it builds the
     stage-2 core. A forced ds request smooths its n x 20 population
     Gram beside L, in the one stage-1 Cholesky, beside that system's input.
-    gram_factor's Cholesky of an att/cate output Gram belongs to no
-    RidgeSystem and is not recorded.
+    gram_factor's dense Cholesky of a tuned att/cate output Gram finds
+    that Gram beside the conditioning factor alone: the first 64-column
+    panel is released before it.
     """
     n = 300
     base = generate(SimDesign("quadratic", n=n), 1)
@@ -616,6 +666,7 @@ def test_a_dense_decomposition_runs_beside_no_other_n_by_n_array(
     data = from_arrays(base.y, base.block("d"), x, base.block("z"), w, v=x[:, 0])
     live = []
     eigh, cho_solve = ridge.RidgeSystem._eigh, ridge.RidgeSystem._cho_solve
+    cholesky_in_place, factored = ridge._cholesky_in_place, []
 
     def spied_eigh(self):
         if self.factor is None and self._eig is None:
@@ -626,8 +677,14 @@ def test_a_dense_decomposition_runs_beside_no_other_n_by_n_array(
         live.append(tracemalloc.get_traced_memory()[0])
         return cho_solve(self, shift, b)
 
+    def spied_cholesky_in_place(K, diag, tol):
+        live.append(tracemalloc.get_traced_memory()[0])
+        factored.append(K.shape)
+        return cholesky_in_place(K, diag, tol)
+
     monkeypatch.setattr(ridge.RidgeSystem, "_eigh", spied_eigh)
     monkeypatch.setattr(ridge.RidgeSystem, "_cho_solve", spied_cho_solve)
+    monkeypatch.setattr(ridge, "_cholesky_in_place", spied_cholesky_in_place)
     request = EffectRequest(
         kind, grid_size=5, alt_x=x[:20] + 0.3, alt_w=w[:20], alt_v=x[:20, 0],
         d_value=0.5, v_value=0.0,
@@ -639,3 +696,5 @@ def test_a_dense_decomposition_runs_beside_no_other_n_by_n_array(
         tracemalloc.stop()
     assert len(live) >= (1 if estimator == "te" else 2)
     assert max(live) <= 1.3 * 8 * n * n
+    # only a tuned embedding builds its full-rank output Gram
+    assert factored == ([(n, n)] if plan is None and kind in ("att", "cate") else [])

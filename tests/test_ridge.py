@@ -149,7 +149,7 @@ def test_in_place_eigh_is_numpys_to_the_bit():
     # symmetric Gram A and on an M-like kernel whose two triangles differ
     # in round-off, as the stage-2 kernel's may (both routes read the
     # lower one)
-    if ridge._dsyevd() is None:
+    if ridge._lapack() is None:
         pytest.skip("numpy's LAPACK is not scipy-openblas")
     rng = np.random.default_rng(89)
     for n in (300, 1000):
@@ -165,6 +165,46 @@ def test_in_place_eigh_is_numpys_to_the_bit():
             np.testing.assert_array_equal(Q, want_Q)
 
 
+def test_in_place_cholesky_is_numpys_to_the_bit():
+    # gram_factor factors a full-rank Gram in the Gram's own buffer by
+    # dpotrf: L is the same array as K and equals np.linalg.cholesky(K)
+    # bit for bit. The output Gram x o w o v of an att embedding is the
+    # full-rank Gram the pipeline factors
+    if ridge._lapack() is None:
+        pytest.skip("numpy's LAPACK is not scipy-openblas")
+    for n in (300, 1000):
+        data = _study_data(n, 3)
+        K = product_gram(data, kernel_specs(data), ("x", "w", "v"))
+        want = np.linalg.cholesky(K)
+        owned = K.copy()
+        L = gram_factor(owned)
+        assert L is owned and L.flags.c_contiguous
+        np.testing.assert_array_equal(L, want)
+
+
+def test_free_heap_is_trimmed_only_before_a_workspace_glibc_maps_fresh(monkeypatch):
+    # malloc_trim runs once before dsyevd's workspace is allocated, and
+    # only where that workspace exceeds glibc's 32 MiB mmap-threshold
+    # ceiling: never in a tuned n = 300 fit, once for n = 1500 (about
+    # 34 MiB of workspace). A stand-in counts the calls
+    if ridge._lapack() is None:
+        pytest.skip("numpy's LAPACK is not scipy-openblas")
+    pads = []
+
+    def trim(pad):
+        pads.append(pad)
+        return 1
+
+    monkeypatch.setattr(ridge, "_malloc_trim", lambda: trim)
+    data = generate(SimDesign("quadratic", n=300), 1)
+    for estimator in ("nc", "te"):
+        run_end_to_end(data, EffectRequest("ate", grid_size=5), estimator=estimator)
+    assert pads == []
+    pts = np.random.default_rng(97).normal(size=(1500, 3))
+    ridge._eigh_in_place(gram(pts, pts, KernelSpec.gaussian([1.0, 1.0, 1.0])))
+    assert pads == [0]
+
+
 def test_a_read_only_or_non_contiguous_kernel_is_decomposed_in_a_copy():
     # RidgeSystem(K) takes a writeable, C-contiguous K over: its first
     # loss overwrites K with the eigenvectors. Any other K is copied
@@ -175,7 +215,7 @@ def test_a_read_only_or_non_contiguous_kernel_is_decomposed_in_a_copy():
     owned = K.copy()
     system = RidgeSystem(owned)
     want = system.loo(y).losses, system.solve(0.3, y)
-    if ridge._dsyevd() is not None:
+    if ridge._lapack() is not None:
         assert system._eig[1] is owned
     read_only = K.copy()
     read_only.setflags(write=False)
@@ -191,20 +231,28 @@ def test_a_read_only_or_non_contiguous_kernel_is_decomposed_in_a_copy():
 
 
 def test_without_the_binding_curves_are_the_same_bits(monkeypatch):
-    # where numpy's LAPACK lacks scipy-openblas's dsyevd, np.linalg.eigh
-    # decomposes each dense system in a copy: every tuned curve and every
-    # search it records are byte-identical to the in-place route's
+    # where numpy's LAPACK lacks scipy-openblas's dsyevd and dpotrf,
+    # np.linalg.eigh and np.linalg.cholesky decompose each dense system in
+    # a copy: every tuned, forced and theoretical curve and every search it
+    # records are byte-identical to the in-place route's. n = 150 puts
+    # att's full-rank output Gram through gram_factor's dense Cholesky
+    # and each forced solve through three substitution blocks
     data = _study_data(150, 5)
+    x, w = data.block("x"), data.block("w")
+    ate = EffectRequest("ate", grid_size=5)
+    ds = EffectRequest("ds", grid_size=5, alt_x=x[:20] + 0.3, alt_w=w[:20], alt_v=x[:20, 0])
     runs = [
-        ("nc", EffectRequest("ate", grid_size=5)),
-        ("nc", EffectRequest("att", grid_size=5, d_value=0.2)),
-        ("nc", EffectRequest("cate", grid_size=5, v_value=0.1)),
-        ("te", EffectRequest("ate", grid_size=5)),
+        ("nc", ate, None),
+        ("nc", EffectRequest("att", grid_size=5, d_value=0.2), None),
+        ("nc", EffectRequest("cate", grid_size=5, v_value=0.1), None),
+        ("te", ate, None),
     ]
-    in_place = [run_end_to_end(data, request, estimator=est) for est, request in runs]
-    monkeypatch.setattr(ridge, "_dsyevd", lambda: None)
-    for (est, request), want in zip(runs, in_place):
-        got = run_end_to_end(data, request, estimator=est)
+    for plan in (TuningPlan("forced", lam=0.05, xi=0.02), TuningPlan("theoretical")):
+        runs += [("nc", ate, plan), ("nc", ds, plan), ("te", ate, plan)]
+    in_place = [run_end_to_end(data, request, plan, est) for est, request, plan in runs]
+    monkeypatch.setattr(ridge, "_lapack", lambda: None)
+    for (est, request, plan), want in zip(runs, in_place):
+        got = run_end_to_end(data, request, plan, est)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.metadata == want.metadata
 
@@ -348,11 +396,11 @@ def test_loocv_exact_over_the_default_grid():
     specs = kernel_specs(data)
     A = product_gram(data, specs, ("d", "x", "z", "v"))
     K_ww = product_gram(data, specs, ("w",))
-    emb = RidgeSystem(A.copy()).loo(gram_factor(K_ww))
+    emb = RidgeSystem(A.copy()).loo(gram_factor(K_ww.copy()))
     np.testing.assert_allclose(
         emb.losses, loo_embedding_losses(A, K_ww, DEFAULT_GRID), rtol=1e-8
     )
-    BL = RidgeSystem(A.copy()).smooth(data.n * emb.selected, gram_factor(K_ww))
+    BL = RidgeSystem(A.copy()).smooth(data.n * emb.selected, gram_factor(K_ww.copy()))
     M = stage2_kernel(product_gram(data, specs, ("d", "x", "v")), BL)
     np.testing.assert_allclose(
         RidgeSystem(M.copy()).loo(data.y).losses,
@@ -382,7 +430,7 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     specs = kernel_specs(data)
     A = product_gram(data, specs, ("d", "x", "z", "v"))
     K_ww = product_gram(data, specs, ("w",))
-    factor = gram_factor(K_ww)
+    factor = gram_factor(K_ww.copy())
     assert factor.shape[1] < 40
     report = RidgeSystem(A.copy()).loo(factor)
     want = loo_embedding_losses(A, K_ww, DEFAULT_GRID)
@@ -392,18 +440,25 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
 
 def test_gram_factor_reconstructs_on_each_route(monkeypatch):
     # a Gram of rank below the 64-column panel is factored through no
-    # n x n allocation; a full-rank Gram with n > 64 takes the dense
-    # Cholesky, and a singular one of high rank (duplicated points) the
-    # pivoted loop continued past the first panel. No route writes to
-    # the Gram
+    # n x n allocation and is only read; a full-rank Gram with n > 64
+    # takes the dense Cholesky, and a singular one of high rank
+    # (duplicated points) the pivoted loop continued past the first
+    # panel. Both take the Gram over, so they are given copies. A dense
+    # Cholesky is counted in the Gram's own buffer, or by numpy where the
+    # binding is absent
     choleskys = []
-    cholesky = np.linalg.cholesky
+    cholesky, potrf = np.linalg.cholesky, ridge._potrf
 
     def spy(a):
         choleskys.append(np.shape(a))
         return cholesky(a)
 
+    def spied_potrf(a, uplo):
+        choleskys.append(np.shape(a))
+        return potrf(a, uplo)
+
     monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(ridge, "_potrf", spied_potrf)
     w = np.random.default_rng(53).uniform(-1.0, 1.0, size=(300, 1))
     K = gram(w, w, KernelSpec.gaussian([0.5]))
     want = K.copy()
@@ -427,7 +482,7 @@ def test_gram_factor_reconstructs_on_each_route(monkeypatch):
     for K, rank in ((full, 120), (full[np.ix_(keep, keep)], 117)):
         choleskys.clear()
         want = K.copy()
-        L = gram_factor(K)
+        L = gram_factor(K.copy())
         np.testing.assert_array_equal(K, want)
         assert L.shape == (120, rank)
         assert choleskys == [(120, 120)]
@@ -593,8 +648,8 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
     # solves by Cholesky. A forced penalty factors its system by
     # Cholesky and never takes the n x n eigh; a forced ds pass smooths
     # its population's w Gram in the same stage-1 solve as L. A dense
-    # eigh is counted in its own buffer, or by numpy where the binding
-    # is absent, a factor's r x r eigh by numpy
+    # eigh or Cholesky is counted in its own buffer, or by numpy where the
+    # binding is absent, a factor's r x r eigh by numpy
     shapes, chols = [], []
 
     def recorded(log, fn):
@@ -606,6 +661,7 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
     monkeypatch.setattr(ridge, "_eigh_in_place", recorded(shapes, ridge._eigh_in_place))
     monkeypatch.setattr(np.linalg, "eigh", recorded(shapes, np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "cholesky", recorded(chols, np.linalg.cholesky))
+    monkeypatch.setattr(ridge, "_potrf", recorded(chols, ridge._potrf))
     data = _study_data(60, 3)
     att = EffectRequest("att", grid_size=5, d_value=0.2)
     cate = EffectRequest("cate", grid_size=5, v_value=0.1)
