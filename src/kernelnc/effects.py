@@ -33,7 +33,7 @@ import numpy.ma  # noqa: F401  np.percentile imports it at its first call, not i
 
 from .data import Dataset
 from .errors import DegenerateScaleError, InputError, NumericalError, _number
-from .kernels import _BLOCK_BYTES, KernelSpec, gram, spec_from_data
+from .kernels import KernelSpec, _row_blocks, gram, spec_from_data
 from .ridge import RidgeSystem, TuneReport, _prepare_grid, gram_factor
 
 EFFECT_KINDS = ("ate", "ds", "att", "cate")
@@ -354,10 +354,7 @@ def stage2_kernel(core: np.ndarray, projected_w: np.ndarray) -> np.ndarray:
     lower triangle.
     """
     M = core
-    n = M.shape[0]
-    height = max(1, _BLOCK_BYTES // (8 * n))
-    for start in range(0, n, height):
-        rows = slice(start, start + height)
+    for rows in _row_blocks(*M.shape):
         M[rows] *= projected_w[rows] @ projected_w.T
     return M
 
@@ -512,9 +509,7 @@ def _te_curve(p: _Pass) -> EffectCurve:
     full = product_gram(data, p.specs, ("x", "z", "w", "v"))
     rest_mean = full.mean(axis=1)
     d = data.block("d")
-    height = max(1, _BLOCK_BYTES // (8 * data.n))
-    for start in range(0, data.n, height):
-        rows = slice(start, start + height)
+    for rows in _row_blocks(*full.shape):
         full[rows] *= gram(d[rows], d, spec_d)
     y = data.y
     system = RidgeSystem(full)

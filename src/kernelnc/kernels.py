@@ -14,14 +14,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateScaleError, InputError
+from .errors import DegenerateScaleError, InputError, _number
 
 GAUSSIAN = "gaussian"
 INDICATOR = "indicator"
 
-# Bytes of output rows filled per block in gram: a few hundred KiB keeps the
-# block and its scratch factor in cache.
+# Bytes of rows per block of a blocked pass (see _row_blocks): a few hundred
+# KiB keeps a block of gram's output and its scratch factor in cache.
 _BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """The row slices of an n x width float array, about _BLOCK_BYTES each."""
+    height = max(1, _BLOCK_BYTES // (8 * width))
+    return [slice(s, min(s + height, n)) for s in range(0, n, height)]
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,10 @@ class ColumnKernel:
         if self.family not in (GAUSSIAN, INDICATOR):
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == GAUSSIAN:
-            ls = self.lengthscale
-            if ls is None or not np.isfinite(ls) or ls <= 0.0:
-                raise InputError(
-                    f"gaussian column needs a finite positive lengthscale, got {ls!r}"
-                )
+            ls = _number("lengthscale", self.lengthscale)
+            if ls <= 0.0:
+                raise InputError(f"lengthscale must be > 0, got {ls!r}", "lengthscale")
+            object.__setattr__(self, "lengthscale", ls)
         elif self.lengthscale is not None:
             raise InputError("indicator columns do not take a lengthscale")
 
@@ -55,8 +60,11 @@ class KernelSpec:
     columns: tuple[ColumnKernel, ...]
 
     def __post_init__(self) -> None:
-        if not self.columns:
-            raise InputError("KernelSpec needs at least one column")
+        columns = tuple(self.columns) if isinstance(self.columns, Iterable) else ()
+        if not columns or not all(isinstance(c, ColumnKernel) for c in columns):
+            raise InputError(f"columns must be one or more ColumnKernels, got {self.columns!r}",
+                             "columns")
+        object.__setattr__(self, "columns", columns)
 
     @property
     def dim(self) -> int:
@@ -64,7 +72,7 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, lengthscales: Iterable[float]) -> "KernelSpec":
-        return cls(tuple(ColumnKernel(GAUSSIAN, float(s)) for s in lengthscales))
+        return cls(tuple(ColumnKernel(GAUSSIAN, s) for s in lengthscales))
 
     @classmethod
     def indicator(cls, ncols: int) -> "KernelSpec":
@@ -111,15 +119,15 @@ def gram(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
         for j, ck in enumerate(spec.columns)
         if ck.family == GAUSSIAN
     }
-    height = max(1, min(nr, _BLOCK_BYTES // (8 * nc)))
-    scratch = np.empty((height, nc))
-    for start in range(0, nr, height):
-        block = out[start : start + height]
+    blocks = _row_blocks(nr, nc)
+    scratch = np.empty((blocks[0].stop, nc))
+    for span in blocks:
+        block = out[span]
         f = scratch[: block.shape[0]]
         for k, (j, scale) in enumerate(scales.items()):
             # the first term goes straight into the output rows
             t = block if k == 0 else f
-            np.subtract(r[start : start + height, j, None], col_values[j], out=t)
+            np.subtract(r[span, j, None], col_values[j], out=t)
             t *= scale
             np.square(t, out=t)
             if k > 0:
@@ -131,7 +139,7 @@ def gram(rows: np.ndarray, cols: np.ndarray, spec: KernelSpec) -> np.ndarray:
             block.fill(1.0)
         for j, ck in enumerate(spec.columns):
             if ck.family == INDICATOR:
-                np.equal(r[start : start + height, j, None], col_values[j], out=f)
+                np.equal(r[span, j, None], col_values[j], out=f)
                 block *= f
     return out
 
@@ -262,7 +270,7 @@ def spec_from_data(
                 raise InputError(f"column {j} is categorical and takes no lengthscale")
             cols.append(ColumnKernel(INDICATOR))
         elif forced[j] is not None:
-            cols.append(ColumnKernel(GAUSSIAN, float(forced[j])))
+            cols.append(ColumnKernel(GAUSSIAN, forced[j]))
         else:
             cols.append(ColumnKernel(GAUSSIAN, median_heuristic(arr, j)))
     return KernelSpec(tuple(cols))

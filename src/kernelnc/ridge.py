@@ -28,17 +28,19 @@ suite checks this loss against the same brute-force refits to 1e-8
 over the whole shipped grid, as it does at duplicated points.
 
 A dense system that was never tuned (a forced or theoretical penalty)
-solves by Cholesky instead. Every route runs on the LAPACK that numpy
-loads. Where that is numpy's own scipy-openblas, its dsyevd and dpotrf
-are called through ctypes in the kernel's own buffer (see
-:func:`_eigh_in_place` and :meth:`RidgeSystem._cho_solve`), as is
-:func:`gram_factor`'s dense Cholesky: each result is numpy's, bit for
-bit, with no copy of the kernel and no separate output. Where numpy
-links another LAPACK, np.linalg.eigh and np.linalg.cholesky run
-instead, the only second route.
+solves by Cholesky instead. Every dense eigendecomposition and Cholesky,
+:func:`gram_factor`'s included, runs in the kernel's own buffer through
+one of two LAPACK calls, dsyevd and dpotrf on the buffer's Fortran view
+(see :func:`_eigh_in_place` and :func:`_potrf`), and each result is
+numpy's, bit for bit. Where numpy ships scipy-openblas, the two are
+that library's, called through ctypes, with no copy of the kernel and
+no separate output. Where numpy links another LAPACK (MKL,
+Accelerate), np.linalg.eigh and np.linalg.cholesky stand in for those
+two calls alone, on a copy of the same values, to the same bits, and
+every step around them is the same.
 
-So a dense decomposition runs beside nothing but its own Gram and
-LAPACK's workspace. dsyevd's workspace of about 2 n^2 doubles is, from
+So with scipy-openblas a dense decomposition runs beside nothing but
+its own Gram and LAPACK's workspace. dsyevd's workspace of about 2 n^2 doubles is, from
 n of about 1450, above glibc's 32 MiB ceiling on its mmap threshold, so
 it is always mapped fresh and never placed in freed heap; the heap's
 free chunks are handed back to the system (malloc_trim) before it is
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import _BLOCK_BYTES
+from .kernels import _row_blocks
 
 #: Default tuning grid: 20 log-spaced candidates spanning [1e-8, 1e2].
 DEFAULT_GRID = np.logspace(-8.0, 2.0, 20)
@@ -138,8 +140,9 @@ def gram_factor(K: np.ndarray) -> np.ndarray:
       pivot, panel by panel, with K updated in place by each finished
       panel's product, one block of rows at a time.
 
-    gram_factor takes K over, as `RidgeSystem(K)` does: a Gram of rank
-    below 64 is only read, but any other is overwritten, so a caller
+    gram_factor takes K over on every platform, as `RidgeSystem(K)`
+    does: a Gram of rank below 64 is only read, but any other is
+    overwritten, so a caller
     that reads K afterwards passes `K.copy()`. A read-only or
     non-contiguous K is factored in a copy and left intact. K must be
     exactly symmetric, as a Gram is: the loop reads its rows.
@@ -185,9 +188,7 @@ def _pivoted(K: np.ndarray, diag: np.ndarray, tol: float, panels: int | None = N
             return np.concatenate(done).T.copy()
         if len(done) == panels:
             return None
-        height = max(1, _BLOCK_BYTES // (8 * n))
-        for start in range(0, n, height):
-            rows = slice(start, start + height)
+        for rows in _row_blocks(n, n):
             K[rows] -= P[:, rows].T @ P
         diag = K.diagonal().copy()
 
@@ -196,30 +197,24 @@ def _cholesky_in_place(K: np.ndarray, diag: np.ndarray, tol: float) -> np.ndarra
     """np.linalg.cholesky(K), bit for bit, when K is positive definite
     and its smallest pivot squared exceeds `tol`, else None.
 
-    dpotrf("L") on the Fortran view of K's buffer, which is K', reads
-    K's upper triangle and writes the factor's transpose there; the
+    dpotrf("L") on the Fortran view of K's buffer, which is K' (see
+    :func:`_potrf`), reads K's upper triangle and writes the factor's transpose there; the
     buffer is then transposed in place and its upper triangle zeroed, so
     that L is K, C-ordered as numpy returns it. When the factor is
     refused, K's upper triangle is mirrored back from its intact lower
     one and its diagonal restored from `diag`, so that K is as given.
-    Where numpy's LAPACK lacks the binding, np.linalg.cholesky factors a
-    copy and K is only read. K is writeable and C-contiguous.
+    K is writeable and C-contiguous.
     """
-    if _lapack() is None:
-        try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            return None
-        return L if L.diagonal().min() ** 2 > tol else None
+    n = K.shape[0]
     if _potrf(K, b"L") and K.diagonal().min() ** 2 > tol:
         _transpose(K)
-        for rows, rest in _row_blocks(K.shape[0]):
-            K[rows, rest] = 0.0
+        for rows in _row_blocks(n, n):
+            K[rows, rows.stop :] = 0.0
             square = K[rows, rows]
             square[np.triu_indices(square.shape[0], 1)] = 0.0
         return K
     _mirror_lower(K)
-    K.flat[:: K.shape[0] + 1] = diag
+    K.flat[:: n + 1] = diag
     return None
 
 
@@ -228,7 +223,8 @@ def _lapack():
     """dsyevd and dpotrf from the scipy-openblas library that numpy's
     wheel ships (numpy.libs/ on Linux, numpy/.dylibs/ on macOS), as the
     attributes of one namespace, or None where it is absent, as with
-    MKL, Accelerate or a source build. The library takes 64-bit integers
+    MKL, Accelerate or a source build; only :func:`_potrf` and
+    :func:`_eigh_in_place` read it. The library takes 64-bit integers
     and a trailing length for each string argument."""
     here = os.path.dirname(np.__file__)
     paths = glob.glob(os.path.join(here, os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
@@ -268,16 +264,10 @@ def _owned(K: np.ndarray) -> np.ndarray:
     return K if K.flags.writeable and K.flags.c_contiguous else K.copy()
 
 
-def _row_blocks(n: int):
-    """(rows, rest): each block of rows of an n x n array and the columns
-    right of its diagonal square, about _BLOCK_BYTES per block."""
-    height = max(1, _BLOCK_BYTES // (8 * n))
-    return [(slice(s, s + height), slice(s + height, n)) for s in range(0, n, height)]
-
-
 def _mirror_lower(K: np.ndarray) -> None:
     """Copy K's lower triangle into its upper one, in place."""
-    for rows, rest in _row_blocks(K.shape[0]):
+    for rows in _row_blocks(*K.shape):
+        rest = slice(rows.stop, None)
         K[rows, rest] = K[rest, rows].T
         square = K[rows, rows]
         upper = np.triu_indices(square.shape[0], 1)
@@ -286,7 +276,8 @@ def _mirror_lower(K: np.ndarray) -> None:
 
 def _transpose(K: np.ndarray) -> None:
     """Transpose the square K in place."""
-    for rows, rest in _row_blocks(K.shape[0]):
+    for rows in _row_blocks(*K.shape):
+        rest = slice(rows.stop, None)
         upper = K[rows, rest].copy()
         K[rows, rest] = K[rest, rows].T
         K[rest, rows] = upper.T
@@ -294,8 +285,21 @@ def _transpose(K: np.ndarray) -> None:
 
 
 def _potrf(K: np.ndarray, uplo: bytes) -> bool:
-    """dpotrf(uplo) on the Fortran view of K's buffer, in place: True when
-    it factored the whole matrix, False at a non-positive pivot."""
+    """dpotrf(uplo) on the Fortran view of K's buffer, which is K', in
+    place: True when it factored the whole matrix, False at a
+    non-positive pivot. Where numpy's LAPACK lacks the binding,
+    np.linalg.cholesky(K') runs that dpotrf on a Fortran copy of the same
+    values and only its `uplo` triangle is written back, to the same
+    bits. A failed call may leave a partial factor in that triangle,
+    which every caller overwrites before it reads it."""
+    if _lapack() is None:
+        try:
+            factor = np.linalg.cholesky(K.T, upper=uplo == b"U")
+        except np.linalg.LinAlgError:
+            return False
+        lower = np.tri(K.shape[0], dtype=bool)
+        np.copyto(K.T, factor, where=lower.T if uplo == b"U" else lower)
+        return True
     n, info = ctypes.c_int64(K.shape[0]), ctypes.c_int64(0)
     _lapack().dpotrf(uplo, ctypes.byref(n), K, ctypes.byref(n), ctypes.byref(info), 1)
     return info.value == 0
@@ -313,9 +317,12 @@ def _eigh_in_place(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one block of rows at a time. Beside K only dsyevd's workspace, about
     2 n^2 doubles sized by its own query, is allocated. A workspace above
     glibc's 32 MiB ceiling on its mmap threshold is mapped fresh, so the
-    heap's free chunks are trimmed first (see the module docstring). A K
-    that is read-only or not C-contiguous is copied first. Raises
-    LinAlgError, as numpy's eigh does, when dsyevd fails.
+    heap's free chunks are trimmed first (see the module docstring).
+    Where numpy's LAPACK lacks the binding, np.linalg.eigh(K') runs that
+    dsyevd on a Fortran copy of the same values and its Q is written into
+    the view, to the same bits. A K that is read-only or not C-contiguous
+    is copied first. Raises LinAlgError, as numpy's eigh does, when
+    dsyevd fails.
     """
     K = _owned(K)
     n = K.shape[0]
@@ -329,14 +336,17 @@ def _eigh_in_place(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if info.value:
             raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
 
-    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    dsyevd(work, iwork, -1, -1)  # the workspace query
-    lwork, liwork = int(work[0]), int(iwork[0])
-    if 8 * lwork > _MMAP_THRESHOLD_MAX and _malloc_trim() is not None:
-        _malloc_trim()(0)
-    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    dsyevd(work, iwork, lwork, liwork)
-    del work, iwork
+    if _lapack() is None:
+        e, K.T[...] = np.linalg.eigh(K.T)
+    else:
+        work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+        dsyevd(work, iwork, -1, -1)  # the workspace query
+        lwork, liwork = int(work[0]), int(iwork[0])
+        if 8 * lwork > _MMAP_THRESHOLD_MAX and _malloc_trim() is not None:
+            _malloc_trim()(0)
+        work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+        dsyevd(work, iwork, lwork, liwork)
+        del work, iwork
     _transpose(K)
     return e, K
 
@@ -372,9 +382,9 @@ class RidgeSystem:
     factors K in its own buffer too, but restores it from its lower
     triangle once the factor is applied (see :meth:`_cho_solve`), so
     an untuned system solves again, and an exactly symmetric K is left
-    as given. A read-only or non-contiguous K is decomposed in a copy
-    and left intact, as is every K where numpy's LAPACK is not
-    scipy-openblas and np.linalg.eigh and np.linalg.cholesky run.
+    as given. This holds on every platform, whichever LAPACK numpy
+    links. A read-only or non-contiguous K is decomposed in a copy and
+    left intact.
 
     A factored system eigendecomposes only the r x r matrix
     L'L = V diag(e) V', at its first loss or solve alike, and keeps
@@ -438,30 +448,20 @@ class RidgeSystem:
         K + shift I = U'U, which is np.linalg.cholesky(K', upper=True) bit
         for bit: K' upper (K lower) is numpy's fastest order.
 
-        Where numpy's LAPACK is scipy-openblas, U is formed in K's own
-        buffer: K's lower triangle is mirrored into its upper one and the
-        shifted diagonal set, dpotrf("U") runs on the Fortran view of the
-        buffer, which is K', and the buffer is transposed in place. U then
-        fills K's upper triangle, C-ordered, and K's lower triangle
-        survives below it, so a failed attempt retries from it with a
-        larger jitter, and once U has been applied K is restored from it
-        and from its saved diagonal. Elsewhere np.linalg.cholesky factors
-        a copy of K with its diagonal shifted in place and restored.
-        Either way U' and U are substituted _PANEL rows at a time, each
+        U is formed in K's own buffer: K's lower triangle is mirrored
+        into its upper one and the shifted diagonal set, dpotrf("U") runs
+        on the Fortran view of the buffer, which is K' (see :func:`_potrf`),
+        and the buffer is transposed in place. U then fills K's upper
+        triangle, C-ordered, and K's lower triangle survives below it, so
+        a failed attempt retries from it with a larger jitter, and once U
+        has been applied K is restored from it and from its saved
+        diagonal. U' and U are substituted _PANEL rows at a time, each
         diagonal block (the upper triangle of K's) by LU.
         """
-        in_place, K, n = _lapack() is not None, _owned(self.kernel), self.n
+        K, n = _owned(self.kernel), self.n
         diag = K.diagonal().copy()
 
         def attempt(shift):
-            if not in_place:
-                K.flat[:: n + 1] = diag + shift
-                try:
-                    return np.linalg.cholesky(K.T, upper=True), shift
-                except np.linalg.LinAlgError:
-                    return None
-                finally:
-                    K.flat[:: n + 1] = diag
             _mirror_lower(K)
             K.flat[:: n + 1] = diag + shift
             factored = _potrf(K, b"U")
@@ -478,20 +478,17 @@ class RidgeSystem:
                 x[k] = np.linalg.solve(np.triu(U[k, k]), x[k] - U[k, k.stop :] @ x[k.stop :])
             return x, shift
         finally:
-            if in_place:
-                _mirror_lower(K)
-                K.flat[:: n + 1] = diag
+            _mirror_lower(K)
+            K.flat[:: n + 1] = diag
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(e, Q) with K = Q diag(e) Q' and e ascending: Q orthonormal
         (n x n) for a dense kernel, Q = W = L V (n x r) for a factor.
-        A dense kernel is decomposed in its own buffer, which becomes Q,
-        unless numpy's LAPACK lacks the binding: then np.linalg.eigh, to
-        the same bits."""
+        A dense kernel is decomposed in its own buffer, which becomes Q."""
         if self._eig is None:
             if self.factor is None:
                 K, self.kernel = self.kernel, None  # every later read goes through (e, Q)
-                self._eig = np.linalg.eigh(K) if _lapack() is None else _eigh_in_place(K)
+                self._eig = _eigh_in_place(K)
             else:
                 e, V = np.linalg.eigh(self.factor.T @ self.factor)
                 self._eig = (e, self.factor @ V)
@@ -614,9 +611,7 @@ class RidgeSystem:
         Cu = U.T @ L
         t0 = np.empty(self.n)
         R = np.empty(U.shape)
-        height = max(1, _BLOCK_BYTES // (8 * max(1, L.shape[1])))
-        for start in range(0, self.n, height):
-            rows = slice(start, start + height)
+        for rows in _row_blocks(*L.shape):
             perp = U[rows] @ Cu
             np.subtract(L[rows], perp, out=perp)
             R[rows] = perp @ Cu.T

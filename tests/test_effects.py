@@ -518,11 +518,12 @@ def test_ate_fit_holds_few_n_by_n_arrays(estimator, plan, bound):
     buffer, and dsyevd's workspace of about 2 n^2 doubles is a numpy
     array, so this peak is the whole peak: the baseline's reads 3.07
     n x n, its Gram and that workspace. (Where numpy's LAPACK lacks the
-    binding, np.linalg.eigh's copy, workspace and output sit on top,
-    unseen.) A forced fit solves by Cholesky in its kernel's own buffer
-    too, so the solve adds no n x n array (where the binding is absent,
-    numpy's factor and its copy of the kernel add two, unseen but for
-    the factor).
+    binding, np.linalg.eigh's copy and workspace sit on top, unseen, and
+    its Q until Q is copied into the Gram.) A forced fit solves by
+    Cholesky in its kernel's own buffer too, so the solve adds no n x n
+    array (where the binding is absent, np.linalg.cholesky's copy of the
+    kernel and its factor add two until the factor is copied back,
+    unseen but for the factor).
     """
     n = 300
     data = generate(SimDesign("quadratic", n=n), 1)

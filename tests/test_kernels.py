@@ -168,8 +168,9 @@ def test_gram_equals_whole_matrix_reference(shape):
 def test_gram_rows_span_blocks_of_uneven_height():
     rng = np.random.default_rng(37)
     n = 300
-    height = kernels._BLOCK_BYTES // (8 * n)
-    assert 1 < height < n and n % height != 0
+    blocks = kernels._row_blocks(n, n)
+    height = blocks[0].stop
+    assert 1 < height < n and n % height != 0 and blocks[-1].stop == n
     s = _mixed_sample(rng, n)
     assert np.array_equal(gram(s, s, MIXED), _gram_reference(s, s, MIXED))
 
@@ -182,7 +183,7 @@ def test_gram_symmetry_is_bitwise():
     assert np.array_equal(np.diag(g), np.ones(40))
     # above one block of rows, with an indicator column
     s = _mixed_sample(rng, 700)
-    assert 700 > kernels._BLOCK_BYTES // (8 * 700)
+    assert len(kernels._row_blocks(700, 700)) > 1
     g = gram(s, s, MIXED)
     assert np.array_equal(g, g.T)
 
@@ -242,5 +243,17 @@ def test_spec_validation():
         ColumnKernel("indicator", 1.0)
     with pytest.raises(InputError):
         KernelSpec(())
+    # a lengthscale that is not one finite number, and a column that is
+    # not a ColumnKernel, are refused where they are given
+    for lengthscale in ("abc", [1, 2]):
+        with pytest.raises(InputError, match="lengthscale"):
+            ColumnKernel("gaussian", lengthscale)
+    for columns in ("abc", [1.5], 1.5, [[1, 2]]):
+        with pytest.raises(InputError, match="columns"):
+            KernelSpec(columns)
+    with pytest.raises(InputError, match="lengthscale"):
+        KernelSpec.gaussian(["a"])
+    with pytest.raises(InputError, match="lengthscale"):
+        spec_from_data(np.ones((3, 1)), lengthscales=["abc"])
     with pytest.raises(InputError):
         gram(np.ones((3, 2)), np.ones((3, 1)), KernelSpec.gaussian([1.0]))

@@ -19,6 +19,7 @@ from kernelnc import cli
 from kernelnc.data import Dataset, Schema
 from kernelnc.effects import EffectCurve, EffectRequest, TuningPlan
 from kernelnc.errors import KernelncError
+from kernelnc.kernels import ColumnKernel, KernelSpec
 from kernelnc.ridge import RidgeSystem, TuneReport
 from kernelnc.simlab import ReplicateReport, SimDesign, generate
 
@@ -44,6 +45,8 @@ VALID = {
     Schema: {"y": "y", "d": "d", "x": ("x",), "z": ("z",), "w": ("w",)},
     TuneReport: {"grid": [0.1, 1.0], "losses": [0.5, 0.4]},
     RidgeSystem: {"kernel": np.eye(2)},
+    ColumnKernel: {"family": "gaussian", "lengthscale": 1.0},
+    KernelSpec: {"columns": (ColumnKernel("indicator"),)},
 }
 
 

@@ -28,6 +28,25 @@ from kernelnc.simlab import SimDesign, generate
 from oracle_dense import krr_predict, loo_embedding_losses, loo_scalar_losses
 
 
+@pytest.fixture
+def binding():
+    """Skips a test of scipy-openblas's dsyevd and dpotrf where numpy's
+    LAPACK lacks them."""
+    if ridge._lapack() is None:
+        pytest.skip("numpy's LAPACK is not scipy-openblas")
+
+
+@pytest.fixture(params=["binding", "numpy"])
+def route(request, monkeypatch):
+    """Each dense decomposition through scipy-openblas's dsyevd and dpotrf,
+    or through np.linalg, as where numpy links another LAPACK."""
+    if request.param == "binding":
+        request.getfixturevalue("binding")
+    else:
+        monkeypatch.setattr(ridge, "_lapack", lambda: None)
+    return request.param
+
+
 def _random_gram(rng, n, p=2):
     pts = rng.normal(size=(n, p))
     scales = rng.uniform(0.5, 2.0, size=p)
@@ -143,14 +162,38 @@ def test_untuned_solves_leave_the_kernel_unchanged():
                 np.testing.assert_allclose(smoothed, 0.0, atol=1e-12)
 
 
+def test_a_jittered_untuned_solve_is_the_same_bits_on_each_route(route, monkeypatch):
+    # a numerically singular Gram with ridge 0 fails its first Cholesky
+    # and is solved at the first jitter; lowered by 5e-11 on its diagonal
+    # it fails the first two. A failed np.linalg.cholesky writes nothing
+    # where dpotrf may leave a partial factor, but each retry overwrites
+    # that triangle first, so the solves, the smooths and the jitters are
+    # the binding's to the bit. n = 150 spans three substitution blocks
+    rng = np.random.default_rng(67)
+    pts = rng.uniform(-1.0, 1.0, size=(150, 1))
+    b = rng.normal(size=(150, 2))
+    kernels = [gram(pts, pts, KernelSpec.gaussian([1.0])) for _ in range(2)]
+    kernels[1].flat[::151] -= 5e-11
+
+    def solve(K):
+        system = RidgeSystem(K.copy())
+        return system.solve(0.0, b), system.smooth(0.0, b), system.jitter
+
+    got = [solve(K) for K in kernels]
+    monkeypatch.undo()  # the platform's own route: the binding where numpy ships it
+    for K, rung, mine, want in zip(kernels, (1e-12, 1e-10), got, map(solve, kernels)):
+        assert mine[2] == want[2] == pytest.approx(rung * np.trace(K) / 150, rel=1e-12)
+        for g, w in zip(mine[:2], want[:2]):
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.usefixtures("binding")
 def test_in_place_eigh_is_numpys_to_the_bit():
     # a dense system decomposes its kernel in the kernel's own buffer by
     # dsyevd; (e, Q) equal np.linalg.eigh's bit for bit, on an exactly
     # symmetric Gram A and on an M-like kernel whose two triangles differ
     # in round-off, as the stage-2 kernel's may (both routes read the
     # lower one)
-    if ridge._lapack() is None:
-        pytest.skip("numpy's LAPACK is not scipy-openblas")
     rng = np.random.default_rng(89)
     for n in (300, 1000):
         data = generate(SimDesign("quadratic", n=n), 3)
@@ -165,13 +208,12 @@ def test_in_place_eigh_is_numpys_to_the_bit():
             np.testing.assert_array_equal(Q, want_Q)
 
 
+@pytest.mark.usefixtures("binding")
 def test_in_place_cholesky_is_numpys_to_the_bit():
     # gram_factor factors a full-rank Gram in the Gram's own buffer by
     # dpotrf: L is the same array as K and equals np.linalg.cholesky(K)
     # bit for bit. The output Gram x o w o v of an att embedding is the
     # full-rank Gram the pipeline factors
-    if ridge._lapack() is None:
-        pytest.skip("numpy's LAPACK is not scipy-openblas")
     for n in (300, 1000):
         data = _study_data(n, 3)
         K = product_gram(data, kernel_specs(data), ("x", "w", "v"))
@@ -182,13 +224,12 @@ def test_in_place_cholesky_is_numpys_to_the_bit():
         np.testing.assert_array_equal(L, want)
 
 
+@pytest.mark.usefixtures("binding")
 def test_free_heap_is_trimmed_only_before_a_workspace_glibc_maps_fresh(monkeypatch):
     # malloc_trim runs once before dsyevd's workspace is allocated, and
     # only where that workspace exceeds glibc's 32 MiB mmap-threshold
     # ceiling: never in a tuned n = 300 fit, once for n = 1500 (about
     # 34 MiB of workspace). A stand-in counts the calls
-    if ridge._lapack() is None:
-        pytest.skip("numpy's LAPACK is not scipy-openblas")
     pads = []
 
     def trim(pad):
@@ -215,8 +256,7 @@ def test_a_read_only_or_non_contiguous_kernel_is_decomposed_in_a_copy():
     owned = K.copy()
     system = RidgeSystem(owned)
     want = system.loo(y).losses, system.solve(0.3, y)
-    if ridge._lapack() is not None:
-        assert system._eig[1] is owned
+    assert system._eig[1] is owned
     read_only = K.copy()
     read_only.setflags(write=False)
     strided = np.zeros((40, 80))
@@ -232,9 +272,9 @@ def test_a_read_only_or_non_contiguous_kernel_is_decomposed_in_a_copy():
 
 def test_without_the_binding_curves_are_the_same_bits(monkeypatch):
     # where numpy's LAPACK lacks scipy-openblas's dsyevd and dpotrf,
-    # np.linalg.eigh and np.linalg.cholesky decompose each dense system in
-    # a copy: every tuned, forced and theoretical curve and every search it
-    # records are byte-identical to the in-place route's. n = 150 puts
+    # np.linalg.eigh and np.linalg.cholesky stand in for those two calls
+    # alone: every tuned, forced and theoretical curve and every search it
+    # records are byte-identical to the binding's. n = 150 puts
     # att's full-rank output Gram through gram_factor's dense Cholesky
     # and each forced solve through three substitution blocks
     data = _study_data(150, 5)
@@ -438,26 +478,20 @@ def test_factored_embedding_loss_exact_on_a_rank_deficient_output():
     assert report.selected == DEFAULT_GRID[np.argmin(want)]
 
 
-def test_gram_factor_reconstructs_on_each_route(monkeypatch):
+def test_gram_factor_reconstructs_on_each_route(route, monkeypatch):
     # a Gram of rank below the 64-column panel is factored through no
     # n x n allocation and is only read; a full-rank Gram with n > 64
     # takes the dense Cholesky, and a singular one of high rank
     # (duplicated points) the pivoted loop continued past the first
     # panel. Both take the Gram over, so they are given copies. A dense
-    # Cholesky is counted in the Gram's own buffer, or by numpy where the
-    # binding is absent
+    # Cholesky is counted once, at _potrf, on either LAPACK route
     choleskys = []
-    cholesky, potrf = np.linalg.cholesky, ridge._potrf
-
-    def spy(a):
-        choleskys.append(np.shape(a))
-        return cholesky(a)
+    potrf = ridge._potrf
 
     def spied_potrf(a, uplo):
         choleskys.append(np.shape(a))
         return potrf(a, uplo)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
     monkeypatch.setattr(ridge, "_potrf", spied_potrf)
     w = np.random.default_rng(53).uniform(-1.0, 1.0, size=(300, 1))
     K = gram(w, w, KernelSpec.gaussian([0.5]))
@@ -639,7 +673,7 @@ def test_factored_system_validation():
         system.loo(np.ones((2, 1)))
 
 
-def test_one_decomposition_per_tuned_system(monkeypatch):
+def test_one_decomposition_per_tuned_system(route, monkeypatch):
     # with every penalty left to leave-one-out, each dense system is
     # eigendecomposed once (n x n) and that decomposition also does the
     # solve: A and M for the bridge, the product Gram for the baseline.
@@ -647,21 +681,25 @@ def test_one_decomposition_per_tuned_system(monkeypatch):
     # r x r matrix L'L of its conditioning Gram's factor, and no system
     # solves by Cholesky. A forced penalty factors its system by
     # Cholesky and never takes the n x n eigh; a forced ds pass smooths
-    # its population's w Gram in the same stage-1 solve as L. A dense
-    # eigh or Cholesky is counted in its own buffer, or by numpy where the
-    # binding is absent, a factor's r x r eigh by numpy
+    # its population's w Gram in the same stage-1 solve as L. Each
+    # decomposition is counted once, on either LAPACK route: an eigh
+    # where a system first computes it, n x n for a dense kernel and
+    # r x r for a factor, and a Cholesky at _potrf
     shapes, chols = [], []
+    eigh, potrf = RidgeSystem._eigh, ridge._potrf
 
-    def recorded(log, fn):
-        def wrapper(a, *args, **kwargs):
-            log.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapper
+    def spied_eigh(self):
+        if self._eig is None:
+            r = self.n if self.factor is None else self.factor.shape[1]
+            shapes.append((r, r))
+        return eigh(self)
 
-    monkeypatch.setattr(ridge, "_eigh_in_place", recorded(shapes, ridge._eigh_in_place))
-    monkeypatch.setattr(np.linalg, "eigh", recorded(shapes, np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "cholesky", recorded(chols, np.linalg.cholesky))
-    monkeypatch.setattr(ridge, "_potrf", recorded(chols, ridge._potrf))
+    def spied_potrf(a, uplo):
+        chols.append(np.shape(a))
+        return potrf(a, uplo)
+
+    monkeypatch.setattr(RidgeSystem, "_eigh", spied_eigh)
+    monkeypatch.setattr(ridge, "_potrf", spied_potrf)
     data = _study_data(60, 3)
     att = EffectRequest("att", grid_size=5, d_value=0.2)
     cate = EffectRequest("cate", grid_size=5, v_value=0.1)
